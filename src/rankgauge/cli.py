@@ -4,8 +4,8 @@ Subcommands: `compute` (E_r of a subspace, state or mixed-state support),
 `border-rank` (transition scan for pure states), `ges` (per-bipartition
 scan), and `reproduce` (regenerate the validation data sets as CSV).
 Every result file gets a sibling `<name>.manifest.json` recording the
-exact invocation; re-running the recorded argv in sequential mode
-reproduces the values bit for bit.
+exact invocation; re-running the recorded argv reproduces the values bit
+for bit.
 
 Exit codes: 0 success, 2 input error, 3 optimization failure, 4 usage error.
 """
@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 input error, 3 optimization failure, 4 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -20,6 +21,7 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,26 +31,27 @@ from .catalog import (
     build_example,
     catalog_help,
     dicke_state,
-    ges_e2_closed_form,
-    ges_subspace,
+    example3_state,
     matrix_mult_tensor,
     max_ces_subspace,
     strip_e2_closed_form,
     strip_subspace,
     tiles_bound_entangled_state,
-    example3_state,
-    upb_3qubit_subspace,
     upb_3qubit_e2_closed_form,
-    w_type_state,
+    upb_3qubit_subspace,
     w_type_e2_closed_form,
+    w_type_state,
     WTypeCoeffs,
 )
 from .errors import InputError, OptimizationError, RankgaugeError, UsageError
 from .measures import (
     ZERO_THRESHOLD,
-    border_rank_scan,
+    clamp01,
+    er_pure,
+    er_subspace,
     genuine_entanglement_scan,
     is_genuinely_entangled,
+    minimal_rank_scan,
     robustness_experiment,
     support_bound_er,
 )
@@ -57,12 +60,12 @@ from .subspace import (
     MixedState,
     Subspace,
     complement_basis,
+    read_json,
     span_of,
     state_from_dict,
     state_to_dict,
     subspace_from_dict,
     support_space,
-    _load_json,
 )
 from .tensor_core import PureState
 
@@ -78,12 +81,203 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer >= low, so a bad count fails before any input is read."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _sha256(data: bytes) -> str:
+    return f"sha256:{hashlib.sha256(data).hexdigest()}"
+
+
+class _Outcome(NamedTuple):
+    """What one subcommand body produced; `main` times, prints and records it."""
+
+    name: str             # base name of the CSV and its manifest
+    lines: list[str]      # CSV rows, header first
+    extra: dict           # command-specific manifest config
+    shown: list[str]      # printed before the wall time
+    trailer: list[str]    # printed after the wall time
+
+
+def _as_subspace_for_compute(obj):
+    """Normalize a catalog/file object for compute: (subspace, note)."""
+    if isinstance(obj, Subspace):
+        return obj, None
+    if isinstance(obj, PureState):
+        return span_of(obj), None
+    if isinstance(obj, MixedState):
+        return support_space(obj), "support-space lower bound for the mixed state"
+    raise UsageError(f"cannot compute on object of type {type(obj).__name__}")
+
+
+def _compute(args, cfg: OptimConfig, obj) -> _Outcome:
+    sub, note = _as_subspace_for_compute(obj)
+    report = run_certification(sub, args.r, cfg)
+    value = clamp01(report.best_value)
+    best = report.per_trial[report.best_trial]
+    shown = [f"E_{args.r} = {_fmt(value)}"]
+    if note:
+        shown.append(f"note: {note}")
+    shown.append(f"termination = {best.reason} (best trial {report.best_trial})")
+    lines = ["trial,value,iterations,converged,termination"]
+    for i, d in enumerate(report.per_trial):
+        finite = math.isfinite(d.value)
+        converged = str(d.converged).lower()
+        shown.append(f"trial {i}: value={_fmt(d.value) if finite else 'failed'} "
+                     f"iterations={d.iterations} converged={converged} reason={d.reason}")
+        lines.append(f"{i},{_fmt(d.value) if finite else 'inf'},{d.iterations},{converged},{d.reason}")
+    lines.append(f"best,{_fmt(value)},,,")
+    trailer = []
+    if args.emit_closest:
+        _write_lines(Path(args.emit_closest), [json.dumps(state_to_dict(report.best_state))])
+        trailer.append(f"closest state written to {args.emit_closest}")
+    return _Outcome("compute", lines, {"r": args.r}, shown, trailer)
+
+
+def _border_rank(args, cfg: OptimConfig, obj) -> _Outcome:
+    if isinstance(obj, Subspace) and obj.dim == 1:
+        obj = PureState(obj.dims, obj.basis[0])
+    if not isinstance(obj, PureState):
+        raise UsageError("border-rank requires a pure state (single-vector input)")
+    scan = minimal_rank_scan(span_of(obj), args.r_max, args.zero_threshold, cfg)
+    lines = ["r,value,termination"]
+    lines += [f"{e.r},{_fmt(e.value)},{e.termination}" for e in scan.entries]
+    lines.append(f"border_rank,{scan.rank_label()},")
+    return _Outcome("border_rank", lines, {"r_max": args.r_max}, lines, [])
+
+
+def _ges(args, cfg: OptimConfig, obj) -> _Outcome:
+    if isinstance(obj, PureState):
+        sub = span_of(obj)
+    elif isinstance(obj, Subspace):
+        sub = obj
+    else:
+        raise UsageError("ges requires a subspace or pure state input")
+    if len(sub.dims) < 3:
+        raise UsageError("ges requires at least three parties")
+    values = genuine_entanglement_scan(sub, cfg)
+    verdict = is_genuinely_entangled(values, args.zero_threshold)
+    lines = ["bipartition,value"]
+    lines += [f"{cut},{_fmt(val)}" for cut, val in values.items()]
+    lines.append(f"genuinely_entangled,{str(verdict).lower()}")
+    return _Outcome("ges", lines, {}, lines, [])
+
+
+def _reproduce_fig1(args, cfg: OptimConfig):
+    lines = ["d,theta,analytic,computed"]
+    for d in (3, 4, 5, 6):
+        for j in range(1, 26):
+            theta = math.pi * j / 26.0
+            params = StripParams(d, theta)
+            computed = er_subspace(strip_subspace(params), 2, cfg)
+            lines.append(f"{d},{_fmt(theta)},{_fmt(strip_e2_closed_form(params))},{_fmt(computed)}")
+    return lines, {"d_values": [3, 4, 5, 6], "theta_points": 25}
+
+
+def _reproduce_fig2(args, cfg: OptimConfig):
+    grid = [0.1 * i for i in range(7)]
+    lines = ["theta,trace_norm,min_e2,samples"]
+    for label, theta in (("pi/2", math.pi / 2), ("pi/4", math.pi / 4), ("pi/6", math.pi / 6)):
+        sub = strip_subspace(StripParams(3, theta))
+        result = robustness_experiment(sub, 2, grid, args.samples, cfg)
+        for t, v in zip(result.trace_norm_grid, result.min_values):
+            lines.append(f"{label},{_fmt(t)},{_fmt(v)},{args.samples}")
+    return lines, {"d": 3, "grid": grid, "samples": args.samples}
+
+
+def _reproduce_fig3(args, cfg: OptimConfig):
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3,)))
+    lines = ["a,b,c,analytic,computed,abs_error"]
+    for _ in range(args.points):
+        v = rng.standard_normal(3)
+        v /= np.linalg.norm(v)
+        coeffs = WTypeCoeffs(*v)
+        analytic = w_type_e2_closed_form(coeffs)
+        computed = er_pure(w_type_state(coeffs), 2, cfg)
+        lines.append(
+            f"{_fmt(v[0])},{_fmt(v[1])},{_fmt(v[2])},{_fmt(analytic)},"
+            f"{_fmt(computed)},{_fmt(abs(computed - analytic))}"
+        )
+    return lines, {"points": args.points}
+
+
+TABLE2_DIMS = [(2, 2, 2), (2, 2, 4), (2, 2, 6), (2, 3, 4), (2, 3, 6), (3, 3, 6)]
+TABLE2_DIMS_FULL = [(2, 3, 8), (3, 3, 8), (3, 4, 7), (4, 4, 7), (4, 5, 10)]
+
+
+def _reproduce_table2(args, cfg: OptimConfig):
+    rows = TABLE2_DIMS + (TABLE2_DIMS_FULL if args.full else [])
+    lines = ["d1,d2,d3,e2,wall_time_s"]
+    for d1, d2, d3 in rows:
+        sub = max_ces_subspace(d1, d2, d3)
+        start = time.perf_counter()
+        value = er_subspace(sub, 2, cfg)
+        wall = time.perf_counter() - start
+        lines.append(f"{d1},{d2},{d3},{_fmt(value)},{wall:.3f}")
+    return lines, {"rows": [list(r) for r in rows], "full": args.full}
+
+
+def _reproduce_examples(args, cfg: OptimConfig):
+    lines = ["name,quantity,computed,reference"]
+
+    tiles = support_bound_er(tiles_bound_entangled_state(), 2, cfg)
+    lines.append(f"tiles,e2_support_bound,{_fmt(tiles)},0.0284")
+
+    e3 = support_bound_er(example3_state(), 3, cfg)
+    lines.append(f"example3,e3_support_bound,{_fmt(e3)},0.06558")
+
+    upb3 = er_subspace(complement_basis(upb_3qubit_subspace()), 2, cfg)
+    lines.append(f"upb3_complement,e2,{_fmt(upb3)},{_fmt(upb_3qubit_e2_closed_form())}")
+
+    strip = er_subspace(strip_subspace(StripParams(3, math.pi / 2)), 2, cfg)
+    lines.append(f"strip_d3,e2,{_fmt(strip)},0.25")
+
+    w_scan = minimal_rank_scan(span_of(dicke_state(3, 1)), 3, args.zero_threshold, cfg)
+    lines.append(f"wstate,border_rank,{w_scan.rank_label()},2")
+
+    if args.full:
+        hard = dataclasses.replace(cfg, max_iters=30000, trials=10)
+        scan = minimal_rank_scan(span_of(matrix_mult_tensor(2)), 8, args.zero_threshold, hard)
+        e7 = next(e.value for e in scan.entries if e.r == 7)
+        e8 = next(e.value for e in scan.entries if e.r == 8)
+        lines.append(f"mmul2,e7,{_fmt(e7)},0.125")
+        lines.append(f"mmul2,e8,{_fmt(e8)},0")
+        lines.append(f"mmul2,border_rank,{scan.rank_label()},7")
+    return lines, {"full": args.full}
+
+
+REPRODUCE = {
+    "fig1": _reproduce_fig1,
+    "fig2": _reproduce_fig2,
+    "fig3": _reproduce_fig3,
+    "table2": _reproduce_table2,
+    "examples": _reproduce_examples,
+}
+
+
+def _reproduce(args, cfg: OptimConfig, obj) -> _Outcome:
+    lines, extra = REPRODUCE[args.target](args, cfg)
+    return _Outcome(args.target, lines, extra, lines, [f"wrote {args.out}/{args.target}.csv"])
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="rankgauge", description=__doc__)
     parser.add_argument("--version", action="version", version=f"rankgauge {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_input=True):
+    def add_common(p, body, with_input=True):
+        p.set_defaults(body=body)
         if with_input:
             p.add_argument("input", nargs="?", default=None, help="subspace/state JSON file")
             p.add_argument("--example", default=None, metavar="SPEC",
@@ -96,29 +290,31 @@ def _build_parser() -> _Parser:
         p.add_argument("--max-iters", type=int, default=10000, help="iteration cap per trial")
         p.add_argument("--zero-threshold", type=float, default=ZERO_THRESHOLD,
                        help="values below this certify as zero")
-        p.add_argument("--threads", type=int, default=1, help="trial fan-out (default 1, sequential)")
         p.add_argument("--out", default=None, metavar="DIR", help="write CSV + manifest here")
 
     p_compute = sub.add_parser("compute", help="geometric measure of r-bounded rank")
-    add_common(p_compute)
-    p_compute.add_argument("--r", type=int, default=2, help="entanglement level r >= 2 (default 2)")
+    add_common(p_compute, _compute)
+    p_compute.add_argument("--r", type=_int_at_least(2), default=2,
+                           help="entanglement level r >= 2 (default 2)")
     p_compute.add_argument("--emit-closest", default=None, metavar="PATH",
                            help="write the minimizing bounded-rank state as JSON")
     p_compute.add_argument("--list-examples", action="store_true", help="list catalog entries and exit")
 
     p_border = sub.add_parser("border-rank", help="zero/nonzero transition scan of a pure state")
-    add_common(p_border)
-    p_border.add_argument("--r-max", type=int, default=4, help="largest level scanned (default 4)")
+    add_common(p_border, _border_rank)
+    p_border.add_argument("--r-max", type=_int_at_least(2), default=4,
+                          help="largest level scanned (default 4)")
 
     p_ges = sub.add_parser("ges", help="E_2 across every bipartition of a multipartite subspace")
-    add_common(p_ges)
+    add_common(p_ges, _ges)
 
     p_rep = sub.add_parser("reproduce", help="regenerate validation data sets")
-    p_rep.add_argument("target", choices=["fig1", "fig2", "fig3", "table2", "examples"])
-    add_common(p_rep, with_input=False)
-    p_rep.add_argument("--samples", type=int, default=200,
+    p_rep.add_argument("target", choices=list(REPRODUCE))
+    add_common(p_rep, _reproduce, with_input=False)
+    p_rep.set_defaults(out="out")
+    p_rep.add_argument("--samples", type=_int_at_least(1), default=200,
                        help="perturbation samples per grid point for fig2 (default 200)")
-    p_rep.add_argument("--points", type=int, default=1000,
+    p_rep.add_argument("--points", type=_int_at_least(1), default=1000,
                        help="random coefficient triples for fig3 (default 1000)")
     p_rep.add_argument("--full", action="store_true",
                        help="include the large optional rows/cases")
@@ -137,42 +333,26 @@ def _resolve_seed(args) -> int:
     return 0
 
 
-def _config(args, seed: int) -> OptimConfig:
-    return OptimConfig(
-        tol_grad=args.tol_grad,
-        tol_loss_rel=args.tol_loss,
-        max_iters=args.max_iters,
-        memory=10,
-        trials=args.trials,
-        seed=seed,
-        workers=args.threads,
-    )
-
-
 def _load_input(args):
-    """Resolve --example/positional input into a catalog object and a
-    stable content hash."""
+    """The command's input as (object, content hash, source): the reproduce
+    target, a catalog entry or a JSON file. A file is hashed and parsed from
+    the same bytes."""
+    if args.command == "reproduce":
+        return None, _sha256(args.target.encode()), None
     if args.example is not None and args.input is not None:
         raise UsageError("pass either an input file or --example, not both")
     if args.example is not None:
         obj = build_example(args.example)
-        digest = hashlib.sha256(args.example.strip().encode()).hexdigest()
-        return obj, f"sha256:{digest}", f"example:{args.example}"
+        return obj, _sha256(args.example.strip().encode()), f"example:{args.example}"
     if args.input is None:
         raise UsageError("an input file or --example is required")
-    path = Path(args.input)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    digest = hashlib.sha256(raw).hexdigest()
-    payload = _load_json(str(path))
+    raw, payload = read_json(args.input)
     vectors = payload.get("vectors") if isinstance(payload, dict) else None
     if isinstance(vectors, list) and len(vectors) == 1:
         obj = state_from_dict(payload)
     else:
         obj = subspace_from_dict(payload)
-    return obj, f"sha256:{digest}", str(path)
+    return obj, _sha256(raw), str(Path(args.input))
 
 
 def _write_lines(path: Path, lines: list[str]) -> None:
@@ -180,281 +360,43 @@ def _write_lines(path: Path, lines: list[str]) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def _write_result(outdir, name: str, lines: list[str], manifest: dict) -> None:
-    if outdir is None:
-        return
-    out = Path(outdir)
-    _write_lines(out / f"{name}.csv", lines)
-    (out / f"{name}.manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline="\n"
-    )
-
-
-def _manifest(command: str, argv: list[str], config: OptimConfig, extra: dict,
-              input_hash: str, wall_time: float) -> dict:
-    cfg = {
-        "tol_grad": config.tol_grad,
-        "tol_loss_rel": config.tol_loss_rel,
-        "max_iters": config.max_iters,
-        "memory": config.memory,
-        "trials": config.trials,
-        "init_scale": config.init_scale,
-        "workers": config.workers,
-    }
-    cfg.update(extra)
-    return {
-        "artifact_version": __version__,
-        "command": command,
-        "argv": list(argv),
-        "config": cfg,
-        "seed": config.seed,
-        "input_hash": input_hash,
-        "wall_time_s": wall_time,
-    }
-
-
-def _as_subspace_for_compute(obj):
-    """Normalize a catalog/file object for compute: (subspace, note)."""
-    if isinstance(obj, Subspace):
-        return obj, None
-    if isinstance(obj, PureState):
-        return span_of(obj), None
-    if isinstance(obj, MixedState):
-        return support_space(obj), "support-space lower bound for the mixed state"
-    raise UsageError(f"cannot compute on object of type {type(obj).__name__}")
-
-
-def _cmd_compute(args, argv) -> int:
-    if getattr(args, "list_examples", False):
-        print(catalog_help())
-        return 0
-    if args.r < 2:
-        raise UsageError(f"--r must be >= 2, got {args.r}")
-    seed = _resolve_seed(args)
-    cfg = _config(args, seed)
-    obj, input_hash, source = _load_input(args)
-    sub, note = _as_subspace_for_compute(obj)
-    start = time.perf_counter()
-    report = run_certification(sub, args.r, cfg)
-    wall = time.perf_counter() - start
-    value = min(1.0, max(0.0, report.best_value))
-
-    print(f"E_{args.r} = {_fmt(value)}")
-    if note:
-        print(f"note: {note}")
-    best = report.per_trial[report.best_trial]
-    print(f"termination = {best.reason} (best trial {report.best_trial})")
-    for i, d in enumerate(report.per_trial):
-        print(f"trial {i}: value={_fmt(d.value) if math.isfinite(d.value) else 'failed'} "
-              f"iterations={d.iterations} converged={str(d.converged).lower()} reason={d.reason}")
-    print(f"wall_time_s = {wall:.3f}")
-
-    if args.emit_closest:
-        doc = state_to_dict(report.best_state)
-        _write_lines(Path(args.emit_closest), [json.dumps(doc)])
-        print(f"closest state written to {args.emit_closest}")
-
-    lines = ["trial,value,iterations,converged,termination"]
-    for i, d in enumerate(report.per_trial):
-        val = _fmt(d.value) if math.isfinite(d.value) else "inf"
-        lines.append(f"{i},{val},{d.iterations},{str(d.converged).lower()},{d.reason}")
-    lines.append(f"best,{_fmt(value)},,,")
-    manifest = _manifest("compute", argv, cfg,
-                         {"r": args.r, "zero_threshold": args.zero_threshold, "source": source},
-                         input_hash, wall)
-    _write_result(args.out, "compute", lines, manifest)
-    return 0
-
-
-def _cmd_border_rank(args, argv) -> int:
-    if args.r_max < 2:
-        raise UsageError(f"--r-max must be >= 2, got {args.r_max}")
-    seed = _resolve_seed(args)
-    cfg = _config(args, seed)
-    obj, input_hash, source = _load_input(args)
-    if isinstance(obj, PureState):
-        state = obj
-    elif isinstance(obj, Subspace) and obj.dim == 1:
-        state = PureState(obj.dims, obj.basis[0])
-    else:
-        raise UsageError("border-rank requires a pure state (single-vector input)")
-    start = time.perf_counter()
-    scan = border_rank_scan(state, args.r_max, args.zero_threshold, cfg)
-    wall = time.perf_counter() - start
-
-    lines = ["r,value,termination"]
-    for e in scan.entries:
-        lines.append(f"{e.r},{_fmt(e.value)},{e.termination}")
-    lines.append(f"border_rank,{scan.rank_label()},")
-    print("\n".join(lines))
-    print(f"wall_time_s = {wall:.3f}")
-    manifest = _manifest("border-rank", argv, cfg,
-                         {"r_max": args.r_max, "zero_threshold": args.zero_threshold, "source": source},
-                         input_hash, wall)
-    _write_result(args.out, "border_rank", lines, manifest)
-    return 0
-
-
-def _cmd_ges(args, argv) -> int:
-    seed = _resolve_seed(args)
-    cfg = _config(args, seed)
-    obj, input_hash, source = _load_input(args)
-    if isinstance(obj, PureState):
-        sub = span_of(obj)
-    elif isinstance(obj, Subspace):
-        sub = obj
-    else:
-        raise UsageError("ges requires a subspace or pure state input")
-    if len(sub.dims) < 3:
-        raise UsageError("ges requires at least three parties")
-    start = time.perf_counter()
-    values = genuine_entanglement_scan(sub, cfg)
-    wall = time.perf_counter() - start
-    verdict = is_genuinely_entangled(values, args.zero_threshold)
-
-    lines = ["bipartition,value"]
-    for cut, val in values.items():
-        lines.append(f"{cut},{_fmt(val)}")
-    lines.append(f"genuinely_entangled,{str(verdict).lower()}")
-    print("\n".join(lines))
-    print(f"wall_time_s = {wall:.3f}")
-    manifest = _manifest("ges", argv, cfg,
-                         {"zero_threshold": args.zero_threshold, "source": source},
-                         input_hash, wall)
-    _write_result(args.out, "ges", lines, manifest)
-    return 0
-
-
-def _reproduce_fig1(cfg: OptimConfig):
-    lines = ["d,theta,analytic,computed"]
-    for d in (3, 4, 5, 6):
-        for j in range(1, 26):
-            theta = math.pi * j / 26.0
-            params = StripParams(d, theta)
-            sub = strip_subspace(params)
-            computed = min(1.0, max(0.0, run_certification(sub, 2, cfg).best_value))
-            lines.append(f"{d},{_fmt(theta)},{_fmt(strip_e2_closed_form(params))},{_fmt(computed)}")
-    return lines, {"d_values": [3, 4, 5, 6], "theta_points": 25}
-
-
-def _reproduce_fig2(cfg: OptimConfig, samples: int):
-    grid = [0.1 * i for i in range(7)]
-    lines = ["theta,trace_norm,min_e2,samples"]
-    for label, theta in (("pi/2", math.pi / 2), ("pi/4", math.pi / 4), ("pi/6", math.pi / 6)):
-        sub = strip_subspace(StripParams(3, theta))
-        result = robustness_experiment(sub, 2, grid, samples, cfg)
-        for t, v in zip(result.trace_norm_grid, result.min_values):
-            lines.append(f"{label},{_fmt(t)},{_fmt(v)},{samples}")
-    return lines, {"d": 3, "grid": grid, "samples": samples}
-
-
-def _reproduce_fig3(cfg: OptimConfig, points: int):
-    from .measures import er_pure
-
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed, spawn_key=(3,)))
-    lines = ["a,b,c,analytic,computed,abs_error"]
-    for _ in range(points):
-        v = rng.standard_normal(3)
-        v /= np.linalg.norm(v)
-        coeffs = WTypeCoeffs(*v)
-        analytic = w_type_e2_closed_form(coeffs)
-        computed = er_pure(w_type_state(coeffs), 2, cfg)
-        lines.append(
-            f"{_fmt(v[0])},{_fmt(v[1])},{_fmt(v[2])},{_fmt(analytic)},"
-            f"{_fmt(computed)},{_fmt(abs(computed - analytic))}"
-        )
-    return lines, {"points": points}
-
-
-TABLE2_DIMS = [(2, 2, 2), (2, 2, 4), (2, 2, 6), (2, 3, 4), (2, 3, 6), (3, 3, 6)]
-TABLE2_DIMS_FULL = [(2, 3, 8), (3, 3, 8), (3, 4, 7), (4, 4, 7), (4, 5, 10)]
-
-
-def _reproduce_table2(cfg: OptimConfig, full: bool):
-    rows = TABLE2_DIMS + (TABLE2_DIMS_FULL if full else [])
-    lines = ["d1,d2,d3,e2,wall_time_s"]
-    for d1, d2, d3 in rows:
-        sub = max_ces_subspace(d1, d2, d3)
-        start = time.perf_counter()
-        value = min(1.0, max(0.0, run_certification(sub, 2, cfg).best_value))
-        wall = time.perf_counter() - start
-        lines.append(f"{d1},{d2},{d3},{_fmt(value)},{wall:.3f}")
-    return lines, {"rows": [list(r) for r in rows], "full": full}
-
-
-def _reproduce_examples(cfg: OptimConfig, full: bool):
-    lines = ["name,quantity,computed,reference"]
-
-    tiles = support_bound_er(tiles_bound_entangled_state(), 2, cfg)
-    lines.append(f"tiles,e2_support_bound,{_fmt(tiles)},0.0284")
-
-    e3 = support_bound_er(example3_state(), 3, cfg)
-    lines.append(f"example3,e3_support_bound,{_fmt(e3)},0.06558")
-
-    ces = complement_basis(upb_3qubit_subspace())
-    upb3 = min(1.0, max(0.0, run_certification(ces, 2, cfg).best_value))
-    lines.append(f"upb3_complement,e2,{_fmt(upb3)},{_fmt(upb_3qubit_e2_closed_form())}")
-
-    strip = min(1.0, max(0.0, run_certification(strip_subspace(StripParams(3, math.pi / 2)), 2, cfg).best_value))
-    lines.append(f"strip_d3,e2,{_fmt(strip)},0.25")
-
-    w_scan = border_rank_scan(dicke_state(3, 1), 3, ZERO_THRESHOLD, cfg)
-    lines.append(f"wstate,border_rank,{w_scan.rank_label()},2")
-
-    if full:
-        hard = OptimConfig(
-            tol_grad=cfg.tol_grad, tol_loss_rel=cfg.tol_loss_rel, max_iters=30000,
-            memory=cfg.memory, trials=10, seed=cfg.seed, workers=cfg.workers,
-        )
-        scan = border_rank_scan(matrix_mult_tensor(2), 8, ZERO_THRESHOLD, hard)
-        e7 = next(e.value for e in scan.entries if e.r == 7)
-        e8 = next(e.value for e in scan.entries if e.r == 8)
-        lines.append(f"mmul2,e7,{_fmt(e7)},0.125")
-        lines.append(f"mmul2,e8,{_fmt(e8)},0")
-        lines.append(f"mmul2,border_rank,{scan.rank_label()},7")
-    return lines, {"full": full}
-
-
-def _cmd_reproduce(args, argv) -> int:
-    seed = _resolve_seed(args)
-    cfg = _config(args, seed)
-    outdir = args.out if args.out is not None else "out"
-    start = time.perf_counter()
-    if args.target == "fig1":
-        lines, extra = _reproduce_fig1(cfg)
-    elif args.target == "fig2":
-        lines, extra = _reproduce_fig2(cfg, args.samples)
-    elif args.target == "fig3":
-        lines, extra = _reproduce_fig3(cfg, args.points)
-    elif args.target == "table2":
-        lines, extra = _reproduce_table2(cfg, args.full)
-    else:
-        lines, extra = _reproduce_examples(cfg, args.full)
-    wall = time.perf_counter() - start
-    extra["zero_threshold"] = args.zero_threshold
-    digest = hashlib.sha256(args.target.encode()).hexdigest()
-    manifest = _manifest("reproduce", argv, cfg, extra, f"sha256:{digest}", wall)
-    _write_result(outdir, args.target, lines, manifest)
-    print("\n".join(lines))
-    print(f"wall_time_s = {wall:.3f}")
-    print(f"wrote {outdir}/{args.target}.csv")
-    return 0
-
-
 def main(argv=None) -> int:
+    """The one pipeline every subcommand shares: parse -> seed -> config ->
+    input -> timed body -> print -> CSV + manifest."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "compute":
-            return _cmd_compute(args, argv)
-        if args.command == "border-rank":
-            return _cmd_border_rank(args, argv)
-        if args.command == "ges":
-            return _cmd_ges(args, argv)
-        if args.command == "reproduce":
-            return _cmd_reproduce(args, argv)
-        raise UsageError(f"unknown command {args.command!r}")
+        args = _build_parser().parse_args(argv)
+        if getattr(args, "list_examples", False):
+            print(catalog_help())
+            return 0
+        cfg = OptimConfig(tol_grad=args.tol_grad, tol_loss_rel=args.tol_loss, max_iters=args.max_iters,
+                          trials=args.trials, seed=_resolve_seed(args))
+        obj, input_hash, source = _load_input(args)
+        start = time.perf_counter()
+        outcome = args.body(args, cfg, obj)
+        wall = time.perf_counter() - start
+        print("\n".join(outcome.shown))
+        print(f"wall_time_s = {wall:.3f}")
+        for line in outcome.trailer:
+            print(line)
+        if args.out is not None:
+            config = {**dataclasses.asdict(cfg), **outcome.extra, "zero_threshold": args.zero_threshold}
+            if source is not None:
+                config["source"] = source
+            seed = config.pop("seed")
+            manifest = {
+                "artifact_version": __version__,
+                "command": args.command,
+                "argv": argv,
+                "config": config,
+                "seed": seed,
+                "input_hash": input_hash,
+                "wall_time_s": wall,
+            }
+            out = Path(args.out)
+            _write_lines(out / f"{outcome.name}.csv", outcome.lines)
+            _write_lines(out / f"{outcome.name}.manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
+        return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 4

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .optimizer import OptimConfig, OptimReport, run_certification
+from .optimizer import OptimConfig, run_certification
 from .subspace import MixedState, Subspace, apply_unitary_to_subspace, span_of, support_space
 from .tensor_core import (
     Bipartition,
@@ -33,13 +33,14 @@ from .tensor_core import (
 ZERO_THRESHOLD = 1e-6
 
 
-def _clamp01(v: float) -> float:
+def clamp01(v: float) -> float:
+    """Clamp a raw loss value to [0, 1] for reporting."""
     return min(1.0, max(0.0, float(v)))
 
 
 def er_subspace(sub: Subspace, r: int, cfg: OptimConfig) -> float:
     """Geometric measure of r-bounded rank of a subspace."""
-    return _clamp01(run_certification(sub, r, cfg).best_value)
+    return clamp01(run_certification(sub, r, cfg).best_value)
 
 
 def er_pure(state: PureState, r: int, cfg: OptimConfig) -> float:
@@ -55,7 +56,7 @@ def er_bipartite_pure_oracle(state: PureState, cut: Bipartition, r: int) -> floa
     if r < 2:
         raise UsageError(f"entanglement level r must be >= 2, got {r}")
     lam = schmidt_coefficients(state, cut)
-    return _clamp01(1.0 - float(np.sum(lam[: r - 1] ** 2)))
+    return clamp01(1.0 - float(np.sum(lam[: r - 1] ** 2)))
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,22 @@ class CertificateScan:
         return f">={self.r_max}"
 
 
-def _scan_subspace(sub: Subspace, r_max: int, zero_threshold: float, cfg: OptimConfig) -> CertificateScan:
+def minimal_rank_scan(
+    sub: Subspace,
+    r_max: int,
+    zero_threshold: float = ZERO_THRESHOLD,
+    cfg: OptimConfig = OptimConfig(),
+) -> CertificateScan:
+    """Scan E_r of a subspace for r = 2..r_max; the certified minimal rank
+    is the r with E_r above the threshold and E_{r+1} below it. For the
+    span of a pure state this is its border rank."""
+    if r_max < 2:
+        raise UsageError(f"r_max must be >= 2, got {r_max}")
     entries = []
     for r in range(2, r_max + 1):
         report = run_certification(sub, r, cfg)
         reason = report.per_trial[report.best_trial].reason
-        entries.append(ScanEntry(r, _clamp01(report.best_value), reason))
+        entries.append(ScanEntry(r, clamp01(report.best_value), reason))
     certified = None
     if entries[0].value < zero_threshold:
         certified = 1  # rank-1 approximations already reach the target
@@ -99,31 +110,6 @@ def _scan_subspace(sub: Subspace, r_max: int, zero_threshold: float, cfg: OptimC
                 certified = prev.r
                 break
     return CertificateScan(tuple(entries), zero_threshold, certified)
-
-
-def border_rank_scan(
-    state: PureState,
-    r_max: int,
-    zero_threshold: float = ZERO_THRESHOLD,
-    cfg: OptimConfig = OptimConfig(),
-) -> CertificateScan:
-    """Scan E_r for r = 2..r_max; the certified border rank is the r with
-    E_r above the threshold and E_{r+1} below it."""
-    if r_max < 2:
-        raise UsageError(f"r_max must be >= 2, got {r_max}")
-    return _scan_subspace(span_of(state), r_max, zero_threshold, cfg)
-
-
-def minimal_rank_scan(
-    sub: Subspace,
-    r_max: int,
-    zero_threshold: float = ZERO_THRESHOLD,
-    cfg: OptimConfig = OptimConfig(),
-) -> CertificateScan:
-    """Same transition scan for the minimal rank of a subspace."""
-    if r_max < 2:
-        raise UsageError(f"r_max must be >= 2, got {r_max}")
-    return _scan_subspace(sub, r_max, zero_threshold, cfg)
 
 
 def _cut_subspace(sub: Subspace, cut: Bipartition) -> Subspace:
@@ -217,8 +203,3 @@ def robustness_experiment(
                 break  # the zero perturbation is deterministic
         mins.append(best)
     return RobustnessResult(tuple(grid), tuple(mins), samples)
-
-
-def certification_report(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
-    """run_certification re-exported for callers that need diagnostics."""
-    return run_certification(sub, r, cfg)

@@ -47,9 +47,9 @@ class LossEvaluation:
 class LossKernel:
     """Loss/gradient evaluator bound to fixed (dims, rank budget, subspace).
 
-    Stateless apart from precomputed constants; safe to share across
-    threads. `value` and `value_and_grad` take the bare parameter vector,
-    which keeps the optimizer's inner loop free of object construction.
+    Stateless apart from precomputed constants. `value` and
+    `value_and_grad` take the bare parameter vector, which keeps the
+    optimizer's inner loop free of object construction.
     """
 
     def __init__(self, dims, r: int, sub: Subspace):

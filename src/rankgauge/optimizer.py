@@ -4,7 +4,7 @@ driver that turns random restarts into a certified minimum.
 The accepted-iterate loss sequence is strictly nonincreasing (the line
 search only accepts sufficient decrease). Trials are independent given
 their (seed, trial index) substream, so the driver's min-reduction is
-order independent and may fan out across threads.
+order independent.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import time
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +29,10 @@ ARMIJO_C1 = 1e-4
 CURVATURE_C2 = 0.9
 # In-trial reinitializations allowed after singular starting parameters.
 MAX_REINITS = 3
+# Curvature pairs kept by L-BFGS.
+MEMORY = 10
+# Standard deviation of the i.i.d. normal starting parameters.
+INIT_SCALE = 1.0
 
 
 @dataclass(frozen=True)
@@ -39,17 +42,14 @@ class OptimConfig:
     tol_grad: float = 1e-10       # l-infinity gradient norm
     tol_loss_rel: float = 1e-14   # relative loss decrease per iteration
     max_iters: int = 10000
-    memory: int = 10              # curvature pairs kept
     trials: int = 3
     seed: int = 0
-    init_scale: float = 1.0
-    workers: int = 1
 
     def __post_init__(self):
-        if self.tol_grad <= 0 or self.tol_loss_rel <= 0 or self.init_scale <= 0:
-            raise UsageError("tolerances and init_scale must be positive")
-        if self.max_iters < 1 or self.memory < 1 or self.trials < 1 or self.workers < 1:
-            raise UsageError("max_iters, memory, trials and workers must be >= 1")
+        if self.tol_grad <= 0 or self.tol_loss_rel <= 0:
+            raise UsageError("tolerances must be positive")
+        if self.max_iters < 1 or self.trials < 1:
+            raise UsageError("max_iters and trials must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def lbfgs_minimize(
     tol_grad: float = 1e-10,
     tol_loss_rel: float = 1e-14,
     max_iters: int = 10000,
-    memory: int = 10,
+    memory: int = MEMORY,
 ) -> LbfgsResult:
     """Minimize a smooth function given its exact value/gradient oracle.
 
@@ -206,7 +206,7 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
     """One trial against a prepared kernel: draw, minimize, reinit on
     singular starts (at most MAX_REINITS times)."""
     for reinit in range(MAX_REINITS + 1):
-        x0 = rng.standard_normal(kernel.n_params) * cfg.init_scale
+        x0 = rng.standard_normal(kernel.n_params) * INIT_SCALE
         try:
             res = lbfgs_minimize(
                 kernel.value_and_grad,
@@ -214,7 +214,6 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
                 tol_grad=cfg.tol_grad,
                 tol_loss_rel=cfg.tol_loss_rel,
                 max_iters=cfg.max_iters,
-                memory=cfg.memory,
             )
         except SingularParameterError:
             continue
@@ -222,24 +221,6 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
         return res.x, diag
     diag = TrialDiagnostics(math.inf, 0, False, "singular-parameters", MAX_REINITS, True)
     return None, diag
-
-
-def minimize_trial(
-    sub: Subspace,
-    dims,
-    rank_budget: int,
-    seed: int,
-    cfg: OptimConfig,
-    trial_index: int = 0,
-) -> tuple[float, RankParams | None, TrialDiagnostics]:
-    """Run one quasi-Newton trial from the (seed, trial_index) substream."""
-    if rank_budget < 1:
-        raise UsageError(f"rank budget must be >= 1, got {rank_budget}")
-    kernel = LossKernel(dims, rank_budget, sub)
-    rng = trial_rng(seed, trial_index)
-    x, diag = _minimize_kernel(kernel, rng, cfg)
-    params = None if x is None else RankParams(tuple(dims), rank_budget, x)
-    return diag.value, params, diag
 
 
 def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
@@ -252,17 +233,7 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
         raise UsageError("the full space is trivially reachable; pass a proper subspace")
     start = time.perf_counter()
     kernel = LossKernel(sub.dims, r - 1, sub)
-
-    def one_trial(index: int):
-        rng = trial_rng(cfg.seed, index)
-        return _minimize_kernel(kernel, rng, cfg)
-
-    if cfg.workers > 1 and cfg.trials > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(one_trial, range(cfg.trials)))
-    else:
-        outcomes = [one_trial(i) for i in range(cfg.trials)]
-
+    outcomes = [_minimize_kernel(kernel, trial_rng(cfg.seed, i), cfg) for i in range(cfg.trials)]
     diagnostics = tuple(d for _, d in outcomes)
     best_idx = -1
     for i, (x, d) in enumerate(outcomes):

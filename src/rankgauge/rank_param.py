@@ -30,18 +30,6 @@ def params_length(dims, r: int) -> int:
 
 
 @dataclass(frozen=True)
-class TrialConfig:
-    """Seed and scale for random parameter initialization."""
-
-    seed: int
-    init_scale: float = 1.0
-
-    def __post_init__(self):
-        if not self.init_scale > 0:
-            raise UsageError(f"init_scale must be positive, got {self.init_scale}")
-
-
-@dataclass(frozen=True)
 class RankParams:
     """Parameter vector for the rank-r trivialization over `dims`."""
 
@@ -87,14 +75,6 @@ def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
     """Deterministic per-trial substream of the base seed."""
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(trial_index),))
     return np.random.default_rng(ss)
-
-
-def random_init(dims, r: int, cfg: TrialConfig, trial_index: int = 0) -> RankParams:
-    """i.i.d. N(0, init_scale^2) parameters, reproducible from (seed, trial)."""
-    dims = as_dims(dims)
-    rng = trial_rng(cfg.seed, trial_index)
-    x = rng.standard_normal(params_length(dims, r)) * cfg.init_scale
-    return RankParams(dims, r, x)
 
 
 def split_blocks(x: np.ndarray, dims, r: int) -> tuple[np.ndarray, list[np.ndarray]]:

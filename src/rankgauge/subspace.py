@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -264,19 +265,23 @@ def state_from_dict(obj: dict) -> PureState:
     return state.normalize()
 
 
-def _load_json(path: str) -> dict:
+def read_json(path: str) -> tuple[bytes, object]:
+    """The bytes of a JSON file and the document parsed from those bytes."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return raw, json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
 
 
 def load_subspace(path: str, tol: float = GS_DROP_TOL) -> Subspace:
-    return subspace_from_dict(_load_json(path), tol=tol)
+    return subspace_from_dict(read_json(path)[1], tol=tol)
 
 
 def load_state(path: str) -> PureState:
-    return state_from_dict(_load_json(path))
+    return state_from_dict(read_json(path)[1])

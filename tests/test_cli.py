@@ -1,10 +1,12 @@
+import dataclasses
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from rankgauge import haar_random_state, state_to_dict, subspace_to_dict, from_spanning_set
+from rankgauge import OptimConfig, haar_random_state, state_to_dict, subspace_to_dict, from_spanning_set
 from rankgauge.catalog import dicke_state
 from rankgauge.cli import main
 
@@ -77,16 +79,41 @@ class TestCompute:
         assert manifest["input_hash"].startswith("sha256:")
         assert manifest["artifact_version"]
 
-    def test_manifest_replay_reproduces_values(self, capsys, tmp_path):
+class TestManifest:
+    # argv without --out, CSV name, command-specific config keys
+    CASES = {
+        "compute": (["compute", "--example", "strip:d=4,theta=1.1", "--r", "2"], "compute", {"r", "source"}),
+        "border-rank": (["border-rank", "--example", "dicke:n=3,k=1", "--r-max", "3"], "border_rank",
+                        {"r_max", "source"}),
+        "ges": (["ges", "--example", "ghz:n=3"], "ges", {"source"}),
+        "reproduce": (["reproduce", "fig3", "--points", "3"], "fig3", {"points"}),
+    }
+
+    @pytest.mark.parametrize("command", list(CASES))
+    def test_manifest_replay_reproduces_values(self, capsys, tmp_path, command):
+        args, name, extra = self.CASES[command]
         out_dir = tmp_path / "first"
-        args = ["compute", "--example", "strip:d=4,theta=1.1", "--r", "2", "--seed", "9", "--out", str(out_dir)]
-        assert run_cli(capsys, *args)[0] == 0
-        manifest = json.loads((out_dir / "compute.manifest.json").read_text())
+        assert run_cli(capsys, *args, "--seed", "9", "--out", str(out_dir))[0] == 0
+        manifest = json.loads((out_dir / f"{name}.manifest.json").read_text())
         replay_dir = tmp_path / "replay"
         argv = [a if a != str(out_dir) else str(replay_dir) for a in manifest["argv"]]
         assert main(argv) == 0
         capsys.readouterr()
-        assert (out_dir / "compute.csv").read_text() == (replay_dir / "compute.csv").read_text()
+        assert (out_dir / f"{name}.csv").read_bytes() == (replay_dir / f"{name}.csv").read_bytes()
+        # the recorded config is the OptimConfig the run used, plus the command's own keys
+        cfg = dataclasses.asdict(OptimConfig(seed=9))
+        assert manifest.pop("seed") == cfg.pop("seed")
+        assert set(manifest["config"]) == set(cfg) | extra | {"zero_threshold"}
+        assert {k: manifest["config"][k] for k in cfg} == cfg
+
+    def test_input_hash_is_sha256_of_file(self, capsys, tmp_path, rng):
+        sub = from_spanning_set([haar_random_state((2, 2), rng) for _ in range(2)])
+        path = tmp_path / "sub.json"
+        path.write_text(json.dumps(subspace_to_dict(sub), indent=1))
+        out_dir = tmp_path / "res"
+        assert run_cli(capsys, "compute", str(path), "--seed", "1", "--out", str(out_dir))[0] == 0
+        manifest = json.loads((out_dir / "compute.manifest.json").read_text())
+        assert manifest["input_hash"] == "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestBorderRank:
@@ -143,6 +170,24 @@ class TestReproduce:
         for line in lines[1:]:
             assert float(line.split(",")[-1]) < 1e-8
 
+    def test_examples_honour_zero_threshold(self, capsys, tmp_path):
+        # E_2 of the W state is 5/9, so a threshold of 0.6 certifies rank 1
+        code, out, _ = run_cli(
+            capsys, "reproduce", "examples", "--zero-threshold", "0.6", "--seed", "5",
+            "--out", str(tmp_path),
+        )
+        assert code == 0
+        assert "wstate,border_rank,1,2" in out
+
+    @pytest.mark.parametrize("target,flag,value", [
+        ("fig3", "--points", "0"), ("fig3", "--points", "-3"), ("fig2", "--samples", "0"),
+    ])
+    def test_nonpositive_counts_rejected(self, capsys, tmp_path, target, flag, value):
+        code, _, err = run_cli(capsys, "reproduce", target, flag, value, "--out", str(tmp_path))
+        assert code == 4
+        assert flag in err
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_target_rejected(self, capsys):
         code, _, err = run_cli(capsys, "reproduce", "fig9")
         assert code == 4
@@ -174,7 +219,14 @@ class TestErrorsAndExitCodes:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "compute", str(path), "--r", "2")
         assert code == 2
-        assert "line" in err
+        assert "line 1, column 2" in err
+
+    def test_input_error_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"dims": [2], "note": "\xe9"}')
+        code, _, err = run_cli(capsys, "compute", str(path), "--r", "2")
+        assert code == 2
+        assert "UTF-8" in err
 
     def test_seed_env_fallback(self, capsys, monkeypatch, tmp_path):
         out_a = tmp_path / "a"

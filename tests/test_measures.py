@@ -9,7 +9,6 @@ from rankgauge import (
     PureState,
     UsageError,
     basis_state,
-    border_rank_scan,
     er_bipartite_pure_oracle,
     er_pure,
     er_subspace,
@@ -83,7 +82,7 @@ class TestErSubspace:
 
 class TestBorderRankScan:
     def test_w_state(self, cfg):
-        scan = border_rank_scan(dicke_state(3, 1), 3, cfg=cfg)
+        scan = minimal_rank_scan(span_of(dicke_state(3, 1)), 3, cfg=cfg)
         assert [e.r for e in scan.entries] == [2, 3]
         assert scan.entries[0].value == pytest.approx(5 / 9, abs=1e-9)
         assert scan.entries[1].value < 1e-6
@@ -92,17 +91,17 @@ class TestBorderRankScan:
 
     def test_product_state(self, cfg):
         prod = kron_chain([basis_state((2,), (0,))] * 3)
-        scan = border_rank_scan(prod, 2, cfg=cfg)
+        scan = minimal_rank_scan(span_of(prod), 2, cfg=cfg)
         assert scan.certified_rank == 1
 
     def test_no_transition_reports_lower_bound(self, cfg):
         ghz = ghz_state(3)
-        scan = border_rank_scan(ghz, 2, cfg=cfg)  # E_2 = 0.5 > 0, nothing below
+        scan = minimal_rank_scan(span_of(ghz), 2, cfg=cfg)  # E_2 = 0.5 > 0, nothing below
         assert scan.certified_rank is None
         assert scan.rank_label() == ">=2"
 
     def test_entries_monotone(self, cfg):
-        scan = border_rank_scan(dicke_state(3, 1), 3, cfg=cfg)
+        scan = minimal_rank_scan(span_of(dicke_state(3, 1)), 3, cfg=cfg)
         for prev, cur in zip(scan.entries, scan.entries[1:]):
             assert cur.value <= prev.value + 1e-7
 

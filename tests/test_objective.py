@@ -4,7 +4,6 @@ import pytest
 from rankgauge import (
     OptimConfig,
     RankParams,
-    TrialConfig,
     UsageError,
     basis_state,
     central_difference,
@@ -13,14 +12,13 @@ from rankgauge import (
     haar_random_state,
     loss,
     loss_and_gradient,
-    random_init,
     run_certification,
     span_of,
 )
 from rankgauge.objective import LossKernel
 from rankgauge.catalog import StripParams, strip_subspace
 
-from test_rank_param import make_params
+from test_rank_param import make_params, random_params
 
 
 def random_subspace(dims, d_s, rng):
@@ -48,7 +46,7 @@ class TestLossValues:
         sub = random_subspace((2, 3), 2, rng)
         p_perp = np.eye(6) - sub.basis.T @ sub.basis.conj()
         for seed in range(5):
-            p = random_init((2, 3), 2, TrialConfig(seed=seed))
+            p = random_params((2, 3), 2, seed)
             st = build_state(p)
             direct = float(np.real(st.amp.conj() @ p_perp @ st.amp))
             assert loss(p, sub) == pytest.approx(direct, abs=1e-12)
@@ -56,18 +54,18 @@ class TestLossValues:
     def test_value_in_range(self, rng):
         sub = random_subspace((2, 2, 2), 3, rng)
         for seed in range(10):
-            p = random_init((2, 2, 2), 2, TrialConfig(seed=seed))
+            p = random_params((2, 2, 2), 2, seed)
             assert -1e-12 <= loss(p, sub) <= 1.0 + 1e-12
 
     def test_dims_mismatch(self, rng):
         sub = random_subspace((2, 2), 2, rng)
-        p = random_init((2, 3), 1, TrialConfig(seed=0))
+        p = random_params((2, 3), 1, 0)
         with pytest.raises(UsageError):
             loss(p, sub)
 
     def test_term_permutation_invariance(self, rng):
         sub = random_subspace((2, 3), 2, rng)
-        p = random_init((2, 3), 3, TrialConfig(seed=8))
+        p = random_params((2, 3), 3, 8)
         x = p.x.reshape(3, -1)
         for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
             q = RankParams((2, 3), 3, x[perm].ravel())
@@ -78,7 +76,7 @@ class TestLossAndGradient:
     def test_value_is_bitwise_identical_to_loss(self, rng):
         sub = random_subspace((2, 2, 2), 2, rng)
         for seed in range(20):
-            p = random_init((2, 2, 2), 2, TrialConfig(seed=seed))
+            p = random_params((2, 2, 2), 2, seed)
             assert loss_and_gradient(p, sub).value == loss(p, sub)
 
     def test_matches_finite_differences(self, rng):
@@ -86,14 +84,14 @@ class TestLossAndGradient:
         for dims, budget in configs:
             sub = random_subspace(dims, 2, rng)
             for seed in range(3):
-                p = random_init(dims, budget, TrialConfig(seed=seed))
+                p = random_params(dims, budget, seed)
                 ev = loss_and_gradient(p, sub)
                 fd = finite_diff_gradient(p, sub, step=1e-5)
                 assert rel_linf(ev.gradient, fd) < 1e-5
 
     def test_gradient_finite(self, rng):
         sub = random_subspace((2, 2), 2, rng)
-        p = random_init((2, 2), 3, TrialConfig(seed=2))
+        p = random_params((2, 2), 3, 2)
         ev = loss_and_gradient(p, sub)
         assert np.all(np.isfinite(ev.gradient))
 

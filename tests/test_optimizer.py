@@ -12,11 +12,11 @@ from rankgauge import (
     from_spanning_set,
     haar_random_state,
     lbfgs_minimize,
-    minimize_trial,
     run_certification,
     span_of,
 )
 from rankgauge import optimizer as opt_mod
+from rankgauge.objective import LossKernel
 from rankgauge.catalog import StripParams, strip_e2_closed_form, strip_subspace
 
 
@@ -119,21 +119,21 @@ class TestTrials:
         assert diag.failed
         assert math.isinf(diag.value)
 
-    def test_minimize_trial_reaches_product_state(self):
+    def test_trial_reaches_product_state(self):
         # S spanned by {|01>, |10>, |11>}: the complement ray |00> is the
         # unique product minimizer, reachable at rank budget 1
         sub = from_spanning_set(
             [basis_state((2, 2), t) for t in [(0, 1), (1, 0), (1, 1)]]
         )
-        value, params, diag = minimize_trial(sub, (2, 2), 1, seed=5, cfg=OptimConfig(seed=5))
-        assert value < 1e-12
-        assert params is not None
-        assert not diag.failed
+        report = run_certification(sub, 2, OptimConfig(seed=5, trials=1))
+        assert report.best_value < 1e-12
+        assert report.best_params.r == 1
+        assert not report.per_trial[0].failed
 
     def test_rank_budget_validated(self):
         sub = span_of(basis_state((2, 2), (0, 0)))
         with pytest.raises(UsageError):
-            minimize_trial(sub, (2, 2), 0, seed=1, cfg=OptimConfig(seed=1))
+            LossKernel((2, 2), 0, sub)
 
 
 class TestRunCertification:
@@ -151,20 +151,12 @@ class TestRunCertification:
         assert r1.best_value == r2.best_value
         assert [d.value for d in r1.per_trial] == [d.value for d in r2.per_trial]
 
-    def test_worker_count_does_not_change_result(self):
-        sub = strip_subspace(StripParams(4, 0.9))
-        seq = run_certification(sub, 2, OptimConfig(seed=3, workers=1))
-        par = run_certification(sub, 2, OptimConfig(seed=3, workers=4))
-        assert seq.best_value == par.best_value
-        assert [d.value for d in seq.per_trial] == [d.value for d in par.per_trial]
-
     def test_single_trial_equals_first_substream(self):
         sub = strip_subspace(StripParams(3, 0.7))
-        cfg1 = OptimConfig(seed=17, trials=1)
-        report = run_certification(sub, 2, cfg1)
-        value, _, diag = minimize_trial(sub, sub.dims, 1, seed=17, cfg=cfg1, trial_index=0)
-        assert report.best_value == value
-        assert report.per_trial[0].iterations == diag.iterations
+        one = run_certification(sub, 2, OptimConfig(seed=17, trials=1))
+        three = run_certification(sub, 2, OptimConfig(seed=17, trials=3))
+        assert one.per_trial[0] == three.per_trial[0]
+        assert one.best_value == one.per_trial[0].value
 
     def test_best_is_min_over_trials(self):
         sub = strip_subspace(StripParams(5, 1.3))

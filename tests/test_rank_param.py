@@ -7,17 +7,20 @@ from rankgauge import (
     Bipartition,
     RankParams,
     SingularParameterError,
-    TrialConfig,
     UsageError,
     build_product_term,
     build_state,
     inner_product,
     params_length,
-    random_init,
     schmidt_rank,
     softplus,
 )
-from rankgauge.rank_param import split_blocks
+from rankgauge.rank_param import split_blocks, trial_rng
+
+
+def random_params(dims, r, seed):
+    """The first trial's starting point that the optimizer draws for `seed`."""
+    return RankParams(dims, r, trial_rng(seed).standard_normal(params_length(dims, r)))
 
 
 def make_params(dims, r, theta_and_blocks):
@@ -83,7 +86,7 @@ class TestBuildProductTerm:
 
     def test_random_unit_norm(self, rng):
         for _ in range(10):
-            p = random_init((2, 3), 2, TrialConfig(seed=int(rng.integers(1 << 30))))
+            p = random_params((2, 3), 2, int(rng.integers(1 << 30)))
             for i in range(2):
                 _, factors = build_product_term(p, i)
                 for f in factors:
@@ -115,7 +118,7 @@ class TestBuildState:
 
     def test_schmidt_rank_bounded(self, rng):
         for seed in range(5):
-            p = random_init((2, 2, 2), 2, TrialConfig(seed=seed))
+            p = random_params((2, 2, 2), 2, seed)
             st = build_state(p)
             for left in ([1], [2], [3]):
                 cut = Bipartition.of(left, 3)
@@ -123,7 +126,7 @@ class TestBuildState:
 
     def test_output_normalized(self, rng):
         for seed in range(10):
-            p = random_init((2, 3), 3, TrialConfig(seed=seed))
+            p = random_params((2, 3), 3, seed)
             assert abs(build_state(p).norm() - 1.0) < 1e-12
 
     def test_vanishing_sum_raises(self):
@@ -142,7 +145,7 @@ class TestBuildState:
     def test_rank_budget_padding(self, rng):
         # a rank-r state is reproducible with budget r' > r by switching the
         # extra weights off (large negative theta)
-        p = random_init((2, 2), 2, TrialConfig(seed=9))
+        p = random_params((2, 2), 2, 9)
         st = build_state(p)
         stride = 2 * 4 + 1
         pad = np.concatenate([p.x, np.zeros(stride)])
@@ -157,7 +160,7 @@ class TestBuildState:
         # each product term, hence the whole sum, by that phase
         gamma = 0.83
         for r in (1, 2, 3):
-            p = random_init((2, 3), r, TrialConfig(seed=4))
+            p = random_params((2, 3), r, 4)
             st = build_state(p)
             x2 = p.x.copy().reshape(r, -1)
             z = (x2[:, 1:3] + 1j * x2[:, 3:5]) * np.exp(1j * gamma)
@@ -167,22 +170,23 @@ class TestBuildState:
 
 
 class TestRandomInit:
+    """Random starts come from trial_rng: the (seed, trial index) substream."""
+
     def test_deterministic(self):
-        a = random_init((2, 2), 2, TrialConfig(seed=5))
-        b = random_init((2, 2), 2, TrialConfig(seed=5))
-        np.testing.assert_array_equal(a.x, b.x)
+        a = trial_rng(5).standard_normal(params_length((2, 2), 2))
+        b = trial_rng(5).standard_normal(params_length((2, 2), 2))
+        np.testing.assert_array_equal(a, b)
 
     def test_distinct_trials(self):
-        a = random_init((2, 2), 2, TrialConfig(seed=5), trial_index=0)
-        b = random_init((2, 2), 2, TrialConfig(seed=5), trial_index=1)
-        assert not np.array_equal(a.x, b.x)
+        a = trial_rng(5, 0).standard_normal(params_length((2, 2), 2))
+        b = trial_rng(5, 1).standard_normal(params_length((2, 2), 2))
+        assert not np.array_equal(a, b)
 
     def test_sample_mean(self):
-        p = random_init((30, 30), 100, TrialConfig(seed=3))  # 12100 entries
-        draws = p.x
+        draws = trial_rng(3).standard_normal(params_length((30, 30), 100))  # 12100 entries
         assert draws.size > 1e4
         assert abs(np.mean(draws)) < 0.02
 
     def test_scale(self):
-        p = random_init((2, 2), 50, TrialConfig(seed=1, init_scale=0.1))
-        assert np.std(p.x) == pytest.approx(0.1, rel=0.15)
+        draws = random_params((2, 2), 50, seed=1).x
+        assert np.std(draws) == pytest.approx(1.0, rel=0.15)
