@@ -1,5 +1,10 @@
 """rankgauge: certify entanglement levels of quantum states and subspaces
-by minimizing the complement overlap over a bounded-rank manifold."""
+by minimizing the complement overlap over a bounded-rank manifold.
+
+The names below are the public surface. Internals and test oracles (the
+L-BFGS routine, the parametrization, the Schmidt-form oracle, Hermitian
+helpers) stay importable from their own modules.
+"""
 
 from .errors import (
     InputError,
@@ -8,33 +13,14 @@ from .errors import (
     SingularParameterError,
     UsageError,
 )
-from .tensor_core import (
-    Bipartition,
-    HermitianOp,
-    PureState,
-    basis_state,
-    canonical_bipartitions,
-    haar_random_state,
-    hermitian_eig,
-    inner_product,
-    kron_chain,
-    reshape_bipartite,
-    schmidt_coefficients,
-    schmidt_rank,
-    svd_complex,
-    trace_norm,
-    unitary_from_hamiltonian,
-)
+from .tensor_core import Bipartition, PureState, basis_state, haar_random_state, kron_chain
 from .subspace import (
     MixedState,
     Subspace,
     apply_unitary_to_subspace,
     complement_basis,
-    complement_overlap_sq,
     from_spanning_set,
-    load_state,
-    load_subspace,
-    pure_density,
+    read_json,
     span_of,
     state_from_dict,
     state_to_dict,
@@ -42,40 +28,17 @@ from .subspace import (
     subspace_to_dict,
     support_space,
 )
-from .rank_param import (
-    RankParams,
-    build_product_term,
-    build_state,
-    params_length,
-    softplus,
-)
-from .objective import (
-    LossEvaluation,
-    central_difference,
-    finite_diff_gradient,
-    loss,
-    loss_and_gradient,
-)
-from .optimizer import (
-    LbfgsResult,
-    OptimConfig,
-    OptimReport,
-    TrialDiagnostics,
-    lbfgs_minimize,
-    run_certification,
-)
+from .optimizer import OptimConfig, OptimReport, TrialDiagnostics, run_certification
 from .measures import (
     ZERO_THRESHOLD,
     CertificateScan,
     RobustnessResult,
     ScanEntry,
-    er_bipartite_pure_oracle,
     er_pure,
     er_subspace,
     genuine_entanglement_scan,
     is_genuinely_entangled,
     minimal_rank_scan,
-    random_hermitian_with_trace_norm,
     robustness_experiment,
     support_bound_er,
 )
@@ -84,68 +47,47 @@ from . import catalog
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bipartition",
-    "CertificateScan",
-    "HermitianOp",
-    "InputError",
-    "LbfgsResult",
-    "LossEvaluation",
+    # types
+    "PureState",
+    "Subspace",
     "MixedState",
+    "Bipartition",
     "OptimConfig",
     "OptimReport",
-    "OptimizationError",
-    "PureState",
-    "RankParams",
-    "RankgaugeError",
-    "RobustnessResult",
-    "ScanEntry",
-    "SingularParameterError",
-    "Subspace",
     "TrialDiagnostics",
-    "UsageError",
-    "ZERO_THRESHOLD",
-    "apply_unitary_to_subspace",
+    "ScanEntry",
+    "CertificateScan",
+    "RobustnessResult",
+    # builders and JSON interchange
     "basis_state",
-    "build_product_term",
-    "build_state",
-    "canonical_bipartitions",
-    "catalog",
-    "central_difference",
-    "complement_basis",
-    "complement_overlap_sq",
-    "er_bipartite_pure_oracle",
-    "er_pure",
-    "er_subspace",
-    "finite_diff_gradient",
-    "from_spanning_set",
-    "genuine_entanglement_scan",
     "haar_random_state",
-    "hermitian_eig",
-    "inner_product",
-    "is_genuinely_entangled",
     "kron_chain",
-    "lbfgs_minimize",
-    "load_state",
-    "load_subspace",
-    "loss",
-    "loss_and_gradient",
-    "minimal_rank_scan",
-    "params_length",
-    "pure_density",
-    "random_hermitian_with_trace_norm",
-    "reshape_bipartite",
-    "robustness_experiment",
-    "run_certification",
-    "schmidt_coefficients",
-    "schmidt_rank",
-    "softplus",
+    "from_spanning_set",
     "span_of",
-    "state_from_dict",
-    "state_to_dict",
-    "subspace_from_dict",
-    "subspace_to_dict",
+    "complement_basis",
     "support_space",
-    "svd_complex",
-    "trace_norm",
-    "unitary_from_hamiltonian",
+    "apply_unitary_to_subspace",
+    "subspace_from_dict",
+    "state_from_dict",
+    "subspace_to_dict",
+    "state_to_dict",
+    "read_json",
+    # measures
+    "run_certification",
+    "er_subspace",
+    "er_pure",
+    "minimal_rank_scan",
+    "genuine_entanglement_scan",
+    "is_genuinely_entangled",
+    "support_bound_er",
+    "robustness_experiment",
+    "ZERO_THRESHOLD",
+    # errors
+    "RankgaugeError",
+    "UsageError",
+    "InputError",
+    "OptimizationError",
+    "SingularParameterError",
+    # named examples with closed forms
+    "catalog",
 ]

@@ -96,6 +96,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0, so a bad tolerance fails before any input is read."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _sha256(data: bytes) -> str:
     return f"sha256:{hashlib.sha256(data).hexdigest()}"
 
@@ -182,7 +193,7 @@ def _reproduce_fig1(args, cfg: OptimConfig):
             params = StripParams(d, theta)
             computed = er_subspace(strip_subspace(params), 2, cfg)
             lines.append(f"{d},{_fmt(theta)},{_fmt(strip_e2_closed_form(params))},{_fmt(computed)}")
-    return lines, {"d_values": [3, 4, 5, 6], "theta_points": 25}
+    return lines, {"d_values": [3, 4, 5, 6], "theta_points": 25}, lines
 
 
 def _reproduce_fig2(args, cfg: OptimConfig):
@@ -193,7 +204,7 @@ def _reproduce_fig2(args, cfg: OptimConfig):
         result = robustness_experiment(sub, 2, grid, args.samples, cfg)
         for t, v in zip(result.trace_norm_grid, result.min_values):
             lines.append(f"{label},{_fmt(t)},{_fmt(v)},{args.samples}")
-    return lines, {"d": 3, "grid": grid, "samples": args.samples}
+    return lines, {"d": 3, "grid": grid, "samples": args.samples}, lines
 
 
 def _reproduce_fig3(args, cfg: OptimConfig):
@@ -209,7 +220,7 @@ def _reproduce_fig3(args, cfg: OptimConfig):
             f"{_fmt(v[0])},{_fmt(v[1])},{_fmt(v[2])},{_fmt(analytic)},"
             f"{_fmt(computed)},{_fmt(abs(computed - analytic))}"
         )
-    return lines, {"points": args.points}
+    return lines, {"points": args.points}, lines
 
 
 TABLE2_DIMS = [(2, 2, 2), (2, 2, 4), (2, 2, 6), (2, 3, 4), (2, 3, 6), (3, 3, 6)]
@@ -218,14 +229,17 @@ TABLE2_DIMS_FULL = [(2, 3, 8), (3, 3, 8), (3, 4, 7), (4, 4, 7), (4, 5, 10)]
 
 def _reproduce_table2(args, cfg: OptimConfig):
     rows = TABLE2_DIMS + (TABLE2_DIMS_FULL if args.full else [])
-    lines = ["d1,d2,d3,e2,wall_time_s"]
+    lines = ["d1,d2,d3,e2"]
+    # per-row times go to stdout only, so a replayed manifest rewrites the CSV byte for byte
+    shown = ["d1,d2,d3,e2,wall_time_s"]
     for d1, d2, d3 in rows:
         sub = max_ces_subspace(d1, d2, d3)
         start = time.perf_counter()
         value = er_subspace(sub, 2, cfg)
         wall = time.perf_counter() - start
-        lines.append(f"{d1},{d2},{d3},{_fmt(value)},{wall:.3f}")
-    return lines, {"rows": [list(r) for r in rows], "full": args.full}
+        lines.append(f"{d1},{d2},{d3},{_fmt(value)}")
+        shown.append(f"{lines[-1]},{wall:.3f}")
+    return lines, {"rows": [list(r) for r in rows], "full": args.full}, shown
 
 
 def _reproduce_examples(args, cfg: OptimConfig):
@@ -254,7 +268,7 @@ def _reproduce_examples(args, cfg: OptimConfig):
         lines.append(f"mmul2,e7,{_fmt(e7)},0.125")
         lines.append(f"mmul2,e8,{_fmt(e8)},0")
         lines.append(f"mmul2,border_rank,{scan.rank_label()},7")
-    return lines, {"full": args.full}
+    return lines, {"full": args.full}, lines
 
 
 REPRODUCE = {
@@ -267,8 +281,8 @@ REPRODUCE = {
 
 
 def _reproduce(args, cfg: OptimConfig, obj) -> _Outcome:
-    lines, extra = REPRODUCE[args.target](args, cfg)
-    return _Outcome(args.target, lines, extra, lines, [f"wrote {args.out}/{args.target}.csv"])
+    lines, extra, shown = REPRODUCE[args.target](args, cfg)
+    return _Outcome(args.target, lines, extra, shown, [f"wrote {args.out}/{args.target}.csv"])
 
 
 def _build_parser() -> _Parser:
@@ -282,13 +296,16 @@ def _build_parser() -> _Parser:
             p.add_argument("input", nargs="?", default=None, help="subspace/state JSON file")
             p.add_argument("--example", default=None, metavar="SPEC",
                            help="catalog entry, e.g. strip:d=3,theta=pi/2 (see --list-examples)")
-        p.add_argument("--trials", type=int, default=3, help="independent restarts (default 3)")
+        p.add_argument("--trials", type=int, default=OptimConfig.trials,
+                       help="independent restarts (default %(default)s)")
         p.add_argument("--seed", type=int, default=None,
                        help=f"base RNG seed (default: ${SEED_ENV_VAR} or 0)")
-        p.add_argument("--tol-grad", type=float, default=1e-10, help="l-inf gradient tolerance")
-        p.add_argument("--tol-loss", type=float, default=1e-14, help="relative loss-change tolerance")
-        p.add_argument("--max-iters", type=int, default=10000, help="iteration cap per trial")
-        p.add_argument("--zero-threshold", type=float, default=ZERO_THRESHOLD,
+        p.add_argument("--tol-grad", type=_positive_float, default=OptimConfig.tol_grad,
+                       help="l-inf gradient tolerance")
+        p.add_argument("--tol-loss", type=_positive_float, default=OptimConfig.tol_loss_rel,
+                       help="relative loss-change tolerance")
+        p.add_argument("--max-iters", type=int, default=OptimConfig.max_iters, help="iteration cap per trial")
+        p.add_argument("--zero-threshold", type=_positive_float, default=ZERO_THRESHOLD,
                        help="values below this certify as zero")
         p.add_argument("--out", default=None, metavar="DIR", help="write CSV + manifest here")
 

@@ -22,6 +22,7 @@ from .tensor_core import (
     HermitianOp,
     PureState,
     canonical_bipartitions,
+    reshape_bipartite,
     schmidt_coefficients,
     unitary_from_hamiltonian,
 )
@@ -31,6 +32,11 @@ from .tensor_core import (
 # separates that tail from genuine nonzero measures seen in practice (>= 1e-4
 # at desk scale).
 ZERO_THRESHOLD = 1e-6
+
+
+def _check_threshold(zero_threshold: float) -> None:
+    if not (math.isfinite(zero_threshold) and zero_threshold > 0):
+        raise UsageError(f"zero threshold must be finite and positive, got {zero_threshold}")
 
 
 def clamp01(v: float) -> float:
@@ -96,6 +102,7 @@ def minimal_rank_scan(
     span of a pure state this is its border rank."""
     if r_max < 2:
         raise UsageError(f"r_max must be >= 2, got {r_max}")
+    _check_threshold(zero_threshold)
     entries = []
     for r in range(2, r_max + 1):
         report = run_certification(sub, r, cfg)
@@ -115,12 +122,8 @@ def minimal_rank_scan(
 def _cut_subspace(sub: Subspace, cut: Bipartition) -> Subspace:
     """View the subspace as bipartite across `cut` (axis permutation of
     every basis vector; orthonormality is preserved exactly)."""
-    dims = sub.dims
-    axes = [p - 1 for p in cut.left] + [p - 1 for p in cut.right]
-    d_left = math.prod(dims[p - 1] for p in cut.left)
-    d_right = math.prod(dims[p - 1] for p in cut.right)
-    rows = [row.reshape(dims).transpose(axes).ravel() for row in sub.basis]
-    return Subspace((d_left, d_right), np.array(rows))
+    mats = [reshape_bipartite(state, cut) for state in sub.basis_states()]
+    return Subspace(mats[0].shape, np.array([m.ravel() for m in mats]))
 
 
 def genuine_entanglement_scan(sub: Subspace, cfg: OptimConfig) -> dict[Bipartition, float]:
@@ -138,6 +141,7 @@ def genuine_entanglement_scan(sub: Subspace, cfg: OptimConfig) -> dict[Bipartiti
 
 
 def is_genuinely_entangled(values: dict[Bipartition, float], zero_threshold: float = ZERO_THRESHOLD) -> bool:
+    _check_threshold(zero_threshold)
     return all(v >= zero_threshold for v in values.values())
 
 

@@ -13,35 +13,21 @@ parameter x_p with dT/dx_p = T_p,
 
     dL/dx_p = Re( y^dag T_p ),    y = (2/N) ((G/N) T - P_S T),
 
-which is assembled per term and party below. The value path is shared
-between loss() and loss_and_gradient(), so the two agree bit-for-bit.
-No clamping happens here; [0, 1] clamping is reporting-level only.
+which is assembled per term and party below. `LossKernel.value` and
+`LossKernel.value_and_grad` share one forward pass, so their values agree
+bit-for-bit. No clamping happens here; [0, 1] clamping is reporting-level
+only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularParameterError, UsageError
-from .rank_param import (
-    RankParams,
-    _row_kron,
-    forward_map,
-    logistic_vec,
-    params_length,
-)
+from .rank_param import _row_kron, forward_map, logistic_vec, params_length
 from .subspace import Subspace
-
-
-@dataclass(frozen=True)
-class LossEvaluation:
-    """Loss value (raw, unclamped) and its gradient with respect to x."""
-
-    value: float
-    gradient: np.ndarray
 
 
 class LossKernel:
@@ -118,23 +104,6 @@ class LossKernel:
         return value, grad.ravel()
 
 
-def _kernel_for(p: RankParams, sub: Subspace) -> LossKernel:
-    if p.dims != sub.dims:
-        raise UsageError(f"dims mismatch: params {p.dims} vs subspace {sub.dims}")
-    return LossKernel(p.dims, p.r, sub)
-
-
-def loss(p: RankParams, sub: Subspace) -> float:
-    """Squared complement overlap of the state built from p."""
-    return _kernel_for(p, sub).value(p.x)
-
-
-def loss_and_gradient(p: RankParams, sub: Subspace) -> LossEvaluation:
-    """Loss and its exact derivative with respect to every entry of x."""
-    value, grad = _kernel_for(p, sub).value_and_grad(p.x)
-    return LossEvaluation(value, grad)
-
-
 def central_difference(func, x: np.ndarray, step: float) -> np.ndarray:
     """Central finite-difference gradient of a scalar function."""
     if not step > 0:
@@ -148,8 +117,3 @@ def central_difference(func, x: np.ndarray, step: float) -> np.ndarray:
         e[j] = 0.0
     return out
 
-
-def finite_diff_gradient(p: RankParams, sub: Subspace, step: float = 1e-5) -> np.ndarray:
-    """Finite-difference oracle for loss_and_gradient."""
-    kernel = _kernel_for(p, sub)
-    return central_difference(kernel.value, p.x, step)

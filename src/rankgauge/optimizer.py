@@ -46,8 +46,8 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tol_grad <= 0 or self.tol_loss_rel <= 0:
-            raise UsageError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.tol_grad, self.tol_loss_rel)):
+            raise UsageError("tolerances must be finite and positive")
         if self.max_iters < 1 or self.trials < 1:
             raise UsageError("max_iters and trials must be >= 1")
 
@@ -114,10 +114,9 @@ def lbfgs_minimize(
     value_and_grad,
     x0: np.ndarray,
     *,
-    tol_grad: float = 1e-10,
-    tol_loss_rel: float = 1e-14,
-    max_iters: int = 10000,
-    memory: int = MEMORY,
+    tol_grad: float = OptimConfig.tol_grad,
+    tol_loss_rel: float = OptimConfig.tol_loss_rel,
+    max_iters: int = OptimConfig.max_iters,
 ) -> LbfgsResult:
     """Minimize a smooth function given its exact value/gradient oracle.
 
@@ -139,7 +138,7 @@ def lbfgs_minimize(
         except SingularParameterError:
             return math.inf, None
 
-    pairs: deque = deque(maxlen=memory)
+    pairs: deque = deque(maxlen=MEMORY)
     values = [float(f)]
     plateau = 0
     reason, converged = "iteration-cap", False

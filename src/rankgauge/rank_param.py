@@ -14,7 +14,6 @@ length d_k.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -57,12 +56,8 @@ class RankParams:
         object.__setattr__(self, "x", x)
 
 
-def softplus(t: float) -> float:
-    """log(1 + e^t), overflow-safe for any finite t."""
-    return float(np.logaddexp(0.0, t))
-
-
 def softplus_vec(t: np.ndarray) -> np.ndarray:
+    """log(1 + e^t) elementwise, overflow-safe for any finite t."""
     return np.logaddexp(0.0, t)
 
 
@@ -102,7 +97,6 @@ class ForwardMap(NamedTuple):
 
     theta: np.ndarray            # (r,)
     lam: np.ndarray              # (r,) softplus(theta)
-    raw_factors: list[np.ndarray]   # per party, (r, d_k), unnormalized
     factor_norms: list[np.ndarray]  # per party, (r,)
     unit_factors: list[np.ndarray]  # per party, (r, d_k), unit rows
     prefixes: list[np.ndarray]   # prefixes[k]: products over parties < k, (r, prod)
@@ -130,24 +124,7 @@ def forward_map(x: np.ndarray, dims, r: int) -> ForwardMap:
     for f in units:
         prefixes.append(_row_kron(prefixes[-1], f))
     tensor = lam @ prefixes[-1]
-    return ForwardMap(theta, lam, raw, norms, units, prefixes, tensor)
-
-
-def build_product_term(p: RankParams, term_index: int) -> tuple[float, list[PureState]]:
-    """Weight lambda_i and normalized single-party factors of one term."""
-    if not 0 <= term_index < p.r:
-        raise UsageError(f"term index {term_index} out of range for r={p.r}")
-    theta, raw = split_blocks(p.x, p.dims, p.r)
-    factors = []
-    for k, v in enumerate(raw):
-        row = v[term_index]
-        n = np.linalg.norm(row)
-        if n == 0.0:
-            raise SingularParameterError(
-                f"zero factor block for party {k + 1} (term {term_index + 1})"
-            )
-        factors.append(PureState((p.dims[k],), row / n))
-    return softplus(float(theta[term_index])), factors
+    return ForwardMap(theta, lam, norms, units, prefixes, tensor)
 
 
 def build_state(p: RankParams) -> PureState:

@@ -1,8 +1,8 @@
 """Subspaces of a multipartite Hilbert space, stored as orthonormal bases.
 
-The complement projection functional is evaluated in its inner-product
-form (cost O(d_S * D)), never through an explicit D x D projector; this
-is what keeps large cases cheap.
+A subspace is never materialized as a D x D projector: the loss kernel
+works with the d_S x D basis directly (cost O(d_S * D) per overlap),
+which is what keeps large cases cheap.
 """
 
 from __future__ import annotations
@@ -102,17 +102,6 @@ def from_spanning_set(vectors: list[PureState], tol: float = GS_DROP_TOL) -> Sub
     return Subspace(dims, np.array(kept))
 
 
-def complement_overlap_sq(sub: Subspace, phi: PureState) -> float:
-    """<phi| P_perp |phi> = 1 - sum_i |<e_i|phi>|^2, clamped to [0, 1]."""
-    if phi.dims != sub.dims:
-        raise UsageError(f"dims mismatch: {phi.dims} vs {sub.dims}")
-    if abs(phi.norm() - 1.0) > 1e-10:
-        raise UsageError("complement_overlap_sq requires a normalized state")
-    ov = sub.basis.conj() @ phi.amp
-    val = 1.0 - float(np.real(np.vdot(ov, ov)))
-    return min(1.0, max(0.0, val))
-
-
 def complement_basis(sub: Subspace) -> Subspace:
     """Orthonormal basis of the orthogonal complement (dimension D - d_S)."""
     if sub.dim >= sub.dim_total:
@@ -163,11 +152,6 @@ class MixedState:
     @property
     def dim_total(self) -> int:
         return self.matrix.shape[0]
-
-
-def pure_density(state: PureState) -> MixedState:
-    amp = state.normalize().amp
-    return MixedState(state.dims, np.outer(amp, amp.conj()))
 
 
 def support_space(rho: MixedState, eig_tol: float = 1e-8) -> Subspace:
@@ -277,11 +261,3 @@ def read_json(path: str) -> tuple[bytes, object]:
         raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
-
-
-def load_subspace(path: str, tol: float = GS_DROP_TOL) -> Subspace:
-    return subspace_from_dict(read_json(path)[1], tol=tol)
-
-
-def load_state(path: str) -> PureState:
-    return state_from_dict(read_json(path)[1])

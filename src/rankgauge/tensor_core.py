@@ -3,8 +3,7 @@
 Amplitudes are stored as flat complex vectors, row-major over party
 indices with party 1 slowest, so ``amp.reshape(dims)`` recovers the
 natural tensor layout. All types are immutable after construction and
-every operation is a pure function, so everything here is safe to share
-across concurrent workers.
+every operation is a pure function.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from .errors import UsageError
 NORM_ATOL = 1e-12
 # Largest accepted asymmetry max|M - M^dag| when ingesting a Hermitian operator.
 HERMITIAN_ATOL = 1e-8
-# Schmidt coefficients below this do not count toward the Schmidt rank
-# (separates optimizer-level noise ~1e-10 from genuine coefficients).
-RANK_TOL = 1e-8
 
 
 def as_dims(dims) -> tuple[int, ...]:
@@ -36,10 +32,6 @@ def as_dims(dims) -> tuple[int, ...]:
     if any(d < 2 for d in out):
         raise UsageError(f"every party dimension must be >= 2, got {out}")
     return out
-
-
-def total_dim(dims) -> int:
-    return math.prod(as_dims(dims))
 
 
 @dataclass(frozen=True)
@@ -122,13 +114,6 @@ def kron_chain(factors: list[PureState]) -> PureState:
     return PureState(dims, amp)
 
 
-def inner_product(a: PureState, b: PureState) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    if a.dims != b.dims:
-        raise UsageError(f"dims mismatch: {a.dims} vs {b.dims}")
-    return complex(np.vdot(a.amp, b.amp))
-
-
 @dataclass(frozen=True)
 class Bipartition:
     """A cut K | K^c of the parties, with 1-based party indices."""
@@ -202,22 +187,6 @@ def schmidt_coefficients(s: PureState, cut: Bipartition) -> np.ndarray:
     return np.linalg.svd(reshape_bipartite(s, cut), compute_uv=False)
 
 
-def schmidt_rank(s: PureState, cut: Bipartition, tol: float = RANK_TOL) -> int:
-    """Number of Schmidt coefficients above `tol`."""
-    return int(np.sum(schmidt_coefficients(s, cut) > tol))
-
-
-def svd_complex(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """SVD m = U @ diag(s) @ Vh with descending singular values and square
-    unitary U, Vh."""
-    m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2:
-        raise UsageError("svd_complex expects a matrix")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-        raise UsageError("svd_complex requires finite entries")
-    return np.linalg.svd(m, full_matrices=True)
-
-
 @dataclass(frozen=True)
 class HermitianOp:
     """A Hermitian operator; the stored matrix is the exact Hermitian part
@@ -243,27 +212,10 @@ class HermitianOp:
         return self.matrix.shape[0]
 
 
-def _as_hermitian(h) -> np.ndarray:
-    if isinstance(h, HermitianOp):
-        return h.matrix
-    return HermitianOp(h).matrix
-
-
-def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian operator: descending real
-    eigenvalues and the matching unitary eigenvector matrix (columns)."""
-    m = _as_hermitian(h)
-    w, v = np.linalg.eigh(m)
-    return w[::-1].copy(), v[:, ::-1].copy()
-
-
 def unitary_from_hamiltonian(h) -> np.ndarray:
-    """U = exp(-iH) via the eigendecomposition of H."""
-    w, v = hermitian_eig(h)
+    """U = exp(-iH) via the eigendecomposition of H (a HermitianOp or a
+    matrix that is Hermitian within HERMITIAN_ATOL), eigenpairs descending."""
+    m = h.matrix if isinstance(h, HermitianOp) else HermitianOp(h).matrix
+    w, v = np.linalg.eigh(m)
+    w, v = w[::-1].copy(), v[:, ::-1].copy()
     return (v * np.exp(-1j * w)) @ v.conj().T
-
-
-def trace_norm(h) -> float:
-    """Sum of the absolute eigenvalues of a Hermitian operator."""
-    w, _ = hermitian_eig(h)
-    return float(np.sum(np.abs(w)))

@@ -11,8 +11,6 @@ from rankgauge import (
     UsageError,
     complement_basis,
     er_pure,
-    inner_product,
-    schmidt_coefficients,
     support_space,
 )
 from rankgauge.catalog import (
@@ -39,6 +37,7 @@ from rankgauge.catalog import (
     w_type_lambda_sq_closed_form,
     w_type_state,
 )
+from rankgauge.tensor_core import schmidt_coefficients
 
 
 class TestStrip:
@@ -165,13 +164,13 @@ class TestDicke:
         assert dicke_e2_closed_form(5, 5) == 0.0
 
     def test_closest_product_overlap_d42(self):
-        overlap = inner_product(dicke_closest_product(4, 2), dicke_state(4, 2))
+        overlap = np.vdot(dicke_closest_product(4, 2).amp, dicke_state(4, 2).amp)
         assert abs(overlap) ** 2 == pytest.approx(3 / 8, abs=1e-12)
         assert dicke_e2_closed_form(4, 2) == pytest.approx(5 / 8, abs=1e-15)
 
     def test_closest_product_consistent_with_closed_form(self):
         for n, k in [(3, 1), (4, 1), (5, 2), (6, 3)]:
-            overlap = inner_product(dicke_closest_product(n, k), dicke_state(n, k))
+            overlap = np.vdot(dicke_closest_product(n, k).amp, dicke_state(n, k).amp)
             assert abs(overlap) ** 2 == pytest.approx(1 - dicke_e2_closed_form(n, k), abs=1e-12)
 
 
@@ -202,7 +201,7 @@ class TestWType:
         assert w_type_lambda_sq_closed_form(c) == pytest.approx(4 / 9, abs=1e-12)
         assert w_type_e2_closed_form(c) == pytest.approx(5 / 9, abs=1e-12)
         # and the built state coincides with the one-excitation symmetric state
-        assert abs(inner_product(w_type_state(c), dicke_state(3, 1))) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(w_type_state(c).amp, dicke_state(3, 1).amp)) == pytest.approx(1.0, abs=1e-12)
 
     def test_random_points_match_optimizer(self, rng, cfg):
         for _ in range(10):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rankgauge import OptimConfig, haar_random_state, state_to_dict, subspace_to_dict, from_spanning_set
+from rankgauge import OptimConfig, haar_random_state, subspace_to_dict, from_spanning_set
 from rankgauge.catalog import dicke_state
 from rankgauge.cli import main
 
@@ -87,6 +87,7 @@ class TestManifest:
                         {"r_max", "source"}),
         "ges": (["ges", "--example", "ghz:n=3"], "ges", {"source"}),
         "reproduce": (["reproduce", "fig3", "--points", "3"], "fig3", {"points"}),
+        "table2": (["reproduce", "table2"], "table2", {"rows", "full"}),
     }
 
     @pytest.mark.parametrize("command", list(CASES))
@@ -198,6 +199,16 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(capsys, "compute", "--nope")
         assert code == 4
         assert "usage error" in err
+
+    @pytest.mark.parametrize("flag", ["--tol-grad", "--tol-loss", "--zero-threshold"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_tolerance_rejected_before_work(self, capsys, tmp_path, flag, value):
+        code, out, err = run_cli(capsys, "compute", "--example", "strip:d=3,theta=pi/2", flag, value,
+                                 "--out", str(tmp_path))
+        assert code == 4
+        assert flag in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
 
     def test_usage_error_no_input(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--r", "2")

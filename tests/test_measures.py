@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -5,11 +7,14 @@ import pytest
 
 from rankgauge import (
     Bipartition,
+    MixedState,
     OptimConfig,
     PureState,
+    Subspace,
     UsageError,
+    apply_unitary_to_subspace,
     basis_state,
-    er_bipartite_pure_oracle,
+    complement_basis,
     er_pure,
     er_subspace,
     from_spanning_set,
@@ -18,12 +23,9 @@ from rankgauge import (
     is_genuinely_entangled,
     kron_chain,
     minimal_rank_scan,
-    pure_density,
-    random_hermitian_with_trace_norm,
     robustness_experiment,
     span_of,
     support_bound_er,
-    trace_norm,
 )
 from rankgauge.catalog import (
     StripParams,
@@ -34,7 +36,11 @@ from rankgauge.catalog import (
     strip_e2_closed_form,
     strip_subspace,
     tiles_bound_entangled_state,
+    upb_3qubit_e2_closed_form,
+    upb_3qubit_subspace,
 )
+from rankgauge.measures import er_bipartite_pure_oracle, random_hermitian_with_trace_norm
+from conftest import random_unitary
 
 
 class TestErBipartiteOracle:
@@ -69,8 +75,6 @@ class TestErSubspace:
     def test_near_full_subspace_with_product_member(self, cfg):
         # the complement of a Bell ray: 3-dim, contains |01>, so E_2 ~ 0
         bell = PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
-        from rankgauge import complement_basis
-
         sub = complement_basis(span_of(bell))
         assert sub.dim == 3
         assert er_subspace(sub, 2, cfg) < 1e-10
@@ -110,6 +114,11 @@ class TestBorderRankScan:
         scan = minimal_rank_scan(sub, 3, cfg=cfg)
         assert scan.certified_rank == 2  # E_2 = 0.25, E_3 = 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_bad_zero_threshold_rejected(self, cfg, bad):
+        with pytest.raises(UsageError, match="zero threshold"):
+            minimal_rank_scan(span_of(dicke_state(3, 1)), 3, bad, cfg)
+
 
 class TestGenuineEntanglement:
     def test_ges_closed_form(self, cfg):
@@ -140,6 +149,11 @@ class TestGenuineEntanglement:
         assert by_cut["1+3|2"] == pytest.approx(0.5, abs=1e-9)
         assert not is_genuinely_entangled(values)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_bad_zero_threshold_rejected(self, bad):
+        with pytest.raises(UsageError, match="zero threshold"):
+            is_genuinely_entangled({Bipartition.of([1], 3): 0.5}, bad)
+
     def test_requires_three_parties(self, cfg, rng):
         sub = span_of(haar_random_state((2, 2), rng))
         with pytest.raises(UsageError):
@@ -149,7 +163,8 @@ class TestGenuineEntanglement:
 class TestSupportBound:
     def test_pure_density_equals_er_pure(self, rng, cfg):
         psi = haar_random_state((2, 3), rng)
-        assert abs(support_bound_er(pure_density(psi), 2, cfg) - er_pure(psi, 2, cfg)) < 1e-9
+        rho = MixedState(psi.dims, np.outer(psi.amp, psi.amp.conj()))
+        assert abs(support_bound_er(rho, 2, cfg) - er_pure(psi, 2, cfg)) < 1e-9
 
     def test_tiles(self, cfg):
         value = support_bound_er(tiles_bound_entangled_state(), 2, cfg)
@@ -164,7 +179,7 @@ class TestRandomHermitian:
     def test_trace_norm_hits_target(self):
         for seed in range(5):
             h = random_hermitian_with_trace_norm(6, 0.45, seed=seed)
-            assert trace_norm(h) == pytest.approx(0.45, abs=1e-12)
+            assert np.sum(np.abs(np.linalg.eigvalsh(h.matrix))) == pytest.approx(0.45, abs=1e-12)
 
     def test_hermiticity(self):
         h = random_hermitian_with_trace_norm(5, 1.0, seed=3)
@@ -208,3 +223,38 @@ class TestMeasureInvariants:
         for r in (2, 3):
             v = er_pure(w, r, cfg)
             assert 0.0 <= v <= 1.0
+
+
+def permute_parties(sub: Subspace, perm) -> Subspace:
+    """The same subspace with parties reordered: party k of the result is party perm[k] of `sub`."""
+    dims = tuple(sub.dims[p] for p in perm)
+    return Subspace(dims, np.array([row.reshape(sub.dims).transpose(perm).ravel() for row in sub.basis]))
+
+
+class TestInvariances:
+    """E_2 is unchanged by local unitaries and by relabelling the parties;
+    the closed forms are the oracles."""
+
+    CASES = {
+        "upb3_complement": (complement_basis(upb_3qubit_subspace()), upb_3qubit_e2_closed_form()),
+        "strip_d3": (strip_subspace(StripParams(3, 1.1)), strip_e2_closed_form(StripParams(3, 1.1))),
+    }
+    SEEDS = range(10)
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_local_unitaries(self, case):
+        sub, exact = self.CASES[case]
+        for seed in self.SEEDS:
+            rng = np.random.default_rng(seed)
+            u = functools.reduce(np.kron, [random_unitary(d, rng) for d in sub.dims])
+            value = er_subspace(apply_unitary_to_subspace(sub, u), 2, OptimConfig(seed=seed))
+            assert value == pytest.approx(exact, abs=1e-9), seed
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_party_permutations(self, case):
+        sub, exact = self.CASES[case]
+        identity = tuple(range(len(sub.dims)))
+        perms = [p for p in itertools.permutations(identity) if p != identity]
+        for seed in self.SEEDS:
+            moved = permute_parties(sub, perms[seed % len(perms)])
+            assert er_subspace(moved, 2, OptimConfig(seed=seed)) == pytest.approx(exact, abs=1e-9), seed

@@ -3,19 +3,15 @@ import pytest
 
 from rankgauge import (
     OptimConfig,
-    RankParams,
     UsageError,
     basis_state,
-    central_difference,
-    finite_diff_gradient,
     from_spanning_set,
     haar_random_state,
-    loss,
-    loss_and_gradient,
     run_certification,
     span_of,
 )
-from rankgauge.objective import LossKernel
+from rankgauge.objective import LossKernel, central_difference
+from rankgauge.rank_param import RankParams, build_state
 from rankgauge.catalog import StripParams, strip_subspace
 
 from test_rank_param import make_params, random_params
@@ -33,51 +29,53 @@ class TestLossValues:
     def test_orthogonal_state_gives_one(self):
         sub = span_of(basis_state((2, 2), (0, 0)))
         p = make_params((2, 2), 1, [(0.0, [([0, 1], [0, 0]), ([0, 1], [0, 0])])])
-        assert loss(p, sub) == pytest.approx(1.0, abs=1e-14)
+        assert LossKernel(p.dims, p.r, sub).value(p.x) == pytest.approx(1.0, abs=1e-14)
 
     def test_member_state_gives_zero(self):
         sub = span_of(basis_state((2, 2), (0, 0)))
         p = make_params((2, 2), 1, [(0.0, [([1, 0], [0, 0]), ([1, 0], [0, 0])])])
-        assert loss(p, sub) == pytest.approx(0.0, abs=1e-14)
+        assert LossKernel(p.dims, p.r, sub).value(p.x) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_explicit_projector(self, rng):
-        from rankgauge import build_state
-
         sub = random_subspace((2, 3), 2, rng)
         p_perp = np.eye(6) - sub.basis.T @ sub.basis.conj()
+        kernel = LossKernel((2, 3), 2, sub)
         for seed in range(5):
             p = random_params((2, 3), 2, seed)
             st = build_state(p)
             direct = float(np.real(st.amp.conj() @ p_perp @ st.amp))
-            assert loss(p, sub) == pytest.approx(direct, abs=1e-12)
+            assert kernel.value(p.x) == pytest.approx(direct, abs=1e-12)
 
     def test_value_in_range(self, rng):
         sub = random_subspace((2, 2, 2), 3, rng)
+        kernel = LossKernel((2, 2, 2), 2, sub)
         for seed in range(10):
             p = random_params((2, 2, 2), 2, seed)
-            assert -1e-12 <= loss(p, sub) <= 1.0 + 1e-12
+            assert -1e-12 <= kernel.value(p.x) <= 1.0 + 1e-12
 
     def test_dims_mismatch(self, rng):
         sub = random_subspace((2, 2), 2, rng)
         p = random_params((2, 3), 1, 0)
         with pytest.raises(UsageError):
-            loss(p, sub)
+            LossKernel(p.dims, p.r, sub).value(p.x)
 
     def test_term_permutation_invariance(self, rng):
         sub = random_subspace((2, 3), 2, rng)
         p = random_params((2, 3), 3, 8)
+        kernel = LossKernel((2, 3), 3, sub)
         x = p.x.reshape(3, -1)
         for perm in ([1, 0, 2], [2, 1, 0], [1, 2, 0]):
             q = RankParams((2, 3), 3, x[perm].ravel())
-            assert abs(loss(p, sub) - loss(q, sub)) < 1e-14
+            assert abs(kernel.value(p.x) - kernel.value(q.x)) < 1e-14
 
 
 class TestLossAndGradient:
     def test_value_is_bitwise_identical_to_loss(self, rng):
         sub = random_subspace((2, 2, 2), 2, rng)
+        kernel = LossKernel((2, 2, 2), 2, sub)
         for seed in range(20):
             p = random_params((2, 2, 2), 2, seed)
-            assert loss_and_gradient(p, sub).value == loss(p, sub)
+            assert kernel.value_and_grad(p.x)[0] == kernel.value(p.x)
 
     def test_matches_finite_differences(self, rng):
         configs = [((2, 2), 1), ((2, 2), 2), ((2, 3, 2), 2), ((3, 3, 3), 3)]
@@ -85,26 +83,27 @@ class TestLossAndGradient:
             sub = random_subspace(dims, 2, rng)
             for seed in range(3):
                 p = random_params(dims, budget, seed)
-                ev = loss_and_gradient(p, sub)
-                fd = finite_diff_gradient(p, sub, step=1e-5)
-                assert rel_linf(ev.gradient, fd) < 1e-5
+                kernel = LossKernel(dims, budget, sub)
+                _, grad = kernel.value_and_grad(p.x)
+                fd = central_difference(kernel.value, p.x, 1e-5)
+                assert rel_linf(grad, fd) < 1e-5
 
     def test_gradient_finite(self, rng):
         sub = random_subspace((2, 2), 2, rng)
         p = random_params((2, 2), 3, 2)
-        ev = loss_and_gradient(p, sub)
-        assert np.all(np.isfinite(ev.gradient))
+        _, grad = LossKernel(p.dims, p.r, sub).value_and_grad(p.x)
+        assert np.all(np.isfinite(grad))
 
     def test_stationary_at_loss_maximum(self):
         # a state orthogonal to S maximizes the loss; the gradient vanishes
         # there, and directions staying inside the complement are flat
         sub = span_of(basis_state((2, 2), (0, 0)))
         p = make_params((2, 2), 1, [(0.2, [([0, 1], [0, 0]), ([0, 1], [0, 0])])])
-        ev = loss_and_gradient(p, sub)
-        assert np.max(np.abs(ev.gradient)) < 1e-12
+        kernel = LossKernel((2, 2), 1, sub)
+        _, grad = kernel.value_and_grad(p.x)
+        assert np.max(np.abs(grad)) < 1e-12
         # directional finite differences along flat directions: scaling theta
         # and rotating |1> toward |0> on party 2 both keep the state in S_perp
-        kernel = LossKernel((2, 2), 1, sub)
         for direction in (
             np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0]),
             np.array([0.0, 0, 0, 0, 0, 1.0, 0, 0, 0]),
@@ -117,8 +116,8 @@ class TestLossAndGradient:
         params = StripParams(3, np.pi / 2)
         sub = strip_subspace(params)
         report = run_certification(sub, 2, OptimConfig(seed=3))
-        ev = loss_and_gradient(report.best_params, sub)
-        assert np.linalg.norm(ev.gradient) < 1e-8
+        _, grad = LossKernel(sub.dims, 1, sub).value_and_grad(report.best_params.x)
+        assert np.linalg.norm(grad) < 1e-8
 
 
 class TestCentralDifference:

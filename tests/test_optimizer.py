@@ -11,11 +11,11 @@ from rankgauge import (
     basis_state,
     from_spanning_set,
     haar_random_state,
-    lbfgs_minimize,
     run_certification,
     span_of,
 )
 from rankgauge import optimizer as opt_mod
+from rankgauge.optimizer import lbfgs_minimize
 from rankgauge.objective import LossKernel
 from rankgauge.catalog import StripParams, strip_e2_closed_form, strip_subspace
 
@@ -134,6 +134,14 @@ class TestTrials:
         sub = span_of(basis_state((2, 2), (0, 0)))
         with pytest.raises(UsageError):
             LossKernel((2, 2), 0, sub)
+
+
+class TestOptimConfig:
+    @pytest.mark.parametrize("field", ["tol_grad", "tol_loss_rel"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_tolerance_must_be_finite_and_positive(self, field, bad):
+        with pytest.raises(UsageError, match="finite and positive"):
+            OptimConfig(**{field: bad})
 
 
 class TestRunCertification:

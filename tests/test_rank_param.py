@@ -3,19 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from rankgauge import (
-    Bipartition,
+from rankgauge import Bipartition, SingularParameterError, UsageError
+from rankgauge.rank_param import (
     RankParams,
-    SingularParameterError,
-    UsageError,
-    build_product_term,
     build_state,
-    inner_product,
+    forward_map,
     params_length,
-    schmidt_rank,
-    softplus,
+    softplus_vec,
+    split_blocks,
+    trial_rng,
 )
-from rankgauge.rank_param import split_blocks, trial_rng
+from rankgauge.tensor_core import schmidt_coefficients
 
 
 def random_params(dims, r, seed):
@@ -37,18 +35,18 @@ def make_params(dims, r, theta_and_blocks):
 
 class TestSoftplus:
     def test_zero(self):
-        assert softplus(0.0) == pytest.approx(math.log(2.0), abs=1e-15)
+        assert softplus_vec(np.array([0.0]))[0] == pytest.approx(math.log(2.0), abs=1e-15)
 
     def test_large_asymptote(self):
-        assert softplus(100.0) == pytest.approx(100.0, abs=1e-12)
+        # no overflow in e^t far beyond float64's exp range
+        np.testing.assert_allclose(softplus_vec(np.array([100.0, 1000.0])), [100.0, 1000.0], atol=1e-12)
 
     def test_large_negative(self):
         # series: log(1 + e^-100) = e^-100 (1 + O(e^-100))
-        assert softplus(-100.0) == pytest.approx(math.exp(-100.0), rel=1e-10)
+        assert softplus_vec(np.array([-100.0]))[0] == pytest.approx(math.exp(-100.0), rel=1e-10)
 
     def test_positive(self):
-        for t in (-5.0, 0.0, 3.0, 40.0):
-            assert softplus(t) > 0.0
+        assert np.all(softplus_vec(np.array([-5.0, 0.0, 3.0, 40.0])) > 0.0)
 
 
 class TestRankParams:
@@ -73,29 +71,29 @@ class TestRankParams:
 
 
 class TestBuildProductTerm:
+    """Per-term weights and unit factors, as forward_map builds them."""
+
     def test_basis_factor(self):
         p = make_params((2, 2), 1, [(0.0, [([1, 0], [0, 0]), ([1, 0], [0, 0])])])
-        lam, factors = build_product_term(p, 0)
-        assert lam == pytest.approx(math.log(2.0))
-        np.testing.assert_allclose(factors[0].amp, [1, 0])
+        fw = forward_map(p.x, p.dims, p.r)
+        assert fw.lam[0] == pytest.approx(math.log(2.0))
+        np.testing.assert_allclose(fw.unit_factors[0][0], [1, 0])
 
     def test_plus_factor(self):
         p = make_params((2,), 1, [(0.0, [([1, 1], [0, 0])])])
-        _, factors = build_product_term(p, 0)
-        np.testing.assert_allclose(factors[0].amp, np.array([1, 1]) / np.sqrt(2))
+        fw = forward_map(p.x, p.dims, p.r)
+        np.testing.assert_allclose(fw.unit_factors[0][0], np.array([1, 1]) / np.sqrt(2))
 
     def test_random_unit_norm(self, rng):
         for _ in range(10):
             p = random_params((2, 3), 2, int(rng.integers(1 << 30)))
-            for i in range(2):
-                _, factors = build_product_term(p, i)
-                for f in factors:
-                    assert abs(f.norm() - 1.0) < 1e-12
+            for f in forward_map(p.x, p.dims, p.r).unit_factors:
+                np.testing.assert_allclose(np.linalg.norm(f, axis=1), 1.0, atol=1e-12)
 
     def test_zero_block_raises(self):
         p = make_params((2, 2), 1, [(0.0, [([0, 0], [0, 0]), ([1, 0], [0, 0])])])
         with pytest.raises(SingularParameterError):
-            build_product_term(p, 0)
+            forward_map(p.x, p.dims, p.r)
 
 
 class TestBuildState:
@@ -122,7 +120,7 @@ class TestBuildState:
             st = build_state(p)
             for left in ([1], [2], [3]):
                 cut = Bipartition.of(left, 3)
-                assert schmidt_rank(st, cut) <= 2
+                assert np.sum(schmidt_coefficients(st, cut) > 1e-8) <= 2
 
     def test_output_normalized(self, rng):
         for seed in range(10):
@@ -153,7 +151,7 @@ class TestBuildState:
         pad[2 * stride + 1] = 1.0  # arbitrary nonzero factor blocks
         pad[2 * stride + 5] = 1.0
         st2 = build_state(RankParams((2, 2), 3, pad))
-        assert abs(inner_product(st, st2)) >= 1.0 - 1e-10
+        assert abs(np.vdot(st.amp, st2.amp)) >= 1.0 - 1e-10
 
     def test_per_term_phase_gives_global_phase(self, rng):
         # rotating one party block of every term by a common phase rotates
@@ -166,7 +164,7 @@ class TestBuildState:
             z = (x2[:, 1:3] + 1j * x2[:, 3:5]) * np.exp(1j * gamma)
             x2[:, 1:3], x2[:, 3:5] = z.real, z.imag
             st2 = build_state(RankParams((2, 3), r, x2.ravel()))
-            assert abs(abs(inner_product(st, st2)) - 1.0) < 1e-10
+            assert abs(abs(np.vdot(st.amp, st2.amp)) - 1.0) < 1e-10
 
 
 class TestRandomInit:

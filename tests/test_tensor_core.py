@@ -1,24 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 
-from rankgauge import (
-    Bipartition,
+from rankgauge import Bipartition, PureState, UsageError, basis_state, haar_random_state, kron_chain
+from rankgauge.tensor_core import (
     HermitianOp,
-    PureState,
-    UsageError,
-    basis_state,
     canonical_bipartitions,
-    haar_random_state,
-    hermitian_eig,
-    inner_product,
-    kron_chain,
     reshape_bipartite,
     schmidt_coefficients,
-    schmidt_rank,
-    svd_complex,
-    trace_norm,
     unitary_from_hamiltonian,
 )
 
@@ -89,25 +77,6 @@ class TestKronChain:
             kron_chain([basis_state((2, 2), (0, 0))])
 
 
-class TestInnerProduct:
-    def test_orthogonal(self):
-        assert inner_product(ket(2, 0), ket(2, 1)) == 0.0
-
-    def test_self_overlap(self, rng):
-        s = haar_random_state((2, 3), rng)
-        assert abs(inner_product(s, s) - 1.0) < 1e-12
-
-    def test_conjugate_symmetry(self, rng):
-        for _ in range(10):
-            a = haar_random_state((2, 2), rng)
-            b = haar_random_state((2, 2), rng)
-            assert abs(inner_product(a, b) - np.conj(inner_product(b, a))) < 1e-14
-
-    def test_dims_mismatch(self):
-        with pytest.raises(UsageError):
-            inner_product(ket(2, 0), ket(3, 0))
-
-
 class TestBipartition:
     def test_validation(self):
         with pytest.raises(UsageError):
@@ -158,13 +127,11 @@ class TestSchmidt:
         bell = PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
         lam = schmidt_coefficients(bell, Bipartition.of([1], 2))
         np.testing.assert_allclose(lam, [1 / np.sqrt(2)] * 2)
-        assert schmidt_rank(bell, Bipartition.of([1], 2)) == 2
 
     def test_product(self):
         s = basis_state((2, 2), (0, 0))
         lam = schmidt_coefficients(s, Bipartition.of([1], 2))
         np.testing.assert_allclose(lam, [1.0, 0.0], atol=1e-15)
-        assert schmidt_rank(s, Bipartition.of([1], 2)) == 1
 
     def test_against_reduced_density_matrix(self, rng):
         # independent oracle: squared coefficients are the eigenvalues of
@@ -189,53 +156,28 @@ class TestSchmidt:
             schmidt_coefficients(s, Bipartition.of([1], 2))
 
 
-class TestSvd:
-    def test_identity(self):
-        _, s, _ = svd_complex(np.eye(2))
-        np.testing.assert_allclose(s, [1.0, 1.0])
-
-    def test_diag(self):
-        _, s, _ = svd_complex(np.diag([3.0, 0.0]))
-        np.testing.assert_allclose(s, [3.0, 0.0])
-
-    def test_reconstruction_random(self, rng):
-        m = rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6))
-        u, s, vh = svd_complex(m)
-        smat = np.zeros((4, 6))
-        np.fill_diagonal(smat, s)
-        assert np.linalg.norm(m - u @ smat @ vh) < 1e-10
-        assert np.linalg.norm(u @ u.conj().T - np.eye(4)) < 1e-10
-        assert np.linalg.norm(vh @ vh.conj().T - np.eye(6)) < 1e-10
-        assert np.all(np.diff(s) <= 0)
-
-    def test_large_dim(self, rng):
-        m = rng.standard_normal((120, 200)) + 1j * rng.standard_normal((120, 200))
-        u, s, vh = svd_complex(m)
-        smat = np.zeros((120, 200))
-        np.fill_diagonal(smat, s)
-        assert np.linalg.norm(m - u @ smat @ vh) / np.linalg.norm(m) < 1e-12
-
-
 class TestHermitianEig:
+    """The eigendecomposition behind unitary_from_hamiltonian."""
+
     def test_pauli_z(self):
-        w, _ = hermitian_eig(np.diag([1.0, -1.0]))
-        np.testing.assert_allclose(w, [1.0, -1.0])
+        u = unitary_from_hamiltonian(np.diag([1.0, -1.0]))
+        np.testing.assert_allclose(u, np.diag(np.exp([-1j, 1j])), atol=1e-15)
 
     def test_zero(self):
-        w, _ = hermitian_eig(np.zeros((3, 3)))
-        np.testing.assert_allclose(w, 0.0)
+        np.testing.assert_allclose(unitary_from_hamiltonian(HermitianOp(np.zeros((3, 3)))), np.eye(3))
 
     def test_reconstruction(self, rng):
+        # every eigenpair (w, v) of H is an eigenpair (exp(-iw), v) of U
         for dim in (8, 200):
             h = random_hermitian(dim, rng)
-            w, v = hermitian_eig(h)
-            assert np.all(np.diff(w) <= 1e-12)
-            assert np.linalg.norm((v * w) @ v.conj().T - h) < 1e-10 * max(1, dim / 8)
-            assert np.linalg.norm(v @ v.conj().T - np.eye(dim)) < 1e-10
+            w, v = np.linalg.eigh(h)
+            u = unitary_from_hamiltonian(h)
+            assert np.linalg.norm(u @ v - v * np.exp(-1j * w)) < 1e-10 * max(1, dim / 8)
+            assert np.linalg.norm(u @ u.conj().T - np.eye(dim)) < 1e-10 * max(1, dim / 8)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(UsageError):
-            hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            unitary_from_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_hermitian_op_stores_exact_hermitian_part(self, rng):
         h = random_hermitian(5, rng) + 1e-9 * rng.standard_normal((5, 5))
@@ -262,14 +204,3 @@ class TestUnitaryFromHamiltonian:
         u3 = unitary_from_hamiltonian(3.0 * h)
         assert np.max(np.abs(u1 @ u1 @ u1 - u3)) < 1e-8
 
-
-class TestTraceNorm:
-    def test_pauli_z(self):
-        assert trace_norm(np.diag([1.0, -1.0])) == pytest.approx(2.0)
-
-    def test_zero(self):
-        assert trace_norm(np.zeros((4, 4))) == 0.0
-
-    def test_against_eigvalsh(self, rng):
-        h = random_hermitian(7, rng)
-        assert trace_norm(h) == pytest.approx(np.sum(np.abs(np.linalg.eigvalsh(h))), abs=1e-12)
