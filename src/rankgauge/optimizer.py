@@ -27,6 +27,9 @@ PLATEAU_WINDOW = 5
 # Armijo and curvature constants of the line search.
 ARMIJO_C1 = 1e-4
 CURVATURE_C2 = 0.9
+# Trial steps of one line search. A search at the float64 floor, where no
+# step gives a representable decrease, bisects through all of them.
+LINE_SEARCH_STEPS = 60
 # In-trial reinitializations allowed after singular starting parameters.
 MAX_REINITS = 3
 # Curvature pairs kept by L-BFGS.
@@ -68,15 +71,22 @@ def _wolfe_line_search(evaluate, x, f0, g0, direction, t0):
 
     `evaluate` returns (value, grad) or (inf, None) for points it cannot
     evaluate. Returns (t, x_t, f_t, g_t) or None if no acceptable point
-    with sufficient decrease was found.
+    with sufficient decrease was found within LINE_SEARCH_STEPS trial
+    steps. Near the float floor distinct steps round to the same point;
+    `evaluate` is deterministic, so each point is evaluated once and
+    looked up after that, x itself included.
     """
     slope0 = float(np.dot(g0, direction))
     lo, hi = 0.0, math.inf
     t = t0
     best = None  # lowest-value point satisfying sufficient decrease
-    for _ in range(60):
+    seen = {x.tobytes(): (f0, g0)}
+    for _ in range(LINE_SEARCH_STEPS):
         xt = x + t * direction
-        ft, gt = evaluate(xt)
+        key = xt.tobytes()
+        if key not in seen:
+            seen[key] = evaluate(xt)
+        ft, gt = seen[key]
         if not math.isfinite(ft) or ft > f0 + ARMIJO_C1 * t * slope0:
             hi = t
             t = 0.5 * (lo + hi)
@@ -124,8 +134,9 @@ def lbfgs_minimize(
     `loss-plateau` (relative decrease below tol_loss_rel for
     PLATEAU_WINDOW consecutive accepted steps), `loss-floor` (no
     representable decrease exists along the model direction, i.e. the
-    relative-decrease criterion holds vacuously at the float64 floor), or
-    `iteration-cap`. A SingularParameterError from the initial evaluation
+    relative-decrease criterion holds vacuously at the float64 floor; the
+    last line search bisected through all LINE_SEARCH_STEPS trial steps,
+    evaluating each distinct point once), or `iteration-cap`. A SingularParameterError from the initial evaluation
     propagates to the caller; trial points that raise it during the line
     search are treated as +inf and backtracked over.
     """
