@@ -13,7 +13,12 @@ parameter x_p with dT/dx_p = T_p,
 
     dL/dx_p = Re( y^dag T_p ),    y = (2/N) ((G/N) T - P_S T),
 
-which is assembled per term and party below. `LossKernel.value` and
+which is assembled below for all terms at once. conj(y) is contracted
+with the unit factors party by party, from the last one inwards, and the
+cotangents of all factor blocks land in one (r, sum(dims)) array; the
+projection that removes each block's radial component and the writes into
+the alpha/beta entries then cover every party in one step each, through
+the cached `rank_param.layout`. `LossKernel.value` and
 `LossKernel.value_and_grad` share one forward pass, so their values agree
 bit-for-bit. No clamping happens here; [0, 1] clamping is reporting-level
 only.
@@ -26,7 +31,7 @@ import math
 import numpy as np
 
 from .errors import SingularParameterError, UsageError
-from .rank_param import _row_kron, forward_map, logistic_vec, params_length
+from .rank_param import forward_map, layout, logistic_vec, params_length
 from .subspace import Subspace
 
 
@@ -48,6 +53,7 @@ class LossKernel:
         self.n_params = params_length(self.dims, self.r)
         self.basis = sub.basis
         self.basis_conj = sub.basis.conj()
+        self.layout = layout(self.dims, self.r)
         n = len(self.dims)
         self.left_sizes = [math.prod(self.dims[:k]) for k in range(n)]
         self.right_sizes = [math.prod(self.dims[k + 1:]) for k in range(n)]
@@ -68,40 +74,35 @@ class LossKernel:
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         fw, t, nsq, c, gsq, value = self._forward(x)
-        r, dims = self.r, self.dims
-        n = len(dims)
+        lay = self.layout
 
         w = c @ self.basis                      # P_S T
         y = (2.0 / nsq) * ((gsq / nsq) * t - w)  # adjoint of the quotient
-        yc = y.conj()
 
-        grad = np.empty((r, 2 * sum(dims) + 1), dtype=np.float64)
-        # theta: dT/dtheta_i = logistic(theta_i) * (product of unit factors)
-        grad[:, 0] = np.real(fw.prefixes[-1] @ yc) * logistic_vec(fw.theta)
+        # Contract conj(y) with the factors from the last party inwards.
+        # Before party k is contracted, acc[i] holds conj(y) summed against
+        # term i's factors of parties > k, shape (left_k, d_k); h[i, j] is
+        # then the sum over the parties < k against term i's prefix.
+        h = np.empty_like(fw.units)
+        acc = y.conj()
+        for k in range(len(self.dims) - 1, -1, -1):
+            acc = acc.reshape(-1, self.left_sizes[k], self.dims[k])
+            h[:, lay.blocks[k]] = (fw.prefixes[k][:, None, :] @ acc)[:, 0, :]
+            acc = acc @ fw.unit_factors[k][:, :, None]
+        # z_i = <term i's unit product|conj(y)>, with every party contracted
+        z = acc.reshape(self.r).real
 
-        # suffix products over parties k..n-1
-        suffixes = [None] * (n + 1)
-        suffixes[n] = np.ones((r, 1), dtype=np.complex128)
-        for k in range(n - 1, -1, -1):
-            suffixes[k] = _row_kron(fw.unit_factors[k], suffixes[k + 1])
-
-        off = 1
-        for k, d in enumerate(dims):
-            y3 = y.reshape(self.left_sizes[k], d, self.right_sizes[k])
-            # cotangent of the unit factor rows: contract y with the
-            # conjugated context (all other parties) of each term
-            t1 = np.tensordot(fw.prefixes[k].conj(), y3, axes=([1], [0]))
-            g = (t1 * suffixes[k + 1].conj()[:, None, :]).sum(axis=2)
-            g *= fw.lam[:, None]
-            f = fw.unit_factors[k]
-            # chain through v / ||v||: remove the radial component
-            radial = np.real((g.conj() * f).sum(axis=1))
-            inv_norm = 1.0 / fw.factor_norms[k][:, None]
-            grad[:, off:off + d] = (g.real - radial[:, None] * f.real) * inv_norm
-            grad[:, off + d:off + 2 * d] = (g.imag - radial[:, None] * f.imag) * inv_norm
-            off += 2 * d
-
-        return value, grad.ravel()
+        grad = np.empty(self.n_params, dtype=np.float64)
+        grad[lay.theta] = z * logistic_vec(fw.theta)
+        # Chain through v / ||v||: drop the radial component of each block.
+        # Summed over a block, h times the unit factor gives z for every
+        # party, so the radial coefficient is lam * z throughout.
+        h *= fw.lam[:, None]
+        radial = (fw.lam * z)[:, None]
+        f = fw.units
+        grad[lay.alpha] = (h.real - radial * f.real) / fw.col_norms
+        grad[lay.beta] = (-h.imag - radial * f.imag) / fw.col_norms
+        return value, grad
 
 
 def central_difference(func, x: np.ndarray, step: float) -> np.ndarray:

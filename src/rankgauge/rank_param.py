@@ -9,11 +9,14 @@ where lambda_i = softplus(theta_i) > 0 and each single-party factor is a
 complex vector (alpha + i beta) normalized to unit length; the weighted
 sum of the r product terms is normalized at the end. Layout per term:
 one theta, then for each party k the pair (alpha^(k), beta^(k)), each of
-length d_k.
+length d_k. `layout(dims, r)` holds this layout as index arrays, built
+once per shape, so that the forward map gathers, normalizes and checks the
+factor blocks of every party and term in one step each.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,19 +75,48 @@ def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def split_blocks(x: np.ndarray, dims, r: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Views into x: theta (r,) and per-party unnormalized complex factors (r, d_k)."""
+class Layout(NamedTuple):
+    """Where each block of a parameter vector sits, for one (dims, r).
+
+    Index arrays are flat positions into x. Column j of the (r, sum(dims))
+    arrays runs over the parties' local indices side by side; `party[j]`
+    says whose block it belongs to, `starts[k]` where party k's block
+    begins, and `blocks[k]` is the matching slice.
+    """
+
+    theta: np.ndarray   # (r,)
+    alpha: np.ndarray   # (r, sum(dims)) real parts of the factors
+    beta: np.ndarray    # (r, sum(dims)) imaginary parts
+    starts: np.ndarray  # (n,)
+    party: np.ndarray   # (sum(dims),)
+    blocks: tuple[slice, ...]
+
+
+@functools.lru_cache(maxsize=64)
+def layout(dims: tuple[int, ...], r: int) -> Layout:
+    """The cached Layout of the parameter vector for `dims` and budget r."""
     dims = as_dims(dims)
-    xm = x.reshape(int(r), 2 * sum(dims) + 1)
-    theta = xm[:, 0]
-    factors = []
-    off = 1
+    width = 2 * sum(dims) + 1
+    rows = width * np.arange(int(r))[:, None]
+    alpha, beta, starts, blocks = [], [], [], []
+    off, col = 1, 0
     for d in dims:
-        a = xm[:, off:off + d]
-        b = xm[:, off + d:off + 2 * d]
-        factors.append(a + 1j * b)
+        alpha.extend(range(off, off + d))
+        beta.extend(range(off + d, off + 2 * d))
+        starts.append(col)
+        blocks.append(slice(col, col + d))
         off += 2 * d
-    return theta, factors
+        col += d
+    arrays = (
+        rows[:, 0],
+        rows + np.array(alpha),
+        rows + np.array(beta),
+        np.array(starts),
+        np.repeat(np.arange(len(dims)), dims),
+    )
+    for a in arrays:
+        a.setflags(write=False)
+    return Layout(*arrays, tuple(blocks))
 
 
 def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,34 +129,34 @@ class ForwardMap(NamedTuple):
 
     theta: np.ndarray            # (r,)
     lam: np.ndarray              # (r,) softplus(theta)
-    factor_norms: list[np.ndarray]  # per party, (r,)
-    unit_factors: list[np.ndarray]  # per party, (r, d_k), unit rows
+    col_norms: np.ndarray        # (r, sum(dims)) norm of the raw block holding each column
+    units: np.ndarray            # (r, sum(dims)) unit factors of all parties side by side
+    unit_factors: list[np.ndarray]  # per party, (r, d_k) views into units
     prefixes: list[np.ndarray]   # prefixes[k]: products over parties < k, (r, prod)
     tensor: np.ndarray           # unnormalized weighted sum, (D_total,)
 
 
-def forward_map(x: np.ndarray, dims, r: int) -> ForwardMap:
+def forward_map(x: np.ndarray, dims: tuple[int, ...], r: int) -> ForwardMap:
     """Evaluate the trivialization at x, keeping intermediates.
 
     Raises SingularParameterError if any factor block is exactly zero.
     """
-    theta, raw = split_blocks(x, dims, r)
-    lam = softplus_vec(theta)
-    norms = []
-    units = []
-    for k, v in enumerate(raw):
-        n = np.linalg.norm(v, axis=1)
-        if np.any(n == 0.0):
-            raise SingularParameterError(
-                f"zero factor block for party {k + 1} (term {int(np.argmin(n)) + 1})"
-            )
-        norms.append(n)
-        units.append(v / n[:, None])
+    lay = layout(dims, r)
+    theta = x[lay.theta]
+    v = x[lay.alpha] + 1j * x[lay.beta]
+    norms = np.sqrt(np.add.reduceat((v.conj() * v).real, lay.starts, axis=1))
+    if np.count_nonzero(norms) < norms.size:
+        k, i = np.argwhere(norms.T == 0.0)[0]
+        raise SingularParameterError(f"zero factor block for party {k + 1} (term {i + 1})")
+    col_norms = norms[:, lay.party]
+    units = v / col_norms
+    unit_factors = [units[:, blk] for blk in lay.blocks]
     prefixes = [np.ones((int(r), 1), dtype=np.complex128)]
-    for f in units:
+    for f in unit_factors:
         prefixes.append(_row_kron(prefixes[-1], f))
+    lam = softplus_vec(theta)
     tensor = lam @ prefixes[-1]
-    return ForwardMap(theta, lam, norms, units, prefixes, tensor)
+    return ForwardMap(theta, lam, col_norms, units, unit_factors, prefixes, tensor)
 
 
 def build_state(p: RankParams) -> PureState:

@@ -17,6 +17,7 @@ from rankgauge import (
 from rankgauge import optimizer as opt_mod
 from rankgauge.optimizer import lbfgs_minimize
 from rankgauge.objective import LossKernel
+from rankgauge.rank_param import trial_rng
 from rankgauge.catalog import StripParams, strip_e2_closed_form, strip_subspace
 
 
@@ -86,6 +87,28 @@ class TestLbfgs:
 
         with pytest.raises(SingularParameterError):
             lbfgs_minimize(bad, np.zeros(2))
+
+    def test_no_point_is_evaluated_twice(self):
+        # Floor searches bisect until distinct steps round to the same
+        # point; each point must still reach the oracle only once.
+        sub = strip_subspace(StripParams(4, 1.0))
+        kernel = LossKernel(sub.dims, 1, sub)
+        reasons = []
+        for seed in range(3):
+            x0 = trial_rng(seed).standard_normal(kernel.n_params)
+            seen = []
+
+            def counting(x):
+                seen.append(x.tobytes())
+                return kernel.value_and_grad(x)
+
+            res = lbfgs_minimize(counting, x0)
+            assert len(set(seen)) == len(seen), seed
+            direct = lbfgs_minimize(kernel.value_and_grad, x0)
+            assert (res.values, res.reason, res.iterations) == (direct.values, direct.reason, direct.iterations)
+            np.testing.assert_array_equal(res.x, direct.x)
+            reasons.append(res.reason)
+        assert "loss-floor" in reasons
 
 
 class FlakyKernel:

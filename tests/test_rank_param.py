@@ -8,9 +8,9 @@ from rankgauge.rank_param import (
     RankParams,
     build_state,
     forward_map,
+    layout,
     params_length,
     softplus_vec,
-    split_blocks,
     trial_rng,
 )
 from rankgauge.tensor_core import schmidt_coefficients
@@ -58,12 +58,15 @@ class TestRankParams:
     def test_layout_per_term(self):
         dims = (2, 3)
         x = np.arange(params_length(dims, 2), dtype=float)
-        theta, factors = split_blocks(x, dims, 2)
-        np.testing.assert_allclose(theta, [0.0, 11.0])
-        np.testing.assert_allclose(factors[0][0].real, [1.0, 2.0])
-        np.testing.assert_allclose(factors[0][0].imag, [3.0, 4.0])
-        np.testing.assert_allclose(factors[1][0].real, [5.0, 6.0, 7.0])
-        np.testing.assert_allclose(factors[1][1].imag, [19.0, 20.0, 21.0])
+        lay = layout(dims, 2)
+        alpha, beta = x[lay.alpha], x[lay.beta]
+        np.testing.assert_allclose(x[lay.theta], [0.0, 11.0])
+        np.testing.assert_allclose(alpha[0, lay.blocks[0]], [1.0, 2.0])
+        np.testing.assert_allclose(beta[0, lay.blocks[0]], [3.0, 4.0])
+        np.testing.assert_allclose(alpha[0, lay.blocks[1]], [5.0, 6.0, 7.0])
+        np.testing.assert_allclose(beta[1, lay.blocks[1]], [19.0, 20.0, 21.0])
+        np.testing.assert_array_equal(lay.starts, [0, 2])
+        np.testing.assert_array_equal(lay.party, [0, 0, 1, 1, 1])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(UsageError):
