@@ -9,13 +9,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 
 import numpy as np
 
 from .errors import UsageError
 from .subspace import MixedState, Subspace, complement_basis, from_spanning_set
-from .tensor_core import PureState, basis_state, kron_chain
+from .tensor_core import PureState, as_dims, basis_state, kron_chain
 
 
 @dataclass(frozen=True)
@@ -158,9 +158,7 @@ def max_ces_subspace(d1: int, d2: int, d3: int) -> Subspace:
     """Completely entangled subspace of maximal dimension
     d1 d2 d3 - d1 - d2 - d3 + 2 in d1 x d2 x d3: differences of basis
     states with equal index sums, enumerated deterministically."""
-    dims = tuple(int(d) for d in (d1, d2, d3))
-    if any(d < 2 for d in dims):
-        raise UsageError(f"every dimension must be >= 2, got {dims}")
+    dims = as_dims((d1, d2, d3))
     by_sum: dict[int, list[tuple[int, int, int]]] = {}
     for idx in sorted(product(*(range(d) for d in dims))):
         by_sum.setdefault(sum(idx), []).append(idx)
@@ -182,7 +180,7 @@ def dicke_state(n: int, k: int) -> PureState:
     C(n, k) basis states with k ones)."""
     if not 0 <= k <= n or n < 1:
         raise UsageError(f"need 0 <= k <= n, got n={n}, k={k}")
-    dims = (2,) * n
+    dims = as_dims(repeat(2, n))
     amp = np.zeros(2**n, dtype=np.complex128)
     coef = 1.0 / math.sqrt(math.comb(n, k))
     for ones in combinations(range(n), k):
@@ -214,7 +212,7 @@ def matrix_mult_tensor(n: int) -> PureState:
     for n x n matrix products."""
     if n < 2:
         raise UsageError(f"n must be >= 2, got {n}")
-    dims = (n * n, n * n, n * n)
+    dims = as_dims((n * n,) * 3)
     amp = np.zeros(n**6, dtype=np.complex128)
     coef = n ** (-1.5)
     for i in range(n):
@@ -264,7 +262,7 @@ def ghz_state(n: int = 3, d: int = 2) -> PureState:
     """(|0...0> + ... + |d-1...d-1>) / sqrt(d) over n parties."""
     if n < 2 or d < 2:
         raise UsageError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
-    dims = (d,) * n
+    dims = as_dims(repeat(d, n))
     amp = np.zeros(d**n, dtype=np.complex128)
     for i in range(d):
         amp[np.ravel_multi_index((i,) * n, dims)] = 1.0 / math.sqrt(d)

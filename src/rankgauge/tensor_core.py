@@ -17,21 +17,41 @@ from .errors import UsageError
 
 # |norm - 1| bound for a state to carry the `normalized` flag.
 NORM_ATOL = 1e-12
+# Largest state space, in amplitudes, that any object may span: one
+# complex128 vector of this length is 256 MiB, so larger inputs are
+# refused before anything of their size is allocated.
+MAX_AMPLITUDES = 1 << 24
 # Largest accepted asymmetry max|M - M^dag| when ingesting a Hermitian operator.
 HERMITIAN_ATOL = 1e-8
 
 
 def as_dims(dims) -> tuple[int, ...]:
-    """Validate and freeze a list of party dimensions (each >= 2, n >= 1)."""
+    """Validate and freeze a list of party dimensions (each >= 2, n >= 1,
+    product at most MAX_AMPLITUDES).
+
+    `dims` may be any iterable, a lazy one included: it is read only up
+    to the first party that takes the product over the budget, so callers
+    can pass `itertools.repeat(d, n)` for any n.
+    """
+    out = []
+    total = 1
     try:
-        out = tuple(int(d) for d in dims)
+        for d in dims:
+            d = int(d)
+            if d < 2:
+                raise UsageError(f"every party dimension must be >= 2, got {d} for party {len(out) + 1}")
+            total *= d
+            if total > MAX_AMPLITUDES:
+                raise UsageError(
+                    f"the product of the party dimensions exceeds the budget of "
+                    f"{MAX_AMPLITUDES} amplitudes (256 MiB per state vector)"
+                )
+            out.append(d)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"party dimensions must be integers, got {dims!r}") from exc
     if not out:
         raise UsageError("at least one party is required")
-    if any(d < 2 for d in out):
-        raise UsageError(f"every party dimension must be >= 2, got {out}")
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)

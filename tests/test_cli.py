@@ -2,6 +2,11 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,6 +213,26 @@ class TestErrorsAndExitCodes:
         assert code == 4
         assert flag in err
         assert out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("example", [
+        "ghz:n=30", "ghz:n=3,d=1000", "dicke:n=30,k=1", "mmul:n=20", "maxces:d1=1000,d2=1000,d3=1000",
+    ])
+    def test_oversized_example_rejected_before_allocation(self, tmp_path, example):
+        # A child capped at 2 GiB of address space: without the size budget
+        # the builder's allocation fails there at once instead of exhausting
+        # the host's memory.
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankgauge.cli", "compute", "--example", example, "--out", str(tmp_path)],
+            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "budget" in proc.stderr
         assert not list(tmp_path.iterdir())
 
     def test_usage_error_no_input(self, capsys):

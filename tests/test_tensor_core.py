@@ -1,9 +1,13 @@
+from itertools import repeat
+
 import numpy as np
 import pytest
 
 from rankgauge import Bipartition, PureState, UsageError, basis_state, haar_random_state, kron_chain
 from rankgauge.tensor_core import (
+    MAX_AMPLITUDES,
     HermitianOp,
+    as_dims,
     canonical_bipartitions,
     reshape_bipartite,
     schmidt_coefficients,
@@ -37,6 +41,14 @@ class TestPureState:
             PureState((), [])
         with pytest.raises(UsageError):
             PureState((2, 2), [1.0, 0.0])
+
+    def test_size_budget(self):
+        assert as_dims((2, MAX_AMPLITUDES // 2)) == (2, MAX_AMPLITUDES // 2)
+        with pytest.raises(UsageError, match="budget"):
+            as_dims((2, MAX_AMPLITUDES // 2 + 1))
+        # read lazily: an endless party list stops at the budget
+        with pytest.raises(UsageError, match="budget"):
+            as_dims(repeat(2))
 
     def test_rejects_nonfinite(self):
         with pytest.raises(UsageError):
