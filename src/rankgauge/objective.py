@@ -54,9 +54,7 @@ class LossKernel:
         self.basis = sub.basis
         self.basis_conj = sub.basis.conj()
         self.layout = layout(self.dims, self.r)
-        n = len(self.dims)
-        self.left_sizes = [math.prod(self.dims[:k]) for k in range(n)]
-        self.right_sizes = [math.prod(self.dims[k + 1:]) for k in range(n)]
+        self.left_sizes = [math.prod(self.dims[:k]) for k in range(len(self.dims))]
 
     def _forward(self, x: np.ndarray):
         fw = forward_map(x, self.dims, self.r)

@@ -136,9 +136,10 @@ def lbfgs_minimize(
     representable decrease exists along the model direction, i.e. the
     relative-decrease criterion holds vacuously at the float64 floor; the
     last line search bisected through all LINE_SEARCH_STEPS trial steps,
-    evaluating each distinct point once), or `iteration-cap`. A SingularParameterError from the initial evaluation
-    propagates to the caller; trial points that raise it during the line
-    search are treated as +inf and backtracked over.
+    evaluating each distinct point once), or `iteration-cap`. A
+    SingularParameterError from the initial evaluation propagates to the
+    caller; trial points that raise it during the line search are treated
+    as +inf and backtracked over.
     """
     x = np.array(x0, dtype=np.float64)
     f, g = value_and_grad(x)
