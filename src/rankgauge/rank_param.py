@@ -78,10 +78,10 @@ def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
 class Layout(NamedTuple):
     """Where each block of a parameter vector sits, for one (dims, r).
 
-    Index arrays are flat positions into x. Column j of the (r, sum(dims))
-    arrays runs over the parties' local indices side by side; `party[j]`
-    says whose block it belongs to, `starts[k]` where party k's block
-    begins, and `blocks[k]` is the matching slice.
+    `theta`, `alpha` and `beta` are flat positions into x. Column j of
+    the (r, sum(dims)) arrays runs over the parties' local indices side by
+    side; `party[j]` says whose block it belongs to, `starts[k]` where
+    party k's block begins, and `blocks[k]` is the matching slice.
     """
 
     theta: np.ndarray   # (r,)

@@ -160,7 +160,6 @@ class TestKernelReference:
                 proj = sub.basis.T @ (sub.basis.conj() @ t)
                 expected = 1.0 - np.vdot(proj, proj).real / np.vdot(t, t).real
                 assert abs(kernel.value(x) - expected) < 1e-13, (dims, r, seed)
-                assert kernel.value_and_grad(x)[0] == kernel.value(x)
 
 
 class TestCentralDifference:
