@@ -20,8 +20,10 @@ projection that removes each block's radial component and the writes into
 the alpha/beta entries then cover every party in one step each, through
 the cached `rank_param.layout`. `LossKernel.value` and
 `LossKernel.value_and_grad` share one forward pass, so their values agree
-bit-for-bit. No clamping happens here; [0, 1] clamping is reporting-level
-only.
+bit-for-bit, and the kernel keeps the forward pass of the last point it
+evaluated: `value_and_grad(x)` right after `value(x)` runs only the
+backward pass. No clamping happens here; [0, 1] clamping is
+reporting-level only.
 """
 
 from __future__ import annotations
@@ -38,9 +40,12 @@ from .subspace import Subspace
 class LossKernel:
     """Loss/gradient evaluator bound to fixed (dims, rank budget, subspace).
 
-    Stateless apart from precomputed constants. `value` and
-    `value_and_grad` take the bare parameter vector, which keeps the
-    optimizer's inner loop free of object construction.
+    `value` and `value_and_grad` take the bare parameter vector, which
+    keeps the optimizer's inner loop free of object construction. Apart
+    from precomputed constants the kernel holds a one-entry memo: the
+    forward intermediates of the last point evaluated, keyed by the bytes
+    of x, so a point mutated in place is evaluated afresh. Results do not
+    depend on the memo, but one kernel must not be shared between threads.
     """
 
     def __init__(self, dims, r: int, sub: Subspace):
@@ -55,8 +60,13 @@ class LossKernel:
         self.basis_conj = sub.basis.conj()
         self.layout = layout(self.dims, self.r)
         self.left_sizes = [math.prod(self.dims[:k]) for k in range(len(self.dims))]
+        self._memo_key = None
+        self._memo = None
 
     def _forward(self, x: np.ndarray):
+        key = x.tobytes()
+        if key == self._memo_key:
+            return self._memo
         fw = forward_map(x, self.dims, self.r)
         t = fw.tensor
         nsq = float(np.real(np.vdot(t, t)))
@@ -65,7 +75,8 @@ class LossKernel:
         c = self.basis_conj @ t
         gsq = float(np.real(np.vdot(c, c)))
         value = 1.0 - gsq / nsq
-        return fw, t, nsq, c, gsq, value
+        self._memo_key, self._memo = key, (fw, t, nsq, c, gsq, value)
+        return self._memo
 
     def value(self, x: np.ndarray) -> float:
         return self._forward(x)[-1]

@@ -66,31 +66,37 @@ class LbfgsResult:
     values: tuple[float, ...]  # accepted-iterate loss sequence, x0 included
 
 
-def _wolfe_line_search(evaluate, x, f0, g0, direction, t0):
+def _wolfe_line_search(value, value_and_grad, x, f0, g0, direction, t0):
     """Weak-Wolfe search along `direction` by bisection/doubling.
 
-    `evaluate` returns (value, grad) or (inf, None) for points it cannot
-    evaluate. Returns (t, x_t, f_t, g_t) or None if no acceptable point
-    with sufficient decrease was found within LINE_SEARCH_STEPS trial
-    steps. Near the float floor distinct steps round to the same point;
-    `evaluate` is deterministic, so each point is evaluated once and
-    looked up after that, x itself included.
+    `value` returns the loss, or inf for points it cannot evaluate;
+    `value_and_grad` returns (loss, gradient). Every new trial point gets
+    a value; only points that pass the Armijo test also get a gradient,
+    since a rejected point's gradient is never read. Returns
+    (t, x_t, f_t, g_t) or None if no acceptable point with sufficient
+    decrease was found within LINE_SEARCH_STEPS trial steps. Near the
+    float floor distinct steps round to the same point; both oracles are
+    deterministic, so each point is evaluated once and looked up after
+    that, x itself included.
     """
     slope0 = float(np.dot(g0, direction))
     lo, hi = 0.0, math.inf
     t = t0
     best = None  # lowest-value point satisfying sufficient decrease
-    seen = {x.tobytes(): (f0, g0)}
+    seen = {x.tobytes(): (f0, g0)}  # point -> (value, gradient or None)
     for _ in range(LINE_SEARCH_STEPS):
         xt = x + t * direction
         key = xt.tobytes()
         if key not in seen:
-            seen[key] = evaluate(xt)
+            seen[key] = (value(xt), None)
         ft, gt = seen[key]
         if not math.isfinite(ft) or ft > f0 + ARMIJO_C1 * t * slope0:
             hi = t
             t = 0.5 * (lo + hi)
             continue
+        if gt is None:
+            gt = value_and_grad(xt)[1]
+            seen[key] = (ft, gt)
         if best is None or ft < best[2]:
             best = (t, xt, ft, gt)
         if float(np.dot(gt, direction)) < CURVATURE_C2 * slope0:
@@ -121,6 +127,7 @@ def _two_loop(grad, pairs):
 
 
 def lbfgs_minimize(
+    value,
     value_and_grad,
     x0: np.ndarray,
     *,
@@ -128,7 +135,11 @@ def lbfgs_minimize(
     tol_loss_rel: float = OptimConfig.tol_loss_rel,
     max_iters: int = OptimConfig.max_iters,
 ) -> LbfgsResult:
-    """Minimize a smooth function given its exact value/gradient oracle.
+    """Minimize a smooth function given two exact oracles: `value(x)`
+    returns the loss and `value_and_grad(x)` returns (loss, gradient),
+    the same loss bit for bit. x0 gets both; each line search gets a value
+    at every new trial point and a gradient only where the Armijo test
+    passes, so a rejected point costs one value.
 
     Termination reasons: `gradient-tolerance` (l-inf below tol_grad),
     `loss-plateau` (relative decrease below tol_loss_rel for
@@ -136,19 +147,20 @@ def lbfgs_minimize(
     representable decrease exists along the model direction, i.e. the
     relative-decrease criterion holds vacuously at the float64 floor; the
     last line search bisected through all LINE_SEARCH_STEPS trial steps,
-    evaluating each distinct point once), or `iteration-cap`. A
+    evaluating each distinct point once; which points got gradients does
+    not change when it is reached), or `iteration-cap`. A
     SingularParameterError from the initial evaluation propagates to the
-    caller; trial points that raise it during the line search are treated
-    as +inf and backtracked over.
+    caller; trial points whose value raises it during the line search are
+    treated as +inf and backtracked over.
     """
     x = np.array(x0, dtype=np.float64)
     f, g = value_and_grad(x)
 
     def evaluate(xt):
         try:
-            return value_and_grad(xt)
+            return value(xt)
         except SingularParameterError:
-            return math.inf, None
+            return math.inf
 
     pairs: deque = deque(maxlen=MEMORY)
     values = [float(f)]
@@ -168,7 +180,7 @@ def lbfgs_minimize(
             d = -g
             slope = -float(np.dot(g, g))
         t0 = 1.0 if pairs else min(1.0, 1.0 / max(1e-12, float(np.linalg.norm(g))))
-        hit = _wolfe_line_search(evaluate, x, f, g, d, t0)
+        hit = _wolfe_line_search(evaluate, value_and_grad, x, f, g, d, t0)
         if hit is None:
             reason, converged = "loss-floor", True
             iterations -= 1
@@ -220,6 +232,7 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
         x0 = rng.standard_normal(kernel.n_params) * INIT_SCALE
         try:
             res = lbfgs_minimize(
+                kernel.value,
                 kernel.value_and_grad,
                 x0,
                 tol_grad=cfg.tol_grad,

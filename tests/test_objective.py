@@ -105,6 +105,17 @@ class TestLossAndGradient:
         for seed in range(20):
             p = random_params((2, 2, 2), 2, seed)
             assert kernel.value_and_grad(p.x)[0] == kernel.value(p.x)
+            # value_and_grad right after value reuses the memoized forward
+            # pass; a point mutated in place in between must not
+            x = p.x.copy()
+            for mutate in (False, True):
+                kernel.value(x)
+                if mutate:
+                    x[seed % x.size] += 0.25
+                fresh = LossKernel((2, 2, 2), 2, sub).value_and_grad(x)
+                value, grad = kernel.value_and_grad(x)
+                assert value == fresh[0]
+                np.testing.assert_array_equal(grad, fresh[1])
 
     def test_matches_finite_differences(self, rng):
         configs = [((2, 2), 1), ((2, 2), 2), ((2, 3, 2), 2), ((3, 3, 3), 3)] + kernel_cases()

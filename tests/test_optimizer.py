@@ -14,11 +14,17 @@ from rankgauge import (
     run_certification,
     span_of,
 )
+from rankgauge import objective
 from rankgauge import optimizer as opt_mod
 from rankgauge.optimizer import lbfgs_minimize
 from rankgauge.objective import LossKernel
 from rankgauge.rank_param import trial_rng
 from rankgauge.catalog import StripParams, strip_e2_closed_form, strip_subspace
+
+
+def oracles(value_and_grad):
+    """The (value, value_and_grad) pair of a function given by the latter."""
+    return (lambda x: value_and_grad(x)[0]), value_and_grad
 
 
 def quadratic(center):
@@ -28,7 +34,7 @@ def quadratic(center):
         d = x - center
         return 0.5 * float(d @ d), d
 
-    return value_and_grad
+    return oracles(value_and_grad)
 
 
 class TestLbfgs:
@@ -37,7 +43,7 @@ class TestLbfgs:
         for dim in (2, 5, 9):
             center = np.linspace(-0.2, 0.2, dim)
             x0 = np.zeros(dim)  # ||x0 - center|| < 1
-            res = lbfgs_minimize(quadratic(center), x0, max_iters=100)
+            res = lbfgs_minimize(*quadratic(center), x0, max_iters=100)
             assert res.iterations <= dim
             assert res.value < 1e-20
             np.testing.assert_allclose(res.x, center, atol=1e-10)
@@ -50,7 +56,7 @@ class TestLbfgs:
             d = x - center
             return 0.5 * float(d @ q @ d), q @ d
 
-        res = lbfgs_minimize(f, np.zeros(3), max_iters=200)
+        res = lbfgs_minimize(*oracles(f), np.zeros(3), max_iters=200)
         assert res.converged
         np.testing.assert_allclose(res.x, center, atol=1e-8)
 
@@ -64,19 +70,19 @@ class TestLbfgs:
             ])
             return f, g
 
-        res = lbfgs_minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=500)
+        res = lbfgs_minimize(*oracles(rosenbrock), np.array([-1.2, 1.0]), max_iters=500)
         assert res.value < 1e-12
         diffs = np.diff(res.values)
         assert np.all(diffs <= 0.0)
 
     def test_iteration_cap(self):
-        res = lbfgs_minimize(quadratic([10.0] * 4), np.zeros(4), max_iters=1)
+        res = lbfgs_minimize(*quadratic([10.0] * 4), np.zeros(4), max_iters=1)
         assert res.iterations == 1
         assert res.reason == "iteration-cap"
         assert not res.converged
 
     def test_gradient_tolerance_at_start(self):
-        res = lbfgs_minimize(quadratic([0.0, 0.0]), np.zeros(2), tol_grad=1e-10)
+        res = lbfgs_minimize(*quadratic([0.0, 0.0]), np.zeros(2), tol_grad=1e-10)
         assert res.iterations == 0
         assert res.reason == "gradient-tolerance"
         assert res.converged
@@ -86,27 +92,51 @@ class TestLbfgs:
             raise SingularParameterError("test")
 
         with pytest.raises(SingularParameterError):
-            lbfgs_minimize(bad, np.zeros(2))
+            lbfgs_minimize(bad, bad, np.zeros(2))
 
-    def test_no_point_is_evaluated_twice(self):
+    def test_no_point_is_evaluated_twice(self, monkeypatch):
         # Floor searches bisect until distinct steps round to the same
-        # point; each point must still reach the oracle only once.
+        # point; each point must still get one forward pass, and only
+        # points that pass the Armijo test may get a backward pass.
         sub = strip_subspace(StripParams(4, 1.0))
         kernel = LossKernel(sub.dims, 1, sub)
+        starts = [trial_rng(seed).standard_normal(kernel.n_params) for seed in range(3)]
+        direct = [lbfgs_minimize(kernel.value, kernel.value_and_grad, x0) for x0 in starts]
+
+        forward = []
+        real_forward = objective.forward_map
+
+        def counting_forward(x, dims, r):
+            forward.append(x.tobytes())
+            return real_forward(x, dims, r)
+
+        searches = []  # per line search: f0 and the values of the points given a gradient
+        real_search = opt_mod._wolfe_line_search
+
+        def recording_search(value, value_and_grad, x, f0, g0, direction, t0):
+            graded = []
+
+            def counting_value_and_grad(xt):
+                ft, gt = value_and_grad(xt)
+                graded.append(ft)
+                return ft, gt
+
+            searches.append((f0, graded))
+            return real_search(value, counting_value_and_grad, x, f0, g0, direction, t0)
+
+        monkeypatch.setattr(objective, "forward_map", counting_forward)
+        monkeypatch.setattr(opt_mod, "_wolfe_line_search", recording_search)
         reasons = []
-        for seed in range(3):
-            x0 = trial_rng(seed).standard_normal(kernel.n_params)
-            seen = []
-
-            def counting(x):
-                seen.append(x.tobytes())
-                return kernel.value_and_grad(x)
-
-            res = lbfgs_minimize(counting, x0)
-            assert len(set(seen)) == len(seen), seed
-            direct = lbfgs_minimize(kernel.value_and_grad, x0)
-            assert (res.values, res.reason, res.iterations) == (direct.values, direct.reason, direct.iterations)
-            np.testing.assert_array_equal(res.x, direct.x)
+        for x0, ref in zip(starts, direct):
+            forward.clear()
+            searches.clear()
+            res = lbfgs_minimize(kernel.value, kernel.value_and_grad, x0)
+            assert len(set(forward)) == len(forward)
+            # Armijo with a descent direction implies f_t <= f0
+            assert all(ft <= f0 for f0, graded in searches for ft in graded)
+            assert sum(len(graded) for _, graded in searches) < len(forward) - 1
+            assert (res.values, res.reason, res.iterations) == (ref.values, ref.reason, ref.iterations)
+            np.testing.assert_array_equal(res.x, ref.x)
             reasons.append(res.reason)
         assert "loss-floor" in reasons
 
@@ -120,11 +150,14 @@ class FlakyKernel:
     def __init__(self, fail_times):
         self.remaining = fail_times
 
+    def value(self, x):
+        return 0.5 * float(x @ x)
+
     def value_and_grad(self, x):
         if self.remaining > 0:
             self.remaining -= 1
             raise SingularParameterError("forced")
-        return 0.5 * float(x @ x), x.copy()
+        return self.value(x), x.copy()
 
 
 class TestTrials:
