@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,21 +108,59 @@ def _wolfe_line_search(value, value_and_grad, x, f0, g0, direction, t0):
     return None
 
 
-def _two_loop(grad, pairs):
-    """Implicit inverse-Hessian product of the classic two-loop recursion."""
-    q = grad.copy()
-    alphas = []
-    for s, yv, rho in reversed(pairs):
-        a = rho * float(np.dot(s, q))
-        q -= a * yv
-        alphas.append(a)
-    if pairs:
-        s, yv, rho = pairs[-1]
-        q *= float(np.dot(s, yv) / np.dot(yv, yv))
-    for (s, yv, rho), a in zip(pairs, reversed(alphas)):
-        b = rho * float(np.dot(yv, q))
-        q += (a - b) * s
-    return -q
+class _History:
+    """The last MEMORY accepted curvature pairs (s_i, y_i), kept for the
+    compact representation of the L-BFGS inverse Hessian (Byrd, Nocedal
+    and Schnabel 1994). Besides the pairs it holds Y Y^T, d_i = s_i . y_i
+    and R^-1, the inverse of the upper triangle R of S Y^T
+    (R_ij = s_i . y_j for pair i no newer than pair j).
+
+    Pairs sit in a ring of MEMORY slots. An empty slot has zero rows
+    everywhere, R^-1 included, so every product runs over all slots and
+    the empty ones add nothing. R^-1 is triangular in time order, so the
+    column of the oldest pair holds only its diagonal entry: zeroing that
+    pair's row drops it and leaves the inverse of the remaining R.
+    """
+
+    def __init__(self, n: int):
+        self.count = 0  # pairs accepted so far
+        self.s = np.zeros((MEMORY, n))
+        self.y = np.zeros((MEMORY, n))
+        self.rinv = np.zeros((MEMORY, MEMORY))
+        self.yy = np.zeros((MEMORY, MEMORY))
+        self.d = np.zeros(MEMORY)
+        self.gamma = 1.0  # s . y / y . y of the newest pair
+
+    def push(self, s: np.ndarray, y: np.ndarray) -> None:
+        """Add the pair unless s . y is too small for positive definiteness,
+        dropping the oldest one when all slots are taken."""
+        sy, yy = float(np.dot(s, y)), float(np.dot(y, y))
+        if not sy > 1e-10 * math.sqrt(float(np.dot(s, s)) * yy):
+            return
+        j = self.count % MEMORY
+        self.s[j], self.y[j] = s, y
+        self.rinv[j] = 0.0
+        # R gains the column s_i . y; its inverse gains -R^-1 (S y) / sy
+        self.rinv[:, j] = (self.rinv @ (self.s @ y)) / -sy
+        self.rinv[j, j] = 1.0 / sy
+        self.yy[j] = self.yy[:, j] = self.y @ y
+        self.d[j] = sy
+        self.gamma = sy / yy
+        self.count += 1
+
+
+def _two_loop(grad, hist: _History):
+    """The L-BFGS direction -H grad from the compact form
+
+        H g = gamma g + S^T p - gamma Y^T u,   u = R^-1 S g,
+        p = R^-T ((D + gamma Y Y^T) u - gamma Y g),
+
+    with D = diag(d). It equals the classic two-loop recursion in exact
+    arithmetic, in seven matrix-vector products of at most MEMORY rows.
+    """
+    u = hist.rinv @ (hist.s @ grad)
+    p = (hist.d * u + hist.gamma * (hist.yy @ u - hist.y @ grad)) @ hist.rinv
+    return hist.gamma * (u @ hist.y - grad) - p @ hist.s
 
 
 def lbfgs_minimize(
@@ -162,7 +199,7 @@ def lbfgs_minimize(
         except SingularParameterError:
             return math.inf
 
-    pairs: deque = deque(maxlen=MEMORY)
+    hist = _History(x.size)
     values = [float(f)]
     plateau = 0
     reason, converged = "iteration-cap", False
@@ -173,25 +210,21 @@ def lbfgs_minimize(
             reason, converged = "gradient-tolerance", True
             iterations -= 1
             break
-        d = _two_loop(g, list(pairs))
+        d = _two_loop(g, hist)
         slope = float(np.dot(d, g))
-        if not np.all(np.isfinite(d)) or slope >= 0.0:
+        # a non-finite entry of d makes the slope non-finite too
+        if not -math.inf < slope < 0.0:
             # fall back to steepest descent when the model direction degrades
             d = -g
             slope = -float(np.dot(g, g))
-        t0 = 1.0 if pairs else min(1.0, 1.0 / max(1e-12, float(np.linalg.norm(g))))
+        t0 = 1.0 if hist.count else min(1.0, 1.0 / max(1e-12, float(np.linalg.norm(g))))
         hit = _wolfe_line_search(evaluate, value_and_grad, x, f, g, d, t0)
         if hit is None:
             reason, converged = "loss-floor", True
             iterations -= 1
             break
         _, xt, ft, gt = hit
-        s = xt - x
-        yv = gt - g
-        sy = float(np.dot(s, yv))
-        # skip curvature pairs that would break positive definiteness
-        if sy > 1e-10 * float(np.linalg.norm(s) * np.linalg.norm(yv)):
-            pairs.append((s, yv, 1.0 / sy))
+        hist.push(xt - x, gt - g)
         rel = (f - ft) / max(abs(f), abs(ft), 1e-300)
         plateau = plateau + 1 if rel < tol_loss_rel else 0
         x, f, g = xt, ft, gt

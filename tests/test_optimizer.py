@@ -37,7 +37,54 @@ def quadratic(center):
     return oracles(value_and_grad)
 
 
+def classic_two_loop(grad, pairs):
+    """Reference: -H grad by the classic two-loop recursion over the
+    (s, y) pairs, oldest first."""
+    q = grad.copy()
+    alphas = []
+    for s, y in reversed(pairs):
+        a = float(s @ q) / float(s @ y)
+        q -= a * y
+        alphas.append(a)
+    if pairs:
+        s, y = pairs[-1]
+        q *= float(s @ y) / float(y @ y)
+    for (s, y), a in zip(pairs, reversed(alphas)):
+        b = float(y @ q) / float(s @ y)
+        q += (a - b) * s
+    return -q
+
+
+def curvature_stream(case, n, rng):
+    """Seeded (s, y) pairs with y = A s for an SPD A, and whether each
+    should be kept; "skip" puts pairs of non-positive curvature in."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    a = (q * rng.uniform(0.5, 20.0, n)) @ q.T
+    count = {"fill": opt_mod.MEMORY, "evict": 2 * opt_mod.MEMORY + 3, "skip": opt_mod.MEMORY + 4}[case]
+    for k in range(count):
+        s = rng.standard_normal(n)
+        if case == "skip" and k % 4 == 2:
+            yield s, (-s if k % 8 == 2 else np.zeros(n)), False
+        else:
+            yield s, a @ s, True
+
+
 class TestLbfgs:
+    @pytest.mark.parametrize("case", ["fill", "evict", "skip"])
+    def test_compact_direction_matches_two_loop_recursion(self, case):
+        rng = np.random.default_rng(["fill", "evict", "skip"].index(case))
+        n = 17
+        hist = opt_mod._History(n)
+        kept = []
+        for s, y, keep in curvature_stream(case, n, rng):
+            hist.push(s, y)
+            if keep:
+                kept = (kept + [(s, y)])[-opt_mod.MEMORY:]
+            grad = rng.standard_normal(n)
+            ref = classic_two_loop(grad, kept)
+            got = opt_mod._two_loop(grad, hist)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_identity_quadratic_in_dim_iterations(self):
         # quasi-Newton on a quadratic: exact minimum within dim iterations
         for dim in (2, 5, 9):
@@ -100,7 +147,7 @@ class TestLbfgs:
         # points that pass the Armijo test may get a backward pass.
         sub = strip_subspace(StripParams(4, 1.0))
         kernel = LossKernel(sub.dims, 1, sub)
-        starts = [trial_rng(seed).standard_normal(kernel.n_params) for seed in range(3)]
+        starts = [trial_rng(seed).standard_normal(kernel.n_params) for seed in range(6)]
         direct = [lbfgs_minimize(kernel.value, kernel.value_and_grad, x0) for x0 in starts]
 
         forward = []
