@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import UsageError
 from .subspace import MixedState, Subspace, complement_basis, from_spanning_set
-from .tensor_core import PureState, as_dims, basis_state, kron_chain
+from .tensor_core import MAX_AMPLITUDES, PureState, as_dims, basis_state, kron_chain
 
 
 @dataclass(frozen=True)
@@ -44,9 +44,24 @@ class StripParams:
         return np.exp(1j * self.xi) * math.sin(self.theta / 2.0)
 
 
+def _basis_dims(k: int, dims) -> tuple[int, ...]:
+    """Validated `dims` for a spanning set of k vectors, refused before
+    any vector is built when its k * prod(dims) amplitudes exceed
+    MAX_AMPLITUDES."""
+    dims = as_dims(dims)
+    total = k * math.prod(dims)
+    if total > MAX_AMPLITUDES:
+        raise UsageError(
+            f"{k} spanning vectors over dims {dims} hold {total} amplitudes, "
+            f"over the budget of {MAX_AMPLITUDES}"
+        )
+    return dims
+
+
 def strip_subspace(p: StripParams) -> Subspace:
     """Span of a|0>|i> + b|1>|i+1> for i = 0..d-2: the maximal entangled
     subspace of a 2 x d system, of dimension d - 1."""
+    _basis_dims(p.d - 1, (2, p.d))
     vectors = []
     for i in range(p.d - 1):
         amp = np.zeros(2 * p.d, dtype=np.complex128)
@@ -66,7 +81,7 @@ def ges_subspace(d: int, theta: float, xi: float = 0.0) -> Subspace:
     """Genuinely entangled generalization in 2 x d x d: span of
     a|0>|i1>|i2> + b|1>|i1+1>|i2+1>, of dimension (d-1)^2."""
     p = StripParams(d, theta, xi)
-    dims = (2, d, d)
+    dims = _basis_dims((p.d - 1) ** 2, (2, p.d, p.d))
     vectors = []
     for i1 in range(d - 1):
         for i2 in range(d - 1):
@@ -158,7 +173,7 @@ def max_ces_subspace(d1: int, d2: int, d3: int) -> Subspace:
     """Completely entangled subspace of maximal dimension
     d1 d2 d3 - d1 - d2 - d3 + 2 in d1 x d2 x d3: differences of basis
     states with equal index sums, enumerated deterministically."""
-    dims = as_dims((d1, d2, d3))
+    dims = _basis_dims(max_ces_dimension(d1, d2, d3), (d1, d2, d3))
     by_sum: dict[int, list[tuple[int, int, int]]] = {}
     for idx in sorted(product(*(range(d) for d in dims))):
         by_sum.setdefault(sum(idx), []).append(idx)

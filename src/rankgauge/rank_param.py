@@ -89,6 +89,7 @@ class Layout(NamedTuple):
     beta: np.ndarray    # (r, sum(dims)) imaginary parts
     starts: np.ndarray  # (n,)
     party: np.ndarray   # (sum(dims),)
+    ones: np.ndarray    # (r, 1) complex ones, the product over no parties
     blocks: tuple[slice, ...]
 
 
@@ -113,6 +114,7 @@ def layout(dims: tuple[int, ...], r: int) -> Layout:
         rows + np.array(beta),
         np.array(starts),
         np.repeat(np.arange(len(dims)), dims),
+        np.ones((int(r), 1), dtype=np.complex128),
     )
     for a in arrays:
         a.setflags(write=False)
@@ -151,8 +153,8 @@ def forward_map(x: np.ndarray, dims: tuple[int, ...], r: int) -> ForwardMap:
     col_norms = norms[:, lay.party]
     units = v / col_norms
     unit_factors = [units[:, blk] for blk in lay.blocks]
-    prefixes = [np.ones((int(r), 1), dtype=np.complex128)]
-    for f in unit_factors:
+    prefixes = [lay.ones, unit_factors[0]]
+    for f in unit_factors[1:]:
         prefixes.append(_row_kron(prefixes[-1], f))
     lam = softplus_vec(theta)
     tensor = lam @ prefixes[-1]

@@ -217,6 +217,7 @@ class TestErrorsAndExitCodes:
 
     @pytest.mark.parametrize("example", [
         "ghz:n=30", "ghz:n=3,d=1000", "dicke:n=30,k=1", "mmul:n=20", "maxces:d1=1000,d2=1000,d3=1000",
+        "maxces:d1=256,d2=256,d3=256", "strip:d=20000,theta=1", "ges:d=300,theta=1",
     ])
     def test_oversized_example_rejected_before_allocation(self, tmp_path, example):
         # A child capped at 2 GiB of address space: without the size budget
