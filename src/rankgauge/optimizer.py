@@ -156,7 +156,7 @@ def _two_loop(grad, hist: _History):
         p = R^-T ((D + gamma Y Y^T) u - gamma Y g),
 
     with D = diag(d). It equals the classic two-loop recursion in exact
-    arithmetic, in seven matrix-vector products of at most MEMORY rows.
+    arithmetic, in seven matrix-vector products with MEMORY rows each.
     """
     u = hist.rinv @ (hist.s @ grad)
     p = (hist.d * u + hist.gamma * (hist.yy @ u - hist.y @ grad)) @ hist.rinv
@@ -184,8 +184,9 @@ def lbfgs_minimize(
     representable decrease exists along the model direction, i.e. the
     relative-decrease criterion holds vacuously at the float64 floor; the
     last line search bisected through all LINE_SEARCH_STEPS trial steps,
-    evaluating each distinct point once; which points got gradients does
-    not change when it is reached), or `iteration-cap`. A
+    evaluating each distinct point once; values alone decide it, so
+    leaving rejected points without gradients does not move it), or
+    `iteration-cap`. A
     SingularParameterError from the initial evaluation propagates to the
     caller; trial points whose value raises it during the line search are
     treated as +inf and backtracked over.
