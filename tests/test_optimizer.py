@@ -75,6 +75,8 @@ class TestLbfgs:
         rng = np.random.default_rng(["fill", "evict", "skip"].index(case))
         n = 17
         hist = opt_mod._History(n)
+        grad = rng.standard_normal(n)
+        np.testing.assert_array_equal(opt_mod._two_loop(grad, hist), -grad)
         kept = []
         for s, y, keep in curvature_stream(case, n, rng):
             hist.push(s, y)
