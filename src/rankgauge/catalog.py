@@ -212,15 +212,6 @@ def dicke_e2_closed_form(n: int, k: int) -> float:
     return 1.0 - overlap
 
 
-def dicke_closest_product(n: int, k: int) -> PureState:
-    """Closest fully product state: n identical copies of
-    sqrt((n-k)/n)|0> + sqrt(k/n)|1>."""
-    if not 0 <= k <= n or n < 1:
-        raise UsageError(f"need 0 <= k <= n, got n={n}, k={k}")
-    local = PureState((2,), [math.sqrt((n - k) / n), math.sqrt(k / n)])
-    return kron_chain([local] * n)
-
-
 def matrix_mult_tensor(n: int) -> PureState:
     """Normalized tripartite tensor sum_{ijk} |ij>|ik>|jk> over three
     parties of dimension n^2; its rank counts the multiplications needed

@@ -112,18 +112,3 @@ class LossKernel:
         grad[lay.alpha] = (h.real - radial * f.real) / fw.col_norms
         grad[lay.beta] = (-h.imag - radial * f.imag) / fw.col_norms
         return value, grad
-
-
-def central_difference(func, x: np.ndarray, step: float) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function."""
-    if not step > 0:
-        raise UsageError(f"step must be positive, got {step}")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    e = np.zeros_like(x)
-    for j in range(x.size):
-        e[j] = step
-        out[j] = (func(x + e) - func(x - e)) / (2.0 * step)
-        e[j] = 0.0
-    return out
-

@@ -17,7 +17,6 @@ from rankgauge.catalog import (
     StripParams,
     WTypeCoeffs,
     build_example,
-    dicke_closest_product,
     dicke_e2_closed_form,
     dicke_state,
     example3_state,
@@ -37,7 +36,14 @@ from rankgauge.catalog import (
     w_type_lambda_sq_closed_form,
     w_type_state,
 )
-from rankgauge.tensor_core import schmidt_coefficients
+from rankgauge.tensor_core import kron_chain, schmidt_coefficients
+
+
+def dicke_closest_product(n: int, k: int) -> PureState:
+    """Closest fully product state to the Dicke state: n identical copies
+    of sqrt((n-k)/n)|0> + sqrt(k/n)|1>."""
+    local = PureState((2,), [math.sqrt((n - k) / n), math.sqrt(k / n)])
+    return kron_chain([local] * n)
 
 
 class TestStrip:

@@ -10,11 +10,25 @@ from rankgauge import (
     run_certification,
     span_of,
 )
-from rankgauge.objective import LossKernel, central_difference
+from rankgauge.objective import LossKernel
 from rankgauge.rank_param import RankParams, build_state
 from rankgauge.catalog import StripParams, strip_subspace
 
 from test_rank_param import make_params, random_params
+
+
+def central_difference(func, x: np.ndarray, step: float) -> np.ndarray:
+    """Central finite-difference gradient of a scalar function."""
+    if not step > 0:
+        raise UsageError(f"step must be positive, got {step}")
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    e = np.zeros_like(x)
+    for j in range(x.size):
+        e[j] = step
+        out[j] = (func(x + e) - func(x - e)) / (2.0 * step)
+        e[j] = 0.0
+    return out
 
 
 def random_subspace(dims, d_s, rng):

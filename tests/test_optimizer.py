@@ -73,19 +73,20 @@ class TestLbfgs:
     @pytest.mark.parametrize("case", ["fill", "evict", "skip"])
     def test_compact_direction_matches_two_loop_recursion(self, case):
         rng = np.random.default_rng(["fill", "evict", "skip"].index(case))
-        n = 17
-        hist = opt_mod._History(n)
-        grad = rng.standard_normal(n)
-        np.testing.assert_array_equal(opt_mod._two_loop(grad, hist), -grad)
-        kept = []
-        for s, y, keep in curvature_stream(case, n, rng):
-            hist.push(s, y)
-            if keep:
-                kept = (kept + [(s, y)])[-opt_mod.MEMORY:]
+        # slots outnumber the parameters at n = 17 and not at n = 50
+        for n in (17, 50):
+            hist = opt_mod._History(n)
             grad = rng.standard_normal(n)
-            ref = classic_two_loop(grad, kept)
-            got = opt_mod._two_loop(grad, hist)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            np.testing.assert_array_equal(opt_mod._two_loop(grad, hist), -grad)
+            kept = []
+            for s, y, keep in curvature_stream(case, n, rng):
+                hist.push(s, y)
+                if keep:
+                    kept = (kept + [(s, y)])[-opt_mod.MEMORY:]
+                grad = rng.standard_normal(n)
+                ref = classic_two_loop(grad, kept)
+                got = opt_mod._two_loop(grad, hist)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref)), (n, len(kept))
 
     def test_identity_quadratic_in_dim_iterations(self):
         # quasi-Newton on a quadratic: exact minimum within dim iterations
@@ -108,6 +109,25 @@ class TestLbfgs:
         res = lbfgs_minimize(*oracles(f), np.zeros(3), max_iters=200)
         assert res.converged
         np.testing.assert_allclose(res.x, center, atol=1e-8)
+
+    def test_ill_conditioned_quadratic_iteration_budget(self):
+        # A desk-scale trial has 30-40 parameters. On a seeded SPD quadratic
+        # of that size with condition 1e4 a 40-pair history converges in
+        # about 300 iterations; 10 pairs take about 1000.
+        n = 30
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        a = (q * np.geomspace(1.0, 1e4, n)) @ q.T
+        center = rng.standard_normal(n)
+
+        def f(x):
+            ad = a @ (x - center)
+            return 0.5 * float((x - center) @ ad), ad
+
+        res = lbfgs_minimize(*oracles(f), np.zeros(n))
+        assert res.reason == "gradient-tolerance"
+        assert res.iterations <= 500
+        np.testing.assert_allclose(res.x, center, atol=1e-9)
 
     def test_monotone_accepted_values(self):
         def rosenbrock(x):
@@ -176,6 +196,7 @@ class TestLbfgs:
         monkeypatch.setattr(objective, "forward_map", counting_forward)
         monkeypatch.setattr(opt_mod, "_wolfe_line_search", recording_search)
         reasons = []
+        gradients = forwards = 0
         for x0, ref in zip(starts, direct):
             forward.clear()
             searches.clear()
@@ -183,10 +204,16 @@ class TestLbfgs:
             assert len(set(forward)) == len(forward)
             # Armijo with a descent direction implies f_t <= f0
             assert all(ft <= f0 for f0, graded in searches for ft in graded)
-            assert sum(len(graded) for _, graded in searches) < len(forward) - 1
+            # x0 takes one gradient outside the searches; a start whose
+            # searches accept every trial point grades all the others
+            n_graded = sum(len(graded) for _, graded in searches)
+            assert n_graded <= len(forward) - 1
+            gradients += n_graded + 1
+            forwards += len(forward)
             assert (res.values, res.reason, res.iterations) == (ref.values, ref.reason, ref.iterations)
             np.testing.assert_array_equal(res.x, ref.x)
             reasons.append(res.reason)
+        assert gradients < forwards
         assert "loss-floor" in reasons
 
 
