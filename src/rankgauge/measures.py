@@ -27,10 +27,13 @@ from .tensor_core import (
     unitary_from_hamiltonian,
 )
 
-# Values below this are treated as zero when certifying ranks. Non-attained
-# infima stop at the iteration cap with small but nonzero loss; 1e-6 cleanly
-# separates that tail from genuine nonzero measures seen in practice (>= 1e-4
-# at desk scale).
+# Values below this are treated as zero when certifying ranks. Trials at a
+# non-attained infimum stop at `loss-floor`, or at `zero-witness` once they
+# reach optimizer.ZERO_LEVEL, with a small but nonzero loss. 1e-6 separates
+# that tail from most nonzero measures seen at desk scale (>= 1e-4), but not
+# all: the maximal CES in 4 x 5 x 10 has E_2 ~ 3.5e-7 and is certified rank
+# 1 falsely. An independent re-check of zero witnesses and a three-way
+# zero / nonzero / inconclusive scan entry remain open (ROADMAP.md).
 ZERO_THRESHOLD = 1e-6
 
 

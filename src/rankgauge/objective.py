@@ -1,17 +1,22 @@
 """Complement-overlap loss over the bounded-rank parametrization, with an
 exact analytic gradient.
 
-For parameters x mapping to the unnormalized sum T(x), a subspace with
-orthonormal basis rows e_j, and
+For parameters x mapping to the unnormalized sum T(x) and a subspace S of
+dimension k in a D-dimensional space, the loss is the squared distance of
+the normalized state from S,
 
-    N = <T|T>,   c_j = <e_j|T>,   G = sum_j |c_j|^2,
+    L(x) = ||P_perp T||^2 / N,   N = <T|T>,
 
-the loss is L(x) = 1 - G / N, i.e. the squared complement overlap of the
-normalized state. Differentiating through softplus weights, factor
-normalization, the product sum and the final quotient gives, for any real
-parameter x_p with dT/dx_p = T_p,
+computed on the smaller side of the projection. When 2k > D the D - k
+orthonormal complement rows q_j (`Subspace.complement_rows`) are used:
+c_j = <q_j|T>, so L = ||c||^2 / N and P_perp T = sum_j c_j q_j. Otherwise
+the basis rows e_j of S are used and P_perp T = T - sum_j <e_j|T> e_j.
+Either way L is a sum of squares that keeps its relative accuracy as it
+approaches zero; nothing is subtracted from 1. Differentiating through
+softplus weights, factor normalization, the product sum and the final
+quotient gives, for any real parameter x_p with dT/dx_p = T_p,
 
-    dL/dx_p = Re( y^dag T_p ),    y = (2/N) ((G/N) T - P_S T),
+    dL/dx_p = Re( y^dag T_p ),    y = (2/N) (P_perp T - L T),
 
 which is assembled below for all terms at once. conj(y) is contracted
 with the unit factors party by party, from the last one inwards, and the
@@ -41,11 +46,15 @@ class LossKernel:
     """Loss/gradient evaluator bound to fixed (dims, rank budget, subspace).
 
     `value` and `value_and_grad` take the bare parameter vector, which
-    keeps the optimizer's inner loop free of object construction. Apart
-    from precomputed constants the kernel holds a one-entry memo: the
-    forward intermediates of the last point evaluated, keyed by the bytes
-    of x, so a point mutated in place is evaluated afresh. Results do not
-    depend on the memo, but one kernel must not be shared between threads.
+    keeps the optimizer's inner loop free of object construction. The
+    kernel projects onto the complement rows of the subspace when they
+    are fewer than its basis rows (2k > D) and onto the basis rows
+    otherwise; a full space has no complement and raises UsageError.
+    Apart from precomputed constants the kernel holds a one-entry memo:
+    the forward intermediates of the last point evaluated, keyed by the
+    bytes of x, so a point mutated in place is evaluated afresh. Results
+    do not depend on the memo, but one kernel must not be shared between
+    threads.
     """
 
     def __init__(self, dims, r: int, sub: Subspace):
@@ -57,7 +66,11 @@ class LossKernel:
             raise UsageError(f"rank budget must be >= 1, got {r}")
         self.n_params = params_length(self.dims, self.r)
         self.basis = sub.basis
-        self.basis_conj = sub.basis.conj()
+        # rows spanning the complement (True) or the subspace (False); a
+        # full space takes the complement side, whose rows raise UsageError
+        self.complement = 2 * sub.dim > sub.dim_total
+        self.rows = sub.complement_rows if self.complement else sub.basis
+        self.rows_conj = self.rows.conj()
         self.layout = layout(self.dims, self.r)
         self.left_sizes = [math.prod(self.dims[:k]) for k in range(len(self.dims))]
         self._memo_key = None
@@ -72,21 +85,27 @@ class LossKernel:
         nsq = float(np.real(np.vdot(t, t)))
         if not math.sqrt(nsq) > 1e-300:
             raise SingularParameterError("the weighted product sum vanished")
-        c = self.basis_conj @ t
-        gsq = float(np.real(np.vdot(c, c)))
-        value = 1.0 - gsq / nsq
-        self._memo_key, self._memo = key, (fw, t, nsq, c, gsq, value)
+        c = self.rows_conj @ t
+        if self.complement:
+            resid = None  # P_perp T = c @ rows, formed only for the gradient
+            rsq = float(np.real(np.vdot(c, c)))
+        else:
+            resid = t - c @ self.rows
+            rsq = float(np.real(np.vdot(resid, resid)))
+        value = rsq / nsq
+        self._memo_key, self._memo = key, (fw, t, nsq, c, resid, value)
         return self._memo
 
     def value(self, x: np.ndarray) -> float:
         return self._forward(x)[-1]
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        fw, t, nsq, c, gsq, value = self._forward(x)
+        fw, t, nsq, c, resid, value = self._forward(x)
         lay = self.layout
 
-        w = c @ self.basis                      # P_S T
-        y = (2.0 / nsq) * ((gsq / nsq) * t - w)  # adjoint of the quotient
+        if resid is None:
+            resid = c @ self.rows
+        y = (2.0 / nsq) * (resid - value * t)  # adjoint of the quotient
 
         # Contract conj(y) with the factors from the last party inwards.
         # Before party k is contracted, acc[i] holds conj(y) summed against

@@ -40,6 +40,12 @@ MAX_REINITS = 3
 MEMORY = 40
 # Standard deviation of the i.i.d. normal starting parameters.
 INIT_SCALE = 1.0
+# Loss at or below which a trial stops as a zero witness. The residual-form
+# loss keeps relative accuracy down to here, and this is five orders below
+# the smallest nonzero minimum seen (E_2 ~ 3.5e-7 of the maximal CES in
+# 4 x 5 x 10); without the stop a non-attained zero, such as the W state at
+# r = 3, is chased down towards 1e-15 for no change of verdict.
+ZERO_LEVEL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -181,6 +187,7 @@ def lbfgs_minimize(
     tol_grad: float = OptimConfig.tol_grad,
     tol_loss_rel: float = OptimConfig.tol_loss_rel,
     max_iters: int = OptimConfig.max_iters,
+    zero_level: float = 0.0,
 ) -> LbfgsResult:
     """Minimize a smooth function given two exact oracles: `value(x)`
     returns the loss and `value_and_grad(x)` returns (loss, gradient),
@@ -189,17 +196,19 @@ def lbfgs_minimize(
     passes, so a rejected point costs one value.
 
     Termination reasons: `gradient-tolerance` (l-inf below tol_grad),
-    `loss-plateau` (relative decrease below tol_loss_rel for
-    PLATEAU_WINDOW consecutive accepted steps), `loss-floor` (no
-    representable decrease exists along the model direction, i.e. the
-    relative-decrease criterion holds vacuously at the float64 floor; the
-    last line search bisected through all LINE_SEARCH_STEPS trial steps,
-    evaluating each distinct point once; values alone decide it, so
-    leaving rejected points without gradients does not move it), or
-    `iteration-cap`. A
-    SingularParameterError from the initial evaluation propagates to the
-    caller; trial points whose value raises it during the line search are
-    treated as +inf and backtracked over.
+    `zero-witness` (the loss is at or below zero_level, tested after the
+    gradient; meant for losses bounded below by 0, where the default 0.0
+    stops only at an exact zero), `loss-plateau` (relative decrease
+    below tol_loss_rel for PLATEAU_WINDOW consecutive accepted steps),
+    `loss-floor` (no representable decrease exists along the model
+    direction, i.e. the relative-decrease criterion holds vacuously at the
+    float64 floor; the last line search bisected through all
+    LINE_SEARCH_STEPS trial steps, evaluating each distinct point once;
+    values alone decide it, so leaving rejected points without gradients
+    does not move it), or `iteration-cap`. A SingularParameterError from
+    the initial evaluation propagates to the caller; trial points whose
+    value raises it during the line search are treated as +inf and
+    backtracked over.
     """
     x = np.array(x0, dtype=np.float64)
     f, g = value_and_grad(x)
@@ -219,6 +228,10 @@ def lbfgs_minimize(
         g_inf = float(np.max(np.abs(g))) if g.size else 0.0
         if g_inf < tol_grad:
             reason, converged = "gradient-tolerance", True
+            iterations -= 1
+            break
+        if f <= zero_level:
+            reason, converged = "zero-witness", True
             iterations -= 1
             break
         d = _two_loop(g, hist)
@@ -282,6 +295,7 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
                 tol_grad=cfg.tol_grad,
                 tol_loss_rel=cfg.tol_loss_rel,
                 max_iters=cfg.max_iters,
+                zero_level=ZERO_LEVEL,
             )
         except SingularParameterError:
             continue

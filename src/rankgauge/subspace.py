@@ -1,12 +1,14 @@
 """Subspaces of a multipartite Hilbert space, stored as orthonormal bases.
 
 A subspace is never materialized as a D x D projector: the loss kernel
-works with the d_S x D basis directly (cost O(d_S * D) per overlap),
-which is what keeps large cases cheap.
+works with the d_S x D basis, or with the (D - d_S) x D complement rows
+when those are fewer (cost O(min(d_S, D - d_S) * D) per overlap), which
+is what keeps large cases cheap.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -62,6 +64,24 @@ class Subspace:
     def dim_total(self) -> int:
         return self.basis.shape[1]
 
+    @functools.cached_property
+    def complement_rows(self) -> np.ndarray:
+        """Read-only orthonormal rows spanning the orthogonal complement,
+        (D - d_S, D), computed on first use and kept for the subspace's
+        lifetime.
+
+        The complete Householder QR of basis^T = Q R gives a unitary Q
+        whose first d_S columns span the subspace, so its remaining
+        columns are orthogonal to every basis vector under <a|b> to
+        working precision.
+        """
+        if self.dim >= self.dim_total:
+            raise UsageError("the full space has no orthogonal complement")
+        q = np.linalg.qr(self.basis.T, mode="complete").Q
+        rows = q[:, self.dim:].T.copy()
+        rows.setflags(write=False)
+        return rows
+
     def basis_states(self) -> list[PureState]:
         return [PureState(self.dims, row) for row in self.basis]
 
@@ -103,13 +123,9 @@ def from_spanning_set(vectors: list[PureState], tol: float = GS_DROP_TOL) -> Sub
 
 
 def complement_basis(sub: Subspace) -> Subspace:
-    """Orthonormal basis of the orthogonal complement (dimension D - d_S)."""
-    if sub.dim >= sub.dim_total:
-        raise UsageError("the full space has no orthogonal complement")
-    # Rows d_S.. of Vh span the null space of conj(basis), i.e. the set of
-    # vectors orthogonal to every basis vector under <a|b>.
-    _, _, vh = np.linalg.svd(sub.basis, full_matrices=True)
-    return Subspace(sub.dims, vh[sub.dim:])
+    """Orthonormal basis of the orthogonal complement (dimension D - d_S),
+    built from the subspace's cached `complement_rows`."""
+    return Subspace(sub.dims, sub.complement_rows)
 
 
 def apply_unitary_to_subspace(sub: Subspace, u: np.ndarray) -> Subspace:

@@ -3,6 +3,7 @@ import pytest
 
 from rankgauge import (
     OptimConfig,
+    Subspace,
     UsageError,
     basis_state,
     from_spanning_set,
@@ -96,6 +97,11 @@ class TestLossValues:
             p = random_params((2, 2, 2), 2, seed)
             assert -1e-12 <= kernel.value(p.x) <= 1.0 + 1e-12
 
+    def test_full_space_rejected(self, rng):
+        sub = random_subspace((2, 2), 4, rng)
+        with pytest.raises(UsageError, match="full space"):
+            LossKernel((2, 2), 1, sub)
+
     def test_dims_mismatch(self, rng):
         sub = random_subspace((2, 2), 2, rng)
         p = random_params((2, 3), 1, 0)
@@ -114,33 +120,38 @@ class TestLossValues:
 
 class TestLossAndGradient:
     def test_value_is_bitwise_identical_to_loss(self, rng):
-        sub = random_subspace((2, 2, 2), 2, rng)
-        kernel = LossKernel((2, 2, 2), 2, sub)
-        for seed in range(20):
-            p = random_params((2, 2, 2), 2, seed)
-            assert kernel.value_and_grad(p.x)[0] == kernel.value(p.x)
-            # value_and_grad right after value reuses the memoized forward
-            # pass; a point mutated in place in between must not
-            x = p.x.copy()
-            for mutate in (False, True):
-                kernel.value(x)
-                if mutate:
-                    x[seed % x.size] += 0.25
-                fresh = LossKernel((2, 2, 2), 2, sub).value_and_grad(x)
-                value, grad = kernel.value_and_grad(x)
-                assert value == fresh[0]
-                np.testing.assert_array_equal(grad, fresh[1])
+        # d_S = 1 and 2 project onto the subspace, 7 onto its complement
+        for d_s in (1, 2, 7):
+            sub = random_subspace((2, 2, 2), d_s, rng)
+            kernel = LossKernel((2, 2, 2), 2, sub)
+            for seed in range(20):
+                p = random_params((2, 2, 2), 2, seed)
+                assert kernel.value_and_grad(p.x)[0] == kernel.value(p.x)
+                # value_and_grad right after value reuses the memoized
+                # forward pass; a point mutated in place in between must not
+                x = p.x.copy()
+                for mutate in (False, True):
+                    kernel.value(x)
+                    if mutate:
+                        x[seed % x.size] += 0.25
+                    fresh = LossKernel((2, 2, 2), 2, sub).value_and_grad(x)
+                    value, grad = kernel.value_and_grad(x)
+                    assert value == fresh[0]
+                    np.testing.assert_array_equal(grad, fresh[1])
 
     def test_matches_finite_differences(self, rng):
         configs = [((2, 2), 1), ((2, 2), 2), ((2, 3, 2), 2), ((3, 3, 3), 3)] + kernel_cases()
         for dims, budget in configs:
-            sub = random_subspace(dims, 2, rng)
-            for seed in range(3):
-                p = random_params(dims, budget, seed)
+            # d_S = 1 and 2 project onto the subspace, D - 1 onto its complement
+            d_total = int(np.prod(dims))
+            for d_s in sorted({1, 2, d_total - 1}):
+                sub = random_subspace(dims, d_s, rng)
                 kernel = LossKernel(dims, budget, sub)
-                _, grad = kernel.value_and_grad(p.x)
-                fd = central_difference(kernel.value, p.x, 1e-5)
-                assert rel_linf(grad, fd) < 1e-5
+                for seed in range(3):
+                    p = random_params(dims, budget, seed)
+                    _, grad = kernel.value_and_grad(p.x)
+                    fd = central_difference(kernel.value, p.x, 1e-5)
+                    assert rel_linf(grad, fd) < 1e-5, (dims, budget, d_s, seed)
 
     def test_gradient_finite(self, rng):
         sub = random_subspace((2, 2), 2, rng)
@@ -185,6 +196,27 @@ class TestKernelReference:
                 proj = sub.basis.T @ (sub.basis.conj() @ t)
                 expected = 1.0 - np.vdot(proj, proj).real / np.vdot(t, t).real
                 assert abs(kernel.value(x) - expected) < 1e-13, (dims, r, seed)
+
+    def test_near_zero_loss_keeps_relative_accuracy(self, rng):
+        # S holds (T + eps u) for a unit u orthogonal to T(x), plus d_S - 1
+        # directions orthogonal to both, so the loss is eps^2 / (1 + eps^2)
+        # exactly. 1 - G/N would cancel to absolute accuracy only.
+        eps = 1e-7
+        expected = eps**2 / (1.0 + eps**2)
+        sides = set()
+        for dims, r in [((2, 3), 2), ((3, 4), 1), ((2, 3, 4), 2)]:
+            d_total = int(np.prod(dims))
+            x = random_params(dims, r, 1).x
+            t = dense_tensor(x, dims, r)
+            for d_s in (1, d_total // 2, d_total // 2 + 1, d_total - 1):
+                noise = rng.standard_normal((d_total, d_s)) + 1j * rng.standard_normal((d_total, d_s))
+                q = np.linalg.qr(np.column_stack([t, noise])).Q
+                near = (q[:, 0] + eps * q[:, 1]) / np.sqrt(1.0 + eps**2)
+                sub = Subspace(dims, np.vstack([near, q[:, 2:].T]))
+                kernel = LossKernel(dims, r, sub)
+                assert abs(kernel.value(x) / expected - 1.0) < 1e-6, (dims, r, d_s)
+                sides.add(kernel.complement)
+        assert sides == {False, True}
 
 
 class TestCentralDifference:

@@ -11,6 +11,7 @@ from rankgauge import (
     basis_state,
     from_spanning_set,
     haar_random_state,
+    minimal_rank_scan,
     run_certification,
     span_of,
 )
@@ -19,7 +20,7 @@ from rankgauge import optimizer as opt_mod
 from rankgauge.optimizer import lbfgs_minimize
 from rankgauge.objective import LossKernel
 from rankgauge.rank_param import trial_rng
-from rankgauge.catalog import StripParams, strip_e2_closed_form, strip_subspace
+from rankgauge.catalog import StripParams, dicke_state, strip_e2_closed_form, strip_subspace
 
 
 def oracles(value_and_grad):
@@ -310,6 +311,16 @@ class TestRunCertification:
         big = run_certification(sub, 2, OptimConfig(seed=6, trials=5))
         # nested substreams: the first two trials coincide
         assert big.best_value <= small.best_value
+
+    def test_non_attained_zero_stops_at_zero_witness(self):
+        # rank-2 states approach the W state without reaching it, so E_3 is
+        # an infimum of 0 that each trial witnesses below ZERO_LEVEL
+        sub = span_of(dicke_state(3, 1))
+        report = run_certification(sub, 3, OptimConfig(seed=4))
+        for d in report.per_trial:
+            assert d.reason == "zero-witness"
+            assert 0.0 <= d.value <= opt_mod.ZERO_LEVEL
+        assert minimal_rank_scan(sub, 3, cfg=OptimConfig(seed=4)).certified_rank == 2
 
     def test_requires_r_at_least_two(self):
         sub = span_of(basis_state((2, 2), (0, 0)))

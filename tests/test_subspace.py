@@ -138,6 +138,14 @@ class TestComplementBasis:
         with pytest.raises(UsageError):
             complement_basis(sub)
 
+    def test_complement_rows_computed_once_on_demand(self, rng):
+        sub = random_subspace((2, 3), 4, rng)
+        assert "complement_rows" not in vars(sub)
+        rows = sub.complement_rows
+        assert sub.complement_rows is rows
+        assert not rows.flags.writeable
+        np.testing.assert_array_equal(complement_basis(sub).basis, rows)
+
 
 class TestSupportSpace:
     def test_pure_state(self, rng):
