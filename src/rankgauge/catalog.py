@@ -6,16 +6,17 @@ Every constructor is addressable from the CLI catalog via
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations, product, repeat
+from itertools import combinations, repeat
 
 import numpy as np
 
 from .errors import UsageError
-from .subspace import MixedState, Subspace, complement_basis, from_spanning_set
-from .tensor_core import MAX_AMPLITUDES, PureState, as_dims, basis_state, kron_chain
+from .subspace import MixedState, Subspace, complement_basis
+from .tensor_core import MAX_AMPLITUDES, PureState, as_dims
 
 
 @dataclass(frozen=True)
@@ -60,15 +61,16 @@ def _basis_dims(k: int, dims) -> tuple[int, ...]:
 
 def strip_subspace(p: StripParams) -> Subspace:
     """Span of a|0>|i> + b|1>|i+1> for i = 0..d-2: the maximal entangled
-    subspace of a 2 x d system, of dimension d - 1."""
-    _basis_dims(p.d - 1, (2, p.d))
-    vectors = []
-    for i in range(p.d - 1):
-        amp = np.zeros(2 * p.d, dtype=np.complex128)
-        amp[i] = p.a            # |0>|i>
-        amp[p.d + i + 1] = p.b  # |1>|i+1>
-        vectors.append(PureState((2, p.d), amp))
-    return from_spanning_set(vectors)
+    subspace of a 2 x d system, of dimension d - 1.
+
+    The spanning vectors are already orthonormal (|a|^2 + |b|^2 = 1 and no
+    two share a support), so they are written as the basis rows."""
+    dims = _basis_dims(p.d - 1, (2, p.d))
+    i = np.arange(p.d - 1)
+    basis = np.zeros((p.d - 1, 2 * p.d), dtype=np.complex128)
+    basis[i, i] = p.a            # |0>|i>
+    basis[i, p.d + i + 1] = p.b  # |1>|i+1>
+    return Subspace(dims, basis)
 
 
 def strip_e2_closed_form(p: StripParams) -> float:
@@ -79,17 +81,17 @@ def strip_e2_closed_form(p: StripParams) -> float:
 
 def ges_subspace(d: int, theta: float, xi: float = 0.0) -> Subspace:
     """Genuinely entangled generalization in 2 x d x d: span of
-    a|0>|i1>|i2> + b|1>|i1+1>|i2+1>, of dimension (d-1)^2."""
+    a|0>|i1>|i2> + b|1>|i1+1>|i2+1>, of dimension (d-1)^2, with (i1, i2)
+    in row-major order. As for the strip, the spanning vectors are the
+    orthonormal basis rows."""
     p = StripParams(d, theta, xi)
     dims = _basis_dims((p.d - 1) ** 2, (2, p.d, p.d))
-    vectors = []
-    for i1 in range(d - 1):
-        for i2 in range(d - 1):
-            amp = np.zeros(2 * d * d, dtype=np.complex128)
-            amp[np.ravel_multi_index((0, i1, i2), dims)] = p.a
-            amp[np.ravel_multi_index((1, i1 + 1, i2 + 1), dims)] = p.b
-            vectors.append(PureState(dims, amp))
-    return from_spanning_set(vectors)
+    i1, i2 = np.divmod(np.arange((p.d - 1) ** 2), p.d - 1)
+    rows = np.arange(i1.size)
+    basis = np.zeros((i1.size, 2 * p.d * p.d), dtype=np.complex128)
+    basis[rows, np.ravel_multi_index((0, i1, i2), dims)] = p.a
+    basis[rows, np.ravel_multi_index((1, i1 + 1, i2 + 1), dims)] = p.b
+    return Subspace(dims, basis)
 
 
 def ges_e2_closed_form(d: int, theta: float) -> float:
@@ -97,11 +99,17 @@ def ges_e2_closed_form(d: int, theta: float) -> float:
     return strip_e2_closed_form(StripParams(d, theta))
 
 
-def _single_party(d: int, entries) -> PureState:
+def _single_party(d: int, entries) -> np.ndarray:
     amp = np.zeros(d, dtype=np.complex128)
     for idx, val in entries:
         amp[idx] = val
-    return PureState((d,), amp / np.linalg.norm(amp))
+    return amp / np.linalg.norm(amp)
+
+
+def _product_basis(dims: tuple[int, ...], products) -> Subspace:
+    """Subspace whose basis rows are mutually orthogonal product vectors,
+    each given as its normalized single-party factors."""
+    return Subspace(dims, np.array([functools.reduce(np.kron, factors) for factors in products]))
 
 
 def tiles_upb_subspace() -> Subspace:
@@ -111,14 +119,7 @@ def tiles_upb_subspace() -> Subspace:
     m01 = _single_party(3, [(0, 1), (1, -1)])
     m12 = _single_party(3, [(1, 1), (2, -1)])
     flat = _single_party(3, [(0, 1), (1, 1), (2, 1)])
-    vectors = [
-        kron_chain([zero, m01]),
-        kron_chain([two, m12]),
-        kron_chain([m01, two]),
-        kron_chain([m12, zero]),
-        kron_chain([flat, flat]),
-    ]
-    return from_spanning_set(vectors)
+    return _product_basis((3, 3), [(zero, m01), (two, m12), (m01, two), (m12, zero), (flat, flat)])
 
 
 def tiles_bound_entangled_state() -> MixedState:
@@ -155,13 +156,9 @@ def upb_3qubit_subspace() -> Subspace:
     one = _single_party(2, [(1, 1)])
     plus = _single_party(2, [(0, 1), (1, 1)])
     minus = _single_party(2, [(0, 1), (1, -1)])
-    vectors = [
-        kron_chain([zero, zero, zero]),
-        kron_chain([one, plus, minus]),
-        kron_chain([minus, one, plus]),
-        kron_chain([plus, minus, one]),
-    ]
-    return from_spanning_set(vectors)
+    return _product_basis(
+        (2, 2, 2), [(zero, zero, zero), (one, plus, minus), (minus, one, plus), (plus, minus, one)]
+    )
 
 
 def upb_3qubit_e2_closed_form() -> float:
@@ -171,19 +168,31 @@ def upb_3qubit_e2_closed_form() -> float:
 
 def max_ces_subspace(d1: int, d2: int, d3: int) -> Subspace:
     """Completely entangled subspace of maximal dimension
-    d1 d2 d3 - d1 - d2 - d3 + 2 in d1 x d2 x d3: differences of basis
-    states with equal index sums, enumerated deterministically."""
-    dims = _basis_dims(max_ces_dimension(d1, d2, d3), (d1, d2, d3))
-    by_sum: dict[int, list[tuple[int, int, int]]] = {}
-    for idx in sorted(product(*(range(d) for d in dims))):
-        by_sum.setdefault(sum(idx), []).append(idx)
-    vectors = []
-    for s in sorted(by_sum):
-        group = by_sum[s]
-        head = basis_state(dims, group[0])
-        for other in group[1:]:
-            vectors.append(PureState(dims, head.amp - basis_state(dims, other).amp))
-    return from_spanning_set(vectors)
+    d1 d2 d3 - d1 - d2 - d3 + 2 in d1 x d2 x d3: the span of the
+    differences e_{m0} - e_{mj} of basis states with equal index sums.
+
+    Each index-sum group m0 < m1 < ... (flat row-major indices, so in
+    lexicographic order; groups by ascending sum) gets the closed-form
+    Gram-Schmidt rows
+
+        (e_{m0} + ... + e_{m(j-1)} - j e_{mj}) / sqrt(j (j + 1)),  j >= 1,
+
+    which are what Gram-Schmidt makes of e_{m0} - e_{m1}, e_{m0} - e_{m2},
+    ... in that order. Groups have disjoint supports, so the rows of all
+    groups together are orthonormal."""
+    k = max_ces_dimension(d1, d2, d3)
+    dims = _basis_dims(k, (d1, d2, d3))
+    sums = np.indices(dims).sum(axis=0).ravel()
+    basis = np.zeros((k, sums.size), dtype=np.complex128)
+    row = 0
+    for s in range(sum(dims) - 2):
+        members = np.flatnonzero(sums == s)
+        j = np.arange(1, members.size)
+        block = np.tri(j.size, members.size)  # row j - 1: ones on m0..m(j-1)
+        block[j - 1, j] = -j
+        basis[row:row + j.size, members] = block / np.sqrt(j * (j + 1.0))[:, None]
+        row += j.size
+    return Subspace(dims, basis)
 
 
 def max_ces_dimension(d1: int, d2: int, d3: int) -> int:
@@ -283,25 +292,30 @@ _PI_RE = re.compile(r"^([+-]?\d*\.?\d*)\*?pi(?:/(\d+\.?\d*))?$")
 
 
 def parse_number(text: str) -> float:
-    """Parse a float with pi-literal support: pi, pi/2, 2pi/3, 0.75pi, ..."""
+    """Parse a finite float with pi-literal support: pi, pi/2, 2pi/3,
+    0.75pi, ... Malformed text, nan, infinities (1e400 included) and a zero
+    divisor raise UsageError."""
     s = text.strip().lower()
     m = _PI_RE.match(s)
-    if m:
-        coef_s, div_s = m.group(1), m.group(2)
-        if coef_s in ("", "+"):
-            coef = 1.0
-        elif coef_s == "-":
-            coef = -1.0
-        else:
-            coef = float(coef_s)
-        value = coef * math.pi
-        if div_s:
-            value /= float(div_s)
-        return value
     try:
-        return float(s)
-    except ValueError as exc:
+        if m:
+            coef_s, div_s = m.group(1), m.group(2)
+            if coef_s in ("", "+"):
+                coef = 1.0
+            elif coef_s == "-":
+                coef = -1.0
+            else:
+                coef = float(coef_s)
+            value = coef * math.pi
+            if div_s:
+                value /= float(div_s)
+        else:
+            value = float(s)
+    except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"cannot parse number {text!r}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"number {text!r} is not finite")
+    return value
 
 
 def _int_of(kwargs: dict, key: str, default=None) -> int:

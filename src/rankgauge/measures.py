@@ -22,7 +22,6 @@ from .tensor_core import (
     HermitianOp,
     PureState,
     canonical_bipartitions,
-    reshape_bipartite,
     schmidt_coefficients,
     unitary_from_hamiltonian,
 )
@@ -123,10 +122,12 @@ def minimal_rank_scan(
 
 
 def _cut_subspace(sub: Subspace, cut: Bipartition) -> Subspace:
-    """View the subspace as bipartite across `cut` (axis permutation of
-    every basis vector; orthonormality is preserved exactly)."""
-    mats = [reshape_bipartite(state, cut) for state in sub.basis_states()]
-    return Subspace(mats[0].shape, np.array([m.ravel() for m in mats]))
+    """View the subspace as bipartite across `cut`: one axis permutation of
+    the stacked basis tensor (orthonormality is preserved exactly)."""
+    axes = [p - 1 for p in cut.left] + [p - 1 for p in cut.right]
+    d_left = math.prod(sub.dims[p - 1] for p in cut.left)
+    tensor = sub.basis.reshape(sub.dim, *sub.dims).transpose(0, *(a + 1 for a in axes))
+    return Subspace((d_left, sub.dim_total // d_left), tensor.reshape(sub.dim, sub.dim_total))
 
 
 def genuine_entanglement_scan(sub: Subspace, cfg: OptimConfig) -> dict[Bipartition, float]:

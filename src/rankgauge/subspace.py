@@ -82,9 +82,6 @@ class Subspace:
         rows.setflags(write=False)
         return rows
 
-    def basis_states(self) -> list[PureState]:
-        return [PureState(self.dims, row) for row in self.basis]
-
 
 def span_of(state: PureState) -> Subspace:
     """One-dimensional subspace spanned by a (nonzero) state."""
@@ -92,14 +89,22 @@ def span_of(state: PureState) -> Subspace:
 
 
 def from_spanning_set(vectors: list[PureState], tol: float = GS_DROP_TOL) -> Subspace:
-    """Orthonormal basis of span{vectors} by modified Gram-Schmidt with one
-    reorthogonalization pass.
+    """Orthonormal basis of span{vectors}, in input order, by classical
+    Gram-Schmidt with one reorthogonalization pass (CGS2).
+
+    The inputs are stacked into one array. Each vector in turn is projected
+    off the rows kept so far twice, each pass one matrix-vector pair
+    v -= K^T (conj(K) v) over the kept rows K; the second pass restores
+    orthogonality to working precision. In exact arithmetic this is the
+    modified Gram-Schmidt basis.
 
     Vectors whose residual norm falls below tol * max(input norms) are
-    dropped as linearly dependent.
+    dropped as linearly dependent; `tol` must be finite and positive.
     """
     if not vectors:
         raise UsageError("from_spanning_set requires at least one vector")
+    if not (math.isfinite(tol) and tol > 0):
+        raise UsageError(f"drop tolerance must be finite and positive, got {tol}")
     dims = vectors[0].dims
     for v in vectors[1:]:
         if v.dims != dims:
@@ -108,18 +113,18 @@ def from_spanning_set(vectors: list[PureState], tol: float = GS_DROP_TOL) -> Sub
     scale = float(np.max(np.linalg.norm(rows, axis=1)))
     if scale <= 0.0:
         raise UsageError("spanning set contains only zero vectors")
-    kept: list[np.ndarray] = []
-    for row in rows:
-        v = row.copy()
-        for _ in range(2):  # MGS + one reorthogonalization pass
-            for b in kept:
-                v -= np.vdot(b, v) * b
+    kept = np.empty_like(rows)
+    k = 0
+    for v in rows:
+        for _ in range(2):  # CGS + one reorthogonalization pass
+            v = v - (kept[:k] @ v.conj()).conj() @ kept[:k]
         nrm = np.linalg.norm(v)
         if nrm >= tol * scale:
-            kept.append(v / nrm)
-    if not kept:
+            kept[k] = v / nrm
+            k += 1
+    if k == 0:
         raise UsageError("all vectors were dropped; the span is zero")
-    return Subspace(dims, np.array(kept))
+    return Subspace(dims, kept[:k])
 
 
 def complement_basis(sub: Subspace) -> Subspace:

@@ -216,7 +216,18 @@ class TestErrorsAndExitCodes:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("example", [
-        "ghz:n=30", "ghz:n=3,d=1000", "dicke:n=30,k=1", "mmul:n=20", "maxces:d1=1000,d2=1000,d3=1000",
+        "maxces:d1=nan,d2=2,d3=2", "maxces:d1=inf,d2=2,d3=2", "dicke:n=3,k=1e400",
+        "strip:d=3,theta=pi/0", "strip:d=3,theta=.pi",
+    ])
+    def test_bad_catalog_number_rejected(self, capsys, tmp_path, example):
+        code, out, err = run_cli(capsys, "compute", "--example", example, "--out", str(tmp_path))
+        assert code == 4
+        assert "usage error" in err and "number" in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("example", [
+        "ghz:n=30","ghz:n=3,d=1000", "dicke:n=30,k=1", "mmul:n=20", "maxces:d1=1000,d2=1000,d3=1000",
         "maxces:d1=256,d2=256,d3=256", "strip:d=20000,theta=1", "ges:d=300,theta=1",
     ])
     def test_oversized_example_rejected_before_allocation(self, tmp_path, example):

@@ -225,6 +225,40 @@ class TestMeasureInvariants:
             assert 0.0 <= v <= 1.0
 
 
+# At (2, 3), seed 2, all three default trials on the grown subspace stop at
+# a stationary point of value 0.12095, against its E_2 of 0.0236 (about 60%
+# of starts land there): a wrong upper bound that the default trial count
+# does not escape.
+_GROWN_MISSED = pytest.mark.xfail(strict=True, reason="all default trials reach a local minimum")
+
+
+class TestMonotonicity:
+    """E_r cannot increase with r (a rank-(r-1) candidate is also a
+    rank-r candidate), nor when the subspace grows (its projection only
+    gains). Computed values are upper bounds from local search, so these
+    also check that the search reaches the minimum."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_nonincreasing_in_r(self, seed):
+        psi = haar_random_state((2, 3, 3), np.random.default_rng(seed))
+        values = [er_pure(psi, r, OptimConfig(seed=seed)) for r in (2, 3, 4)]
+        for prev, cur in zip(values, values[1:]):
+            assert cur <= prev + 1e-9, values
+
+    @pytest.mark.parametrize("dims,k,seed", [
+        pytest.param(dims, k, seed, marks=_GROWN_MISSED if (dims, seed) == ((2, 3), 2) else (),
+                     id=f"{'x'.join(map(str, dims))}-seed{seed}")
+        for dims, k in [((3, 3), 2), ((2, 2, 2), 2), ((2, 3), 1)]
+        for seed in range(4)
+    ])
+    def test_nonincreasing_when_subspace_grows(self, dims, k, seed):
+        rng = np.random.default_rng(seed)
+        sub = from_spanning_set([haar_random_state(dims, rng) for _ in range(k)])
+        grown = from_spanning_set([PureState(dims, row) for row in sub.basis] + [haar_random_state(dims, rng)])
+        cfg = OptimConfig(seed=seed)
+        assert er_subspace(grown, 2, cfg) <= er_subspace(sub, 2, cfg) + 1e-9
+
+
 def permute_parties(sub: Subspace, perm) -> Subspace:
     """The same subspace with parties reordered: party k of the result is party perm[k] of `sub`."""
     dims = tuple(sub.dims[p] for p in perm)

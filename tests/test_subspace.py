@@ -1,4 +1,6 @@
 import json
+import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -21,7 +23,15 @@ from rankgauge import (
     subspace_to_dict,
     support_space,
 )
-from rankgauge.catalog import example3_state, upb_3qubit_subspace
+from rankgauge.catalog import (
+    StripParams,
+    example3_state,
+    ges_subspace,
+    max_ces_subspace,
+    strip_subspace,
+    upb_3qubit_subspace,
+)
+from rankgauge.subspace import GS_DROP_TOL
 from conftest import random_unitary
 
 
@@ -32,6 +42,26 @@ def random_subspace(dims, d_s, rng):
 def projector(sub):
     """Explicit orthogonal projector onto the subspace, sum_i |e_i><e_i|."""
     return sub.basis.T @ sub.basis.conj()
+
+
+def modified_gram_schmidt(rows, tol=GS_DROP_TOL):
+    """Reference orthonormalization: modified Gram-Schmidt with one
+    reorthogonalization pass, one vdot per (vector, kept vector, pass), and
+    the drop rule of `from_spanning_set` (residual < tol * largest input
+    norm)."""
+    rows = np.asarray(rows, dtype=np.complex128)
+    scale = float(np.max(np.linalg.norm(rows, axis=1)))
+    kept = []
+    for row in rows:
+        v = row.copy()
+        for _ in range(2):
+            for b in kept:
+                v -= np.vdot(b, v) * b
+        nrm = np.linalg.norm(v)
+        if nrm >= tol * scale:
+            kept.append(v / nrm)
+    return np.array(kept)
+
 
 class TestFromSpanningSet:
     def test_hand_gram_schmidt(self):
@@ -70,6 +100,108 @@ class TestFromSpanningSet:
     def test_dims_mismatch(self):
         with pytest.raises(UsageError):
             from_spanning_set([basis_state((2,), (0,)), basis_state((3,), (0,))])
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        a, b = basis_state((2, 2), (0, 0)), basis_state((2, 2), (1, 1))
+        with pytest.raises(UsageError, match="tolerance"):
+            from_spanning_set([a, a, b], tol=tol)
+
+
+def _random_rows(rng, n, d):
+    return rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+
+
+def _awkward_set(rng, n, d):
+    """n random rows plus a repeated row, a scaled copy, a zero row, an
+    exact combination and a nearly dependent row (a combination plus noise
+    of 1e-3 of its norm), in shuffled order. The two methods' rounding in
+    a kept row grows as eps / (its relative residual), about 1e-13 here."""
+    rows = _random_rows(rng, n, d)
+    comb = rows[0] + (0.5 - 2j) * rows[1]
+    noise = _random_rows(rng, 1, d)[0]
+    extra = np.array([
+        rows[1],
+        (1.5 + 0.5j) * rows[2],
+        np.zeros(d),
+        rows[0] - 3.0 * rows[2],
+        comb + 1e-3 * np.linalg.norm(comb) * noise / np.linalg.norm(noise),
+    ])
+    return np.concatenate([rows, extra])[rng.permutation(n + 5)]
+
+
+class TestConstructionMatchesReference:
+    """Blocked CGS2 and the closed-form catalog constructors against the
+    reference modified Gram-Schmidt, row by row."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_sets(self, seed):
+        rng = np.random.default_rng(seed)
+        for d in (4, 8, 24):
+            n = min(4, d - 1)
+            # the awkward set keeps its n random rows and the nearly dependent one
+            for rows, kept in ((_random_rows(rng, d // 2 + 1, d), d // 2 + 1), (_awkward_set(rng, n, d), n + 1)):
+                got = from_spanning_set([PureState((d,), row) for row in rows]).basis
+                ref = modified_gram_schmidt(rows)
+                assert got.shape == ref.shape == (kept, d)
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @staticmethod
+    def strip_vectors(d, theta, xi):
+        p = StripParams(d, theta, xi)
+        rows = np.zeros((d - 1, 2 * d), dtype=np.complex128)
+        for i in range(d - 1):
+            rows[i, i], rows[i, d + i + 1] = p.a, p.b
+        return rows
+
+    @staticmethod
+    def ges_vectors(d, theta, xi):
+        p = StripParams(d, theta, xi)
+        dims = (2, d, d)
+        rows = []
+        for i1 in range(d - 1):
+            for i2 in range(d - 1):
+                amp = np.zeros(2 * d * d, dtype=np.complex128)
+                amp[np.ravel_multi_index((0, i1, i2), dims)] = p.a
+                amp[np.ravel_multi_index((1, i1 + 1, i2 + 1), dims)] = p.b
+                rows.append(amp)
+        return np.array(rows)
+
+    @staticmethod
+    def max_ces_vectors(dims):
+        """Differences of each index-sum group's first basis state (in
+        lexicographic order) with every later one, groups by ascending sum."""
+        by_sum = {}
+        for idx in sorted(product(*(range(d) for d in dims))):
+            by_sum.setdefault(sum(idx), []).append(np.ravel_multi_index(idx, dims))
+        rows = []
+        for s in sorted(by_sum):
+            head, *others = by_sum[s]
+            for other in others:
+                amp = np.zeros(math.prod(dims), dtype=np.complex128)
+                amp[head], amp[other] = 1.0, -1.0
+                rows.append(amp)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    @pytest.mark.parametrize("theta,xi", [(1.0, 0.0), (math.pi / 2, 0.3), (2.7, 5.0)])
+    def test_strip(self, d, theta, xi):
+        got = strip_subspace(StripParams(d, theta, xi)).basis
+        ref = modified_gram_schmidt(self.strip_vectors(d, theta, xi))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", range(2, 5))
+    def test_ges(self, d):
+        got = ges_subspace(d, 1.1, 0.4).basis
+        ref = modified_gram_schmidt(self.ges_vectors(d, 1.1, 0.4))
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (3, 3, 8), (4, 5, 8), (4, 5, 10)])
+    def test_max_ces(self, dims):
+        got = max_ces_subspace(*dims).basis
+        ref = modified_gram_schmidt(self.max_ces_vectors(dims))
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12)
 
 
 class TestComplementOverlap:
