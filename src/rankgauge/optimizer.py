@@ -325,8 +325,9 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
             best_idx = i
     if best_idx < 0:
         raise OptimizationError("all optimization trials failed")
-    best_x = outcomes[best_idx][0]
-    best_params = RankParams(sub.dims, r - 1, best_x)
+    # at rank budget 1 the kernel ignores one party's block of x: fill it
+    # in, so that the reported state is the one whose loss is best_value
+    best_params = RankParams(sub.dims, r - 1, kernel.completed(outcomes[best_idx][0]))
     return OptimReport(
         best_value=diagnostics[best_idx].value,
         best_params=best_params,

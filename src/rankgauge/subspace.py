@@ -70,15 +70,25 @@ class Subspace:
         (D - d_S, D), computed on first use and kept for the subspace's
         lifetime.
 
-        The complete Householder QR of basis^T = Q R gives a unitary Q
-        whose first d_S columns span the subspace, so its remaining
-        columns are orthogonal to every basis vector under <a|b> to
-        working precision.
+        The Householder QR of basis^T = Q R gives a unitary
+        Q = H_0 H_1 ... H_{d_S - 1} whose first d_S columns span the
+        subspace, so its remaining columns are orthogonal to every basis
+        vector under <a|b> to working precision. Only those D - d_S
+        columns are formed: the reflectors H_j = I - tau_j v_j v_j^dag are
+        applied, last first, to the last D - d_S unit columns, without
+        the D x D unitary.
         """
-        if self.dim >= self.dim_total:
+        k, d = self.dim, self.dim_total
+        if k >= d:
             raise UsageError("the full space has no orthogonal complement")
-        q = np.linalg.qr(self.basis.T, mode="complete").Q
-        rows = q[:, self.dim:].T.copy()
+        h, tau = np.linalg.qr(self.basis.T, mode="raw")  # h[j, j+1:] holds v_j below its unit entry
+        cols = np.zeros((d, d - k), dtype=np.complex128)
+        cols[k:] = np.eye(d - k)
+        for j in range(k - 1, -1, -1):
+            v = h[j, j:].copy()
+            v[0] = 1.0
+            cols[j:] -= np.outer(tau[j] * v, v.conj() @ cols[j:])
+        rows = cols.T.copy()
         rows.setflags(write=False)
         return rows
 

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from rankgauge import OptimConfig
+
+# Property tests replay the same examples on every run and keep no
+# example database, so the suite stays deterministic and its time fixed.
+settings.register_profile("deterministic", derandomize=True, max_examples=50, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from rankgauge import OptimConfig, haar_random_state, subspace_to_dict, from_spanning_set
-from rankgauge.catalog import dicke_state
+from rankgauge.catalog import build_example, dicke_state
 from rankgauge.cli import main
 
 
@@ -67,6 +67,18 @@ class TestCompute:
         # the emitted minimizer overlaps the W state at 1 - E_2 = 4/9
         w = dicke_state(3, 1)
         assert abs(np.vdot(amp, w.amp)) ** 2 == pytest.approx(4 / 9, abs=1e-6)
+
+    @pytest.mark.parametrize("spec", ["strip:d=4,theta=1", "maxces:d1=2,d2=2,d3=3"])
+    def test_emitted_state_attains_reported_value(self, capsys, tmp_path, spec):
+        target = tmp_path / "closest.json"
+        code, out, _ = run_cli(
+            capsys, "compute", "--example", spec, "--r", "2", "--seed", "5", "--emit-closest", str(target),
+        )
+        assert code == 0
+        amp = np.array([complex(re, im) for re, im in json.loads(target.read_text())["vectors"][0]])
+        sub = build_example(spec)
+        p_perp = np.eye(sub.dim_total) - sub.basis.T @ sub.basis.conj()
+        assert abs(np.vdot(amp, p_perp @ amp).real - value_from_compute(out)) < 1e-12
 
     def test_writes_csv_and_manifest(self, capsys, tmp_path):
         out_dir = tmp_path / "res"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from rankgauge import (
     OptimConfig,
@@ -55,6 +57,45 @@ def dense_tensor(x, dims, r):
             off += 2 * d
         t += np.logaddexp(0.0, row[0]) * term
     return t
+
+
+def party_slot(x, dims):
+    """Budget 1: the D x d_e matrix (other parties' unit factors) (x) I,
+    with the identity in the slot of the last of the largest parties,
+    built with np.kron from the factors in x."""
+    e = len(dims) - 1 - dims[::-1].index(max(dims))
+    a = np.ones((1, 1), dtype=complex)
+    off = 1
+    for k, d in enumerate(dims):
+        v = x[off:off + d] + 1j * x[off + d:off + 2 * d]
+        a = np.kron(a, np.eye(d) if k == e else (v / np.linalg.norm(v))[:, None])
+        off += 2 * d
+    return a
+
+
+def eliminated_loss(x, dims, sub):
+    """Reference budget-1 loss: the least loss over that party's factor,
+    sigma_min(P_perp A)^2 with a dense projector and A = party_slot."""
+    a = party_slot(x, dims)
+    p_perp = np.eye(a.shape[0]) - sub.basis.T @ sub.basis.conj()
+    return np.linalg.svd(p_perp @ a, compute_uv=False)[-1] ** 2
+
+
+def assert_gradient_matches_fd(kernel, x):
+    """The kernel's gradient at x against central differences of its value,
+    to 1e-5 relative. At budget 1, one party alone, or a solved party with
+    more dimensions than the complement has rows, always has a factor of
+    zero loss; value and gradient then vanish identically, and an absolute
+    bound applies instead."""
+    _, grad = kernel.value_and_grad(x)
+    fd = central_difference(kernel.value, x, 1e-5)
+    flat = kernel.r == 1 and (
+        len(kernel.dims) == 1 or (kernel.complement and kernel.rows.shape[0] < max(kernel.dims))
+    )
+    if flat:
+        assert max(np.max(np.abs(grad)), np.max(np.abs(fd))) < 1e-10
+    else:
+        assert rel_linf(grad, fd) < 1e-5
 
 
 def kernel_cases():
@@ -148,10 +189,7 @@ class TestLossAndGradient:
                 sub = random_subspace(dims, d_s, rng)
                 kernel = LossKernel(dims, budget, sub)
                 for seed in range(3):
-                    p = random_params(dims, budget, seed)
-                    _, grad = kernel.value_and_grad(p.x)
-                    fd = central_difference(kernel.value, p.x, 1e-5)
-                    assert rel_linf(grad, fd) < 1e-5, (dims, budget, d_s, seed)
+                    assert_gradient_matches_fd(kernel, random_params(dims, budget, seed).x)
 
     def test_gradient_finite(self, rng):
         sub = random_subspace((2, 2), 2, rng)
@@ -185,6 +223,30 @@ class TestLossAndGradient:
         assert np.linalg.norm(grad) < 1e-8
 
 
+@st.composite
+def kernel_shapes(draw):
+    """(dims, budget, d_S, seed): 1 to 4 parties of dimension 2 to 4, so
+    that the largest party may come first, in the middle or last, or tie."""
+    dims = tuple(draw(st.lists(st.integers(2, 4), min_size=1, max_size=4)))
+    d_total = int(np.prod(dims))
+    return dims, draw(st.integers(1, 3)), draw(st.integers(1, d_total - 1)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestGradientProperty:
+    @given(kernel_shapes())
+    @example(((4, 2, 2), 1, 3, 0))  # solved party first, basis side
+    @example(((2, 4, 3), 1, 20, 0))  # in the middle, complement side
+    @example(((2, 3, 4), 1, 4, 0))  # last
+    @example(((3, 2, 3), 1, 10, 0))  # a tie: the last of the largest
+    @example(((2, 2, 2, 3), 2, 13, 0))
+    def test_gradient_matches_central_differences(self, case):
+        dims, budget, d_s, seed = case
+        rng = np.random.default_rng(seed)
+        kernel = LossKernel(dims, budget, random_subspace(dims, d_s, rng))
+        x = rng.standard_normal(kernel.n_params)
+        assert_gradient_matches_fd(kernel, x)
+
+
 class TestKernelReference:
     def test_value_matches_dense_build(self, rng):
         for dims, r in kernel_cases():
@@ -192,27 +254,35 @@ class TestKernelReference:
             kernel = LossKernel(dims, r, sub)
             for seed in range(3):
                 x = random_params(dims, r, seed).x
-                t = dense_tensor(x, dims, r)
-                proj = sub.basis.T @ (sub.basis.conj() @ t)
-                expected = 1.0 - np.vdot(proj, proj).real / np.vdot(t, t).real
+                if r == 1:
+                    expected = eliminated_loss(x, dims, sub)
+                else:
+                    t = dense_tensor(x, dims, r)
+                    proj = sub.basis.T @ (sub.basis.conj() @ t)
+                    expected = 1.0 - np.vdot(proj, proj).real / np.vdot(t, t).real
                 assert abs(kernel.value(x) - expected) < 1e-13, (dims, r, seed)
 
     def test_near_zero_loss_keeps_relative_accuracy(self, rng):
         # S holds (T + eps u) for a unit u orthogonal to T(x), plus d_S - 1
         # directions orthogonal to both, so the loss is eps^2 / (1 + eps^2)
-        # exactly. 1 - G/N would cancel to absolute accuracy only.
+        # exactly. 1 - G/N would cancel to absolute accuracy only. At
+        # budget 1, where the largest party's factor is solved exactly, u
+        # and those directions are also orthogonal to the party's whole
+        # slice around T, so T's own factor stays the best one.
         eps = 1e-7
         expected = eps**2 / (1.0 + eps**2)
         sides = set()
-        for dims, r in [((2, 3), 2), ((3, 4), 1), ((2, 3, 4), 2)]:
+        for dims, r in [((2, 3), 2), ((3, 4), 1), ((2, 3, 4), 2), ((2, 3, 4), 1)]:
             d_total = int(np.prod(dims))
             x = random_params(dims, r, 1).x
             t = dense_tensor(x, dims, r)
-            for d_s in (1, d_total // 2, d_total // 2 + 1, d_total - 1):
+            fixed = [t] + (list(party_slot(x, dims).T[:-1]) if r == 1 else [])
+            for d_s in (1, d_total // 2, d_total // 2 + 1, d_total - len(fixed)):
                 noise = rng.standard_normal((d_total, d_s)) + 1j * rng.standard_normal((d_total, d_s))
-                q = np.linalg.qr(np.column_stack([t, noise])).Q
-                near = (q[:, 0] + eps * q[:, 1]) / np.sqrt(1.0 + eps**2)
-                sub = Subspace(dims, np.vstack([near, q[:, 2:].T]))
+                q = np.linalg.qr(np.column_stack(fixed + [noise])).Q
+                u = len(fixed)
+                near = (q[:, 0] + eps * q[:, u]) / np.sqrt(1.0 + eps**2)
+                sub = Subspace(dims, np.vstack([near, q[:, u + 1:].T]))
                 kernel = LossKernel(dims, r, sub)
                 assert abs(kernel.value(x) / expected - 1.0) < 1e-6, (dims, r, d_s)
                 sides.add(kernel.complement)

@@ -20,7 +20,9 @@ from rankgauge import optimizer as opt_mod
 from rankgauge.optimizer import lbfgs_minimize
 from rankgauge.objective import LossKernel
 from rankgauge.rank_param import trial_rng
-from rankgauge.catalog import StripParams, dicke_state, strip_e2_closed_form, strip_subspace
+from rankgauge.catalog import StripParams, dicke_state, ghz_state, strip_e2_closed_form, strip_subspace
+
+from test_objective import party_slot
 
 
 def oracles(value_and_grad):
@@ -168,8 +170,11 @@ class TestLbfgs:
         # Floor searches bisect until distinct steps round to the same
         # point; each point must still get one forward pass, and only
         # points that pass the Armijo test may get a backward pass.
-        sub = strip_subspace(StripParams(4, 1.0))
-        kernel = LossKernel(sub.dims, 1, sub)
+        # E_3 of the 3 x 3 maximally entangled state: some of its budget-2
+        # starts end at the floor, which budget-1 starts, with one party
+        # solved exactly, no longer reach
+        sub = span_of(ghz_state(2, 3))
+        kernel = LossKernel(sub.dims, 2, sub)
         starts = [trial_rng(seed).standard_normal(kernel.n_params) for seed in range(6)]
         direct = [lbfgs_minimize(kernel.value, kernel.value_and_grad, x0) for x0 in starts]
 
@@ -321,6 +326,32 @@ class TestRunCertification:
             assert d.reason == "zero-witness"
             assert 0.0 <= d.value <= opt_mod.ZERO_LEVEL
         assert minimal_rank_scan(sub, 3, cfg=OptimConfig(seed=4)).certified_rank == 2
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_best_state_is_the_witness(self, rng, r):
+        # strip: basis side with the solved party last; a random 16 of 24
+        # in 2 x 4 x 3: complement side, solved party in the middle; a
+        # random 2 of 16 in 4 x 2 x 2: basis side, solved party first
+        subs = [
+            strip_subspace(StripParams(4, 1.0)),
+            from_spanning_set([haar_random_state((2, 4, 3), rng) for _ in range(16)]),
+            from_spanning_set([haar_random_state((4, 2, 2), rng) for _ in range(2)]),
+        ]
+        for sub in subs:
+            report = run_certification(sub, r, OptimConfig(seed=2))
+            p_perp = np.eye(sub.dim_total) - sub.basis.T @ sub.basis.conj()
+            amp = report.best_state.amp
+            assert abs(np.vdot(amp, p_perp @ amp).real - report.best_value) < 1e-12, sub.dims
+            if r == 2:
+                # the solved party's block holds the least right singular
+                # vector of P_perp (others x I), up to phase and scale
+                x = report.best_params.x
+                vh = np.linalg.svd(p_perp @ party_slot(x, sub.dims))[2]
+                e = len(sub.dims) - 1 - sub.dims[::-1].index(max(sub.dims))
+                off = 1 + 2 * sum(sub.dims[:e])
+                block = x[off:off + sub.dims[e]] + 1j * x[off + sub.dims[e]:off + 2 * sub.dims[e]]
+                overlap = abs(np.vdot(vh[-1].conj(), block)) / np.linalg.norm(block)
+                assert overlap == pytest.approx(1.0, abs=1e-9), sub.dims
 
     def test_requires_r_at_least_two(self):
         sub = span_of(basis_state((2, 2), (0, 0)))
