@@ -31,20 +31,29 @@ backward pass. No clamping happens here; [0, 1] clamping is
 reporting-level only.
 
 At rank budget 1 the candidate is one product state, and the factor of
-party e, the largest party (the last of them on ties), is solved exactly.
-With the other parties' unit factors fixed, contracting them into the
-rows gives B of shape (m, d_e) with coefficients c = lambda B u for e's
-unit factor u, so the loss is ||B u||^2 on the complement side and
-1 - ||B u||^2 on the basis side. Its minimizer c* is the lowest or the
-highest eigenvector of the d_e x d_e matrix B^dag B, which every
+party e, the largest party (the last of them on ties), is solved exactly,
+so the kernel never forms the weighted tensor. It gathers and normalizes
+only the other parties' blocks and forms the product p of their unit
+factors, of size P = D / d_e (p = [1] when e is the only party). With the
+rows reordered as R, of shape (m, d_e, P) around e's axis, B = conj(R) p
+has shape (m, d_e), and T = c (x) p, with c in e's slot, has the
+coefficients w = B c. The loss is ||w||^2 / N on the complement side and
+||T - w R||^2 / N on the basis side, with N = ||p||^2 ||c||^2: p and c
+are unit vectors only up to rounding, and dropping the quotient made
+more trials end on a noisy loss floor. The minimizer c* is the lowest or
+the highest eigenvector of the d_e x d_e matrix B^dag B, which every
 evaluation computes; with one basis row b, as for the span of a state,
-it is conj(b) / ||b|| without an eigenproblem. The kernel writes c* into
-the forward intermediates and evaluates the residual form above at
-(others) x c*, so the value is the exact loss of a product state and a
-true upper bound. Party e's block of x is ignored, and so is theta, on
-which no budget-1 loss depends; their gradient entries are zero. c* is
-stationary on the unit sphere, so by the envelope theorem the backward
-pass at (others) x c* is the exact gradient in the other factors.
+it is conj(b) / ||b|| without an eigenproblem. So the value is the exact
+loss of a product state and a true upper bound. Party e's block of x is
+ignored, and so is theta, on which no budget-1 loss depends; their
+gradient entries are exactly zero. c* is stationary on the unit sphere,
+so by the envelope theorem the gradient in the other factors is taken at
+fixed c*. The cotangent of p is y, as above, contracted with conj(c*) on
+e's axis, in residual form so that no O(1) terms cancel: M^dag w - L p on
+the complement side, where M = conj(R) contracted with c* on e's axis
+gives w = M p, and T - w R contracted with conj(c*), minus L p, on the
+basis side (both times 2/N). It is contracted with the other parties'
+unit factors party by party and chained through v / ||v|| as above.
 `LossKernel.completed(x)` fills party e's block with c*, so that the
 state of the returned parameters is the witness of the value.
 """
@@ -52,12 +61,28 @@ state of the returned parameters is the witness of the value.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularParameterError, UsageError
-from .rank_param import _row_kron, forward_map, layout, logistic_vec, params_length
+from .rank_param import forward_map, layout, logistic_vec, params_length
 from .subspace import Subspace
+
+
+class _ProductPass(NamedTuple):
+    """Budget-1 forward intermediates, in the (d_e, P) frame of
+    `LossKernel.slot_rows`."""
+
+    units: np.ndarray | None  # the other parties' unit factors side by side
+    col_norms: np.ndarray | None  # norm of the raw block holding each column
+    prefixes: list[np.ndarray]  # prefixes[k]: product of the first k + 1 others; p last
+    best: np.ndarray  # c*, party e's exact best unit factor
+    csq: float  # ||c*||^2
+    w: np.ndarray  # <row_j|T>
+    resid: np.ndarray | None  # conj(T - P_S T) on the basis side
+    nsq: float  # N = ||p||^2 ||c*||^2
+    value: float
 
 
 class LossKernel:
@@ -70,8 +95,11 @@ class LossKernel:
     otherwise; a full space has no complement and raises UsageError.
     At rank budget 1 the factor of party `eliminated` (the last of the
     largest parties) is the exact minimizer for the other factors, as the
-    module docstring derives: that block of x and theta are ignored, get
-    zero gradient, and `completed(x)` writes the minimizer into x.
+    module docstring derives. The kernel then works on the product p of
+    the other parties' unit factors and the rows reshaped around party
+    e's axis (`slot_rows`), and never forms the weighted tensor: theta and
+    e's block of x are ignored, get exact zero gradient, and
+    `completed(x)` writes the minimizer into x.
     Apart from precomputed constants the kernel holds a one-entry memo:
     the forward intermediates of the last point evaluated, keyed by the
     bytes of x, so a point mutated in place is evaluated afresh. Results
@@ -101,28 +129,39 @@ class LossKernel:
             self.rows_conj = self.rows.conj()
             return
         e = self.eliminated = len(self.dims) - 1 - self.dims[::-1].index(max(self.dims))
-        # conj(rows) as (m * d_e, other parties), so that B is one product
+        # conj(rows) as (m, d_e, P): party e's axis, then the other parties'
+        # product in party order, so that B = slot_rows @ p
         m, d_e = self.rows.shape[0], self.dims[e]
-        self.rows_party = (
+        self.slot_rows = (
             self.rows.conj()
             .reshape(m, self.left_sizes[e], d_e, -1)
             .transpose(0, 2, 1, 3)
-            .reshape(m * d_e, -1)
+            .reshape(m, d_e, -1)
         )
+        self._wide_rows = self.slot_rows.reshape(m, -1)  # a view, for sums over the rows
         self._one_row = m == 1 and not self.complement
-        lay, blk = self.layout, self.layout.blocks[e]
-        self._ignored = np.concatenate([lay.theta, lay.alpha[0, blk], lay.beta[0, blk]])
+        # the other parties' blocks of x as (alpha_j, beta_j) pairs, so that
+        # one gather read as complex gives all their raw factors side by side
+        self._others = [k for k in range(len(self.dims)) if k != e]
+        sizes = [self.dims[k] for k in self._others]
+        columns = self.layout.party != e
+        self._pairs = np.stack([self.layout.alpha[0, columns], self.layout.beta[0, columns]], axis=1).ravel()
+        starts = np.cumsum([0] + sizes[:-1])
+        self._pair_starts = 2 * starts
+        self._column = np.repeat(np.arange(len(sizes)), sizes)
+        self._blocks = [slice(s, s + d) for s, d in zip(starts, sizes)]
 
     def _forward(self, x: np.ndarray):
         key = x.tobytes()
-        if key == self._memo_key:
-            return self._memo
+        if key != self._memo_key:
+            self._memo = self._tensor_pass(x) if self.eliminated is None else self._product_pass(x)
+            self._memo_key = key
+        return self._memo
+
+    def _tensor_pass(self, x: np.ndarray):
         fw = forward_map(x, self.dims, self.r)
-        if self.eliminated is None:
-            c = self.rows_conj @ fw.tensor
-        else:
-            c = self._eliminate(fw)
         t = fw.tensor
+        c = self.rows_conj @ t
         nsq = float(np.real(np.vdot(t, t)))
         if not math.sqrt(nsq) > 1e-300:
             raise SingularParameterError("the weighted product sum vanished")
@@ -132,19 +171,28 @@ class LossKernel:
         else:
             resid = t - c @ self.rows
             rsq = float(np.real(np.vdot(resid, resid)))
-        value = rsq / nsq
-        self._memo_key, self._memo = key, (fw, t, nsq, c, resid, value)
-        return self._memo
+        return fw, t, nsq, c, resid, rsq / nsq
 
-    def _eliminate(self, fw):
-        """Budget 1: write party e's exact best unit factor c* into the
-        forward intermediates, in place, and return the coefficients of
-        the new T."""
-        e = self.eliminated
-        others = fw.prefixes[e][0]
-        for f in fw.unit_factors[e + 1:]:
-            others = np.multiply.outer(others, f[0]).ravel()
-        b = (self.rows_party @ others).reshape(-1, self.dims[e])
+    def _product_pass(self, x: np.ndarray):
+        """Budget 1: the other parties' unit factors, their product p, the
+        exact best factor c* of party e and the loss of c* (x) p. On the
+        basis side it also returns conj(T - P_S T) in the (d_e, P) frame of
+        `slot_rows`."""
+        u = col = None
+        prefixes = [self.layout.ones[0]]  # p = [1] when e is the only party
+        if self._others:
+            raw = np.asarray(x, dtype=np.float64)[self._pairs]
+            norms = np.sqrt(np.add.reduceat(raw * raw, self._pair_starts))
+            if np.count_nonzero(norms) < norms.size:
+                k = self._others[int(np.argmin(norms))]
+                raise SingularParameterError(f"zero factor block for party {k + 1} (term 1)")
+            col = norms[self._column]
+            u = raw.view(np.complex128) / col
+            prefixes = [u[self._blocks[0]]]
+            for blk in self._blocks[1:]:
+                prefixes.append(np.multiply.outer(prefixes[-1], u[blk]).ravel())
+        p = prefixes[-1]
+        b = self.slot_rows @ p  # B, (m, d_e)
         # one basis row, as for the span of a state: B^dag B = b^dag b has
         # the top eigenvector conj(b), unless b vanishes
         nrm = np.linalg.norm(b) if self._one_row else 0.0
@@ -153,12 +201,46 @@ class LossKernel:
         else:
             vecs = np.linalg.eigh(b.conj().T @ b)[1]
             best = vecs[:, 0] if self.complement else vecs[:, -1]
-        fw.units[0, self.layout.blocks[e]] = best  # unit_factors[e] views it
-        for k in range(e, len(self.dims)):
-            fw.prefixes[k + 1] = _row_kron(fw.prefixes[k], fw.unit_factors[k])
-        lam = fw.lam[0]
-        np.multiply(lam, fw.prefixes[-1][0], out=fw.tensor)
-        return lam * (b @ best)
+        w = b @ best  # <row_j|T>
+        csq = float(np.vdot(best, best).real)
+        nsq = float(np.vdot(p, p).real) * csq
+        if self.complement:
+            resid = None  # conj(P_perp T) = conj(w) @ rows, formed only for the gradient
+            rsq = float(np.vdot(w, w).real)
+        else:
+            resid = np.multiply.outer(best, p).conj().ravel() - w.conj() @ self._wide_rows
+            rsq = float(np.vdot(resid, resid).real)
+        return _ProductPass(u, col, prefixes, best, csq, w, resid, nsq, rsq / nsq)
+
+    def _product_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        """Budget 1: the gradient in the other parties' blocks through the
+        cotangent of p; theta and party e's block stay exactly zero."""
+        u, col, prefixes, best, csq, w, resid, nsq, value = self._forward(x)
+        grad = np.zeros(self.n_params, dtype=np.float64)
+        if u is None:
+            return value, grad
+        if resid is None:
+            resid = w.conj() @ self._wide_rows
+        # conj of the cotangent of p, N/2 times: conj(y) contracted with c*
+        # on e's axis, for y = (2/N)(P_perp T - L T) and T = c* (x) p
+        p = prefixes[-1]
+        g = best @ resid.reshape(best.size, -1) - (value * csq) * p.conj()
+        # contract it with the other unit factors from the last one inwards;
+        # before party k, acc holds g summed against the factors after k
+        h = np.empty_like(u)
+        acc = g
+        for k in range(len(self._blocks) - 1, 0, -1):
+            blk = self._blocks[k]
+            acc = acc.reshape(-1, blk.stop - blk.start)
+            h[blk] = prefixes[k - 1] @ acc
+            acc = acc @ u[blk]
+        h[self._blocks[0]] = acc
+        # chain through v / ||v||: every block's radial coefficient is z, and
+        # conj(h) - z u holds the alpha and beta entries as its real and
+        # imaginary parts
+        z = float((g @ p).real)
+        grad[self._pairs] = ((h.conj() - z * u) / (0.5 * nsq * col)).view(np.float64)
+        return value, grad
 
     def completed(self, x: np.ndarray) -> np.ndarray:
         """A copy of x whose eliminated block holds the exact best factor
@@ -167,7 +249,7 @@ class LossKernel:
         out = np.array(x, dtype=np.float64)
         if self.eliminated is not None:
             blk = self.layout.blocks[self.eliminated]
-            best = self._forward(out)[0].units[0, blk]
+            best = self._forward(out).best
             out[self.layout.alpha[0, blk]] = best.real
             out[self.layout.beta[0, blk]] = best.imag
         return out
@@ -176,6 +258,8 @@ class LossKernel:
         return self._forward(x)[-1]
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+        if self.eliminated is not None:
+            return self._product_grad(x)
         fw, t, nsq, c, resid, value = self._forward(x)
         lay = self.layout
 
@@ -206,6 +290,4 @@ class LossKernel:
         f = fw.units
         grad[lay.alpha] = (h.real - radial * f.real) / fw.col_norms
         grad[lay.beta] = (-h.imag - radial * f.imag) / fw.col_norms
-        if self.eliminated is not None:
-            grad[self._ignored] = 0.0
         return value, grad

@@ -238,13 +238,45 @@ class TestGradientProperty:
     @example(((2, 4, 3), 1, 20, 0))  # in the middle, complement side
     @example(((2, 3, 4), 1, 4, 0))  # last
     @example(((3, 2, 3), 1, 10, 0))  # a tie: the last of the largest
+    @example(((2,), 1, 1, 0))  # one party: the product of no others is [1]
+    @example(((2, 4), 1, 6, 0))  # fewer complement rows than the solved party's dims
     @example(((2, 2, 2, 3), 2, 13, 0))
     def test_gradient_matches_central_differences(self, case):
+        """At budget 1 the value must also equal the dense reference."""
         dims, budget, d_s, seed = case
         rng = np.random.default_rng(seed)
-        kernel = LossKernel(dims, budget, random_subspace(dims, d_s, rng))
+        sub = random_subspace(dims, d_s, rng)
+        kernel = LossKernel(dims, budget, sub)
         x = rng.standard_normal(kernel.n_params)
+        if budget == 1:
+            assert abs(kernel.value(x) - eliminated_loss(x, dims, sub)) < 1e-13
         assert_gradient_matches_fd(kernel, x)
+
+
+class TestBudgetOne:
+    @pytest.mark.parametrize("d_s", [2, 20])  # the basis side and the complement side of 2 x 4 x 3
+    def test_ignored_coordinates_and_completed_state(self, d_s):
+        dims = (2, 4, 3)
+        rng = np.random.default_rng(d_s)
+        sub = random_subspace(dims, d_s, rng)
+        kernel = LossKernel(dims, 1, sub)
+        assert kernel.complement == (d_s == 20) and kernel.eliminated == 1
+        lay = kernel.layout
+        blk = lay.blocks[kernel.eliminated]
+        ignored = np.concatenate([lay.theta, lay.alpha[0, blk], lay.beta[0, blk]])
+        x = rng.standard_normal(kernel.n_params)
+        value, grad = kernel.value_and_grad(x)
+        assert np.all(grad[ignored] == 0.0)
+        # theta and the solved party's block change nothing, bit for bit
+        for _ in range(3):
+            y = x.copy()
+            y[ignored] = rng.standard_normal(ignored.size)
+            assert kernel.value(y) == value
+            np.testing.assert_array_equal(kernel.value_and_grad(y)[1], grad)
+        # the dense state of the completed parameters attains the value
+        t = dense_tensor(kernel.completed(x), dims, 1)
+        p_perp = np.eye(t.size) - sub.basis.T @ sub.basis.conj()
+        assert abs(np.vdot(t, p_perp @ t).real / np.vdot(t, t).real - value) < 1e-12
 
 
 class TestKernelReference:
