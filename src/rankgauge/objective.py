@@ -56,6 +56,23 @@ basis side (both times 2/N). It is contracted with the other parties'
 unit factors party by party and chained through v / ||v|| as above.
 `LossKernel.completed(x)` fills party e's block with c*, so that the
 state of the returned parameters is the witness of the value.
+
+Before L-BFGS, `LossKernel.sweep` moves each budget-1 start into a basin
+by exact one-party solves, a block-coordinate descent that for a single
+state is the alternating eigen-update of Streltsov, Kampermann and Bruss
+(PRA 2011). Each sweep visits the other parties in order and then party
+e: party q's factor becomes the lowest (complement side) or highest
+(basis side) eigenvector of B_q^dag B_q, where B_q contracts the rows,
+reordered around q's axis, with the product of the other unit factors.
+This is the solve that gives c*, and with one basis row it is conj(b) /
+||b|| for every party. Every solve is an exact minimum over one factor,
+so no sweep raises the loss. The sweeps hand over to L-BFGS, which
+finishes the trial and certifies its stop, after a sweep that lowers the
+residual-form loss by less than SWEEP_TOL of its value, or by less than
+SLOW_GATE of it and more than SLOW_RATE times the sweep before (a linear
+rate too slow to be worth more sweeps), after MAX_SWEEPS sweeps, or once
+the loss is at or below ZERO_LEVEL. The decrease is tested on the
+residual form because 1 - lambda_max cancels near zero.
 """
 
 from __future__ import annotations
@@ -68,6 +85,32 @@ import numpy as np
 from .errors import SingularParameterError, UsageError
 from .rank_param import forward_map, layout, logistic_vec, params_length
 from .subspace import Subspace
+
+# Loss at or below which a trial stops as a zero witness. The residual-form
+# loss keeps relative accuracy down to here, and this is five orders below
+# the smallest nonzero minimum seen (E_2 ~ 3.5e-7 of the maximal CES in
+# 4 x 5 x 10); without the stop a non-attained zero, such as the W state at
+# r = 3, is chased down towards 1e-15 for no change of verdict.
+ZERO_LEVEL = 1e-12
+# Handover from the budget-1 sweeps to L-BFGS, measured in BENCH_11.json:
+# after a sweep that lowers the loss by less than SWEEP_TOL of its value,
+# or after MAX_SWEEPS sweeps. SWEEP_TOL = 1e-4 / 1e-6 / 1e-7 / 1e-8 gave
+# strip-sweep wall_s 0.041 / 0.044 / 0.046 / 0.053 s and ces-tripartite
+# 0.031 / 0.030 / 0.030 / 0.030 s: a tight rule hands strip trials to
+# L-BFGS on the float floor, where more of them stop at `loss-floor`, and
+# sweeps run to convergence leave L-BFGS no superlinear finish at all.
+# ces-tripartite trials take a median of 11 sweeps, and a cap of 6 cost
+# it a quarter of its gain. The sweeps also stop once a sweep lowers the
+# loss by less than SLOW_GATE of its value but by more than SLOW_RATE
+# times the sweep before: at so slow a linear rate SWEEP_TOL lies many
+# sweeps away. The perturbed 2 x 3 subspaces of fig2 crawl so (rates of
+# 0.5-1 per sweep), and without this stop fig2 ran 10% slower than with no
+# sweeps; the benchmark workloads, whose rates are about 0.1 or less once
+# below SLOW_GATE, run the same with or without it.
+SWEEP_TOL = 1e-6
+MAX_SWEEPS = 12
+SLOW_GATE = 1e-2
+SLOW_RATE = 0.5
 
 
 class _ProductPass(NamedTuple):
@@ -99,7 +142,9 @@ class LossKernel:
     the other parties' unit factors and the rows reshaped around party
     e's axis (`slot_rows`), and never forms the weighted tensor: theta and
     e's block of x are ignored, get exact zero gradient, and
-    `completed(x)` writes the minimizer into x.
+    `completed(x)` writes the minimizer into x. `sweep(x)` runs the exact
+    one-party sweeps of the module docstring from x until the handover
+    rule; it holds the rows reordered around every party's axis for that.
     Apart from precomputed constants the kernel holds a one-entry memo:
     the forward intermediates of the last point evaluated, keyed by the
     bytes of x, so a point mutated in place is evaluated afresh. Results
@@ -129,15 +174,15 @@ class LossKernel:
             self.rows_conj = self.rows.conj()
             return
         e = self.eliminated = len(self.dims) - 1 - self.dims[::-1].index(max(self.dims))
-        # conj(rows) as (m, d_e, P): party e's axis, then the other parties'
-        # product in party order, so that B = slot_rows @ p
-        m, d_e = self.rows.shape[0], self.dims[e]
-        self.slot_rows = (
-            self.rows.conj()
-            .reshape(m, self.left_sizes[e], d_e, -1)
-            .transpose(0, 2, 1, 3)
-            .reshape(m, d_e, -1)
-        )
+        # conj(rows) as (m, d_q, D / d_q) for every party q: q's axis, then
+        # the other parties' product in party order, so that B_q = rows_q @ p
+        m = self.rows.shape[0]
+        conj_rows = self.rows.conj()
+        self._party_rows = [
+            conj_rows.reshape(m, self.left_sizes[q], d, -1).transpose(0, 2, 1, 3).reshape(m, d, -1)
+            for q, d in enumerate(self.dims)
+        ]
+        self.slot_rows = self._party_rows[e]
         self._wide_rows = self.slot_rows.reshape(m, -1)  # a view, for sums over the rows
         self._one_row = m == 1 and not self.complement
         # the other parties' blocks of x as (alpha_j, beta_j) pairs, so that
@@ -173,6 +218,20 @@ class LossKernel:
             rsq = float(np.real(np.vdot(resid, resid)))
         return fw, t, nsq, c, resid, rsq / nsq
 
+    def _solve(self, q: int, p: np.ndarray):
+        """Budget 1: B = conj(rows) contracted with the product p of the
+        other parties' unit factors, shape (m, d_q), and party q's exact best
+        unit factor for p: the lowest (complement side) or highest (basis
+        side) eigenvector of B^dag B."""
+        b = self._party_rows[q] @ p
+        # one basis row, as for the span of a state: B^dag B = b^dag b has
+        # the top eigenvector conj(b), unless b vanishes
+        nrm = np.linalg.norm(b) if self._one_row else 0.0
+        if nrm > 0.0:
+            return b, b[0].conj() / nrm
+        vecs = np.linalg.eigh(b.conj().T @ b)[1]
+        return b, vecs[:, 0] if self.complement else vecs[:, -1]
+
     def _product_pass(self, x: np.ndarray):
         """Budget 1: the other parties' unit factors, their product p, the
         exact best factor c* of party e and the loss of c* (x) p. On the
@@ -191,16 +250,13 @@ class LossKernel:
             prefixes = [u[self._blocks[0]]]
             for blk in self._blocks[1:]:
                 prefixes.append(np.multiply.outer(prefixes[-1], u[blk]).ravel())
-        p = prefixes[-1]
-        b = self.slot_rows @ p  # B, (m, d_e)
-        # one basis row, as for the span of a state: B^dag B = b^dag b has
-        # the top eigenvector conj(b), unless b vanishes
-        nrm = np.linalg.norm(b) if self._one_row else 0.0
-        if nrm > 0.0:
-            best = b[0].conj() / nrm
-        else:
-            vecs = np.linalg.eigh(b.conj().T @ b)[1]
-            best = vecs[:, 0] if self.complement else vecs[:, -1]
+        return _ProductPass(u, col, prefixes, *self._slot_pass(prefixes[-1]))
+
+    def _slot_pass(self, p: np.ndarray):
+        """Budget 1: c*, party e's exact best factor for the product p of
+        the other unit factors, and the loss of c* (x) p, as the trailing
+        fields of `_ProductPass`."""
+        b, best = self._solve(self.eliminated, p)
         w = b @ best  # <row_j|T>
         csq = float(np.vdot(best, best).real)
         nsq = float(np.vdot(p, p).real) * csq
@@ -210,7 +266,7 @@ class LossKernel:
         else:
             resid = np.multiply.outer(best, p).conj().ravel() - w.conj() @ self._wide_rows
             rsq = float(np.vdot(resid, resid).real)
-        return _ProductPass(u, col, prefixes, best, csq, w, resid, nsq, rsq / nsq)
+        return best, csq, w, resid, nsq, rsq / nsq
 
     def _product_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         """Budget 1: the gradient in the other parties' blocks through the
@@ -253,6 +309,47 @@ class LossKernel:
             out[self.layout.alpha[0, blk]] = best.real
             out[self.layout.beta[0, blk]] = best.imag
         return out
+
+    def sweep(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+        """Budget 1: exact one-party sweeps from x, and their count.
+
+        Starting from the unit factors of x with party e's set to c*, each
+        sweep sets every other party's factor, in party order, to its exact
+        best for the rest, then party e's, until the handover rule of the
+        module docstring. Returns a copy of x with the unit factors in every
+        party's block and theta as drawn, and the number of sweeps; at
+        budgets >= 2, (x, 0). Raises SingularParameterError where `value`
+        would."""
+        if self.eliminated is None:
+            return x, 0
+        e = self.eliminated
+        out = np.array(x, dtype=np.float64)
+        fw = self._forward(out)
+        units = [fw.best] * len(self.dims)
+        for q, blk in zip(self._others, self._blocks):
+            units[q] = fw.units[blk]
+        value, drop = fw.value, math.inf
+        for sweeps in range(1, MAX_SWEEPS + 1):
+            for q in self._others:
+                units[q] = self._solve(q, self._product(units, q))[1]
+            units[e], *_, swept = self._slot_pass(self._product(units, e))
+            slow = value - swept < SLOW_GATE * value and value - swept > SLOW_RATE * drop
+            if swept <= ZERO_LEVEL or value - swept < SWEEP_TOL * value or slow:
+                break
+            value, drop = swept, value - swept
+        lay = self.layout
+        factors = np.concatenate(units)
+        out[lay.alpha[0]] = factors.real
+        out[lay.beta[0]] = factors.imag
+        return out, sweeps
+
+    def _product(self, units: list[np.ndarray], q: int) -> np.ndarray:
+        """The product of every party's unit factor but q's, in party order."""
+        others = [u for k, u in enumerate(units) if k != q]
+        p = others[0] if others else self.layout.ones[0]
+        for u in others[1:]:
+            p = np.multiply.outer(p, u).ravel()
+        return p
 
     def value(self, x: np.ndarray) -> float:
         return self._forward(x)[-1]

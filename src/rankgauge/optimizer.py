@@ -1,10 +1,13 @@
 """Limited-memory BFGS with a Wolfe line search, plus the multi-trial
 driver that turns random restarts into a certified minimum.
 
-The accepted-iterate loss sequence is strictly nonincreasing (the line
-search only accepts sufficient decrease). Trials are independent given
-their (seed, trial index) substream, so the driver's min-reduction is
-order independent.
+Each trial draws a random start, sweeps it with `LossKernel.sweep` (exact
+one-party solves at rank budget 1, the start as drawn at budgets >= 2)
+and minimizes from there with L-BFGS, whose stop reason the trial
+reports. The accepted-iterate loss sequence is strictly nonincreasing
+(the line search only accepts sufficient decrease). Trials are
+independent given their (seed, trial index) substream, so the driver's
+min-reduction is order independent.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OptimizationError, SingularParameterError, UsageError
-from .objective import LossKernel
+from .objective import ZERO_LEVEL, LossKernel
 from .rank_param import RankParams, build_state, trial_rng
 from .subspace import Subspace
 from .tensor_core import PureState
@@ -40,12 +43,6 @@ MAX_REINITS = 3
 MEMORY = 40
 # Standard deviation of the i.i.d. normal starting parameters.
 INIT_SCALE = 1.0
-# Loss at or below which a trial stops as a zero witness. The residual-form
-# loss keeps relative accuracy down to here, and this is five orders below
-# the smallest nonzero minimum seen (E_2 ~ 3.5e-7 of the maximal CES in
-# 4 x 5 x 10); without the stop a non-attained zero, such as the W state at
-# r = 3, is chased down towards 1e-15 for no change of verdict.
-ZERO_LEVEL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -268,6 +265,7 @@ class TrialDiagnostics:
     reason: str
     reinits: int
     failed: bool
+    sweeps: int = 0  # budget-1 sweeps before L-BFGS (LossKernel.sweep)
 
 
 @dataclass(frozen=True)
@@ -283,11 +281,12 @@ class OptimReport:
 
 
 def _minimize_kernel(kernel, rng, cfg: OptimConfig):
-    """One trial against a prepared kernel: draw, minimize, reinit on
-    singular starts (at most MAX_REINITS times)."""
+    """One trial against a prepared kernel: draw, sweep, minimize, and
+    reinit on singular starts (at most MAX_REINITS times)."""
     for reinit in range(MAX_REINITS + 1):
         x0 = rng.standard_normal(kernel.n_params) * INIT_SCALE
         try:
+            x0, sweeps = kernel.sweep(x0)
             res = lbfgs_minimize(
                 kernel.value,
                 kernel.value_and_grad,
@@ -299,7 +298,7 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
             )
         except SingularParameterError:
             continue
-        diag = TrialDiagnostics(res.value, res.iterations, res.converged, res.reason, reinit, False)
+        diag = TrialDiagnostics(res.value, res.iterations, res.converged, res.reason, reinit, False, sweeps)
         return res.x, diag
     diag = TrialDiagnostics(math.inf, 0, False, "singular-parameters", MAX_REINITS, True)
     return None, diag

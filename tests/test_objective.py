@@ -13,6 +13,7 @@ from rankgauge import (
     run_certification,
     span_of,
 )
+from rankgauge import objective
 from rankgauge.objective import LossKernel
 from rankgauge.rank_param import RankParams, build_state
 from rankgauge.catalog import StripParams, strip_subspace
@@ -251,6 +252,61 @@ class TestGradientProperty:
         if budget == 1:
             assert abs(kernel.value(x) - eliminated_loss(x, dims, sub)) < 1e-13
         assert_gradient_matches_fd(kernel, x)
+
+
+def block_norms(x, dims):
+    """Budget 1: the norm of every party's factor block of x."""
+    offsets = np.cumsum([1] + [2 * d for d in dims])
+    return np.array([np.linalg.norm(x[a:b]) for a, b in zip(offsets, offsets[1:])])
+
+
+class TestSweepProperty:
+    @given(kernel_shapes())
+    @example(((4, 2, 2), 1, 3, 0))  # solved party first, basis side
+    @example(((2, 4, 3), 1, 20, 0))  # in the middle, complement side
+    @example(((3, 2, 3), 1, 10, 0))  # a tie
+    @example(((2,), 1, 1, 0))  # one party
+    def test_sweep_lowers_the_loss_and_keeps_theta(self, case):
+        """At budget 1 the swept point's loss is at most the completed
+        start's, its factor blocks are unit vectors and theta is as drawn;
+        at budgets >= 2 the sweep is the identity."""
+        dims, budget, d_s, seed = case
+        rng = np.random.default_rng(seed)
+        sub = random_subspace(dims, d_s, rng)
+        kernel = LossKernel(dims, budget, sub)
+        x = rng.standard_normal(kernel.n_params)
+        before = x.copy()
+        swept, sweeps = kernel.sweep(x)
+        np.testing.assert_array_equal(x, before)
+        if budget > 1:
+            assert sweeps == 0
+            np.testing.assert_array_equal(swept, before)
+            return
+        assert 1 <= sweeps <= objective.MAX_SWEEPS
+        start = kernel.value(kernel.completed(x))
+        assert kernel.value(swept) <= start * (1.0 + 1e-13)
+        theta = kernel.layout.theta
+        np.testing.assert_array_equal(swept[theta], x[theta])
+        np.testing.assert_allclose(block_norms(swept, dims), 1.0, atol=1e-12)
+
+    @given(kernel_shapes())
+    @example(((2, 3, 4), 1, 1, 0))
+    def test_one_row_closed_form_matches_eigh(self, case):
+        """With one basis row every party's factor has the closed form
+        conj(b) / ||b||; it must agree with the eigh path."""
+        dims, _, _, seed = case
+        rng = np.random.default_rng(seed)
+        sub = random_subspace(dims, 1, rng)
+        closed, dense = LossKernel(dims, 1, sub), LossKernel(dims, 1, sub)
+        assert closed._one_row
+        dense._one_row = False
+        units = [haar_random_state((d,), rng).amp for d in dims]
+        for q in range(len(dims)):
+            p = closed._product(units, q)
+            c_closed, c_dense = closed._solve(q, p)[1], dense._solve(q, p)[1]
+            assert abs(abs(np.vdot(c_closed, c_dense)) - 1.0) < 1e-12
+        x = rng.standard_normal(closed.n_params)
+        assert abs(closed.value(closed.sweep(x)[0]) - dense.value(dense.sweep(x)[0])) < 1e-12
 
 
 class TestBudgetOne:

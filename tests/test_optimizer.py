@@ -241,6 +241,24 @@ class FlakyKernel:
             raise SingularParameterError("forced")
         return self.value(x), x.copy()
 
+    def sweep(self, x):
+        return x, 0
+
+
+class FlakySweepKernel(FlakyKernel):
+    """Its sweep raises on the first `fail_times` calls; L-BFGS never
+    sees a singular start."""
+
+    def __init__(self, fail_times):
+        super().__init__(0)
+        self.sweep_failures = fail_times
+
+    def sweep(self, x):
+        if self.sweep_failures > 0:
+            self.sweep_failures -= 1
+            raise SingularParameterError("forced")
+        return x, 1
+
 
 class TestTrials:
     def test_reinitialization_recovers(self):
@@ -256,6 +274,39 @@ class TestTrials:
         assert x is None
         assert diag.failed
         assert math.isinf(diag.value)
+
+    @pytest.mark.parametrize("fails", range(opt_mod.MAX_REINITS + 1))
+    def test_singular_sweep_reinitializes(self, fails):
+        rng = np.random.default_rng(0)
+        x, diag = opt_mod._minimize_kernel(FlakySweepKernel(fails), rng, OptimConfig(seed=0))
+        assert x is not None and not diag.failed
+        assert (diag.reinits, diag.sweeps) == (fails, 1)
+
+    def test_singular_sweeps_fail_the_trial_after_reinit_budget(self):
+        rng = np.random.default_rng(0)
+        kernel = FlakySweepKernel(opt_mod.MAX_REINITS + 1)
+        x, diag = opt_mod._minimize_kernel(kernel, rng, OptimConfig(seed=0))
+        assert x is None and diag.failed
+        assert (diag.reinits, diag.sweeps) == (opt_mod.MAX_REINITS, 0)
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_sweeps_run_at_budget_one_only(self, r):
+        sub = strip_subspace(StripParams(4, 1.0))
+        report = run_certification(sub, r, OptimConfig(seed=3))
+        for d in report.per_trial:
+            assert d.sweeps >= 1 if r == 2 else d.sweeps == 0
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3), (2, 2, 2), (2, 2, 3), (3, 4)])
+    def test_zero_by_dimension_count(self, dims):
+        # P(S) has projective dimension k - 1 and the product states sum(d_i - 1),
+        # so they meet once k >= D - sum(d_i - 1): E_2 = 0 exactly. (2, 3)
+        # projects onto the basis side, the others onto the complement side.
+        d_total = math.prod(dims)
+        k = d_total - sum(d - 1 for d in dims)
+        rng = np.random.default_rng(k)
+        sub = from_spanning_set([haar_random_state(dims, rng) for _ in range(k)])
+        report = run_certification(sub, 2, OptimConfig())
+        assert report.best_value <= opt_mod.ZERO_LEVEL, dims
 
     def test_trial_reaches_product_state(self):
         # S spanned by {|01>, |10>, |11>}: the complement ray |00> is the
