@@ -141,14 +141,17 @@ def _compute(args, cfg: OptimConfig, obj) -> _Outcome:
     if note:
         shown.append(f"note: {note}")
     shown.append(f"termination = {best.reason} (best trial {report.best_trial})")
-    lines = ["trial,value,iterations,converged,termination"]
+    lines = ["trial,value,iterations,converged,termination,sweeps,grad_inf"]
     for i, d in enumerate(report.per_trial):
         finite = math.isfinite(d.value)
         converged = str(d.converged).lower()
+        grad_inf = _fmt(d.grad_inf)  # inf for a failed trial
         shown.append(f"trial {i}: value={_fmt(d.value) if finite else 'failed'} "
-                     f"iterations={d.iterations} converged={converged} reason={d.reason}")
-        lines.append(f"{i},{_fmt(d.value) if finite else 'inf'},{d.iterations},{converged},{d.reason}")
-    lines.append(f"best,{_fmt(value)},,,")
+                     f"iterations={d.iterations} converged={converged} reason={d.reason} "
+                     f"sweeps={d.sweeps} grad_inf={grad_inf}")
+        lines.append(f"{i},{_fmt(d.value) if finite else 'inf'},{d.iterations},{converged},{d.reason},"
+                     f"{d.sweeps},{grad_inf}")
+    lines.append(f"best,{_fmt(value)},,,,,")
     trailer = []
     if args.emit_closest:
         _write_lines(Path(args.emit_closest), [json.dumps(state_to_dict(report.best_state))])

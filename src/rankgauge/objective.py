@@ -27,8 +27,9 @@ the cached `rank_param.layout`. `LossKernel.value` and
 `LossKernel.value_and_grad` share one forward pass, so their values agree
 bit-for-bit, and the kernel keeps the forward pass of the last point it
 evaluated: `value_and_grad(x)` right after `value(x)` runs only the
-backward pass. No clamping happens here; [0, 1] clamping is
-reporting-level only.
+backward pass. It also keeps the gradient of the last `value_and_grad`
+call, which the budget-1 sweeps hand on to L-BFGS. No clamping happens
+here; [0, 1] clamping is reporting-level only.
 
 At rank budget 1 the candidate is one product state, and the factor of
 party e, the largest party (the last of them on ties), is solved exactly,
@@ -66,13 +67,31 @@ e: party q's factor becomes the lowest (complement side) or highest
 reordered around q's axis, with the product of the other unit factors.
 This is the solve that gives c*, and with one basis row it is conj(b) /
 ||b|| for every party. Every solve is an exact minimum over one factor,
-so no sweep raises the loss. The sweeps hand over to L-BFGS, which
-finishes the trial and certifies its stop, after a sweep that lowers the
-residual-form loss by less than SWEEP_TOL of its value, or by less than
-SLOW_GATE of it and more than SLOW_RATE times the sweep before (a linear
-rate too slow to be worth more sweeps), after MAX_SWEEPS sweeps, or once
-the loss is at or below ZERO_LEVEL. The decrease is tested on the
-residual form because 1 - lambda_max cancels near zero.
+so no sweep raises the loss. The sweeps hand over to L-BFGS after a
+sweep that lowers the residual-form loss by less than SWEEP_TOL of its
+value, or by less than SLOW_GATE of it and more than SLOW_RATE times the
+sweep before (a linear rate too slow to be worth more sweeps), after
+MAX_SWEEPS sweeps, or once the loss is at or below ZERO_LEVEL. The
+decrease is tested on the residual form because 1 - lambda_max cancels
+near zero.
+
+Where the free factors span more than two real dimensions, n_free =
+2 sum_{q != e} (d_q - 1), a handover above ZERO_LEVEL is first weighed
+against finishing the trial in the sweeps. Near a minimum the sweeps
+converge linearly: the loss gap falls by the ratio of the last two drops
+per sweep, and the gradient by about its square root. If the kernel's
+l-inf gradient at the handover point, shrunk at that rate over n_free
+sweeps (about the iterations L-BFGS needs to build its model), falls
+below the caller's tol_grad, the sweeps go on, each followed by a
+gradient, and return the first point whose gradient is below tol_grad;
+L-BFGS then stops there at once with `gradient-tolerance`, so it only
+certifies the point. The continuation rolls back to the handover point
+when a sweep shrinks the gradient by less than FINISH_RATE or the sweeps
+reach MAX_FINISH_SWEEPS, and the handover point's gradient stays in the
+kernel's memo, so the trial then runs bit for bit as without it. One
+free qubit (two real dimensions: every 2 x d strip and the 2 x 3
+subspaces of fig2) keeps the handover alone, and its sweeps take no
+gradient: L-BFGS finishes those trials in about two iterations.
 """
 
 from __future__ import annotations
@@ -92,9 +111,9 @@ from .subspace import Subspace
 # 4 x 5 x 10); without the stop a non-attained zero, such as the W state at
 # r = 3, is chased down towards 1e-15 for no change of verdict.
 ZERO_LEVEL = 1e-12
-# Handover from the budget-1 sweeps to L-BFGS, measured in BENCH_11.json:
-# after a sweep that lowers the loss by less than SWEEP_TOL of its value,
-# or after MAX_SWEEPS sweeps. SWEEP_TOL = 1e-4 / 1e-6 / 1e-7 / 1e-8 gave
+# Handover from the budget-1 sweeps to L-BFGS, measured in BENCH_11.json
+# while every handover went straight to L-BFGS: after a sweep that lowers
+# the loss by less than SWEEP_TOL of its value, or after MAX_SWEEPS sweeps. SWEEP_TOL = 1e-4 / 1e-6 / 1e-7 / 1e-8 gave
 # strip-sweep wall_s 0.041 / 0.044 / 0.046 / 0.053 s and ces-tripartite
 # 0.031 / 0.030 / 0.030 / 0.030 s: a tight rule hands strip trials to
 # L-BFGS on the float floor, where more of them stop at `loss-floor`, and
@@ -106,11 +125,28 @@ ZERO_LEVEL = 1e-12
 # sweeps away. The perturbed 2 x 3 subspaces of fig2 crawl so (rates of
 # 0.5-1 per sweep), and without this stop fig2 ran 10% slower than with no
 # sweeps; the benchmark workloads, whose rates are about 0.1 or less once
-# below SLOW_GATE, run the same with or without it.
+# below SLOW_GATE, run the same with or without it. All of these numbers
+# were taken under the 12-sweep cap, which 13 of 36 ces-tripartite trials
+# (seed 1) hit about 5-8 sweeps short of tol_grad; no variant let sweeps
+# run on to tol_grad. On kernels with more than one free qubit the
+# handover is now where the continuation is weighed (module docstring).
 SWEEP_TOL = 1e-6
 MAX_SWEEPS = 12
 SLOW_GATE = 1e-2
 SLOW_RATE = 0.5
+# The continuation rolls back once a sweep shrinks the l-inf gradient by
+# less than FINISH_RATE, or at MAX_FINISH_SWEEPS sweeps in all (BENCH_12.json
+# `continuation_study`). On the maximal CES of ces-tripartite the drop-ratio
+# estimate sqrt(ratio) read 0.24-0.38 per sweep where the gradient fell by
+# 0.28-0.57, and 0.64 on the local minimum 2.29e-4 of 3 x 3 x 8, where it
+# fell by 0.64 and L-BFGS stays the cheaper finish. FINISH_RATE = 0.6 / 0.7
+# / 0.8 and a cap of 24 or 40 did the same ces-tripartite work (33 of 36
+# trials finished in the sweeps, seed 201) and the same fig3 work (65 of
+# 900 trials, 300 points) within timing noise; a budget of n_free / 2
+# sweeps instead of n_free finished 17 of 36 and ran 14% slower, and one
+# of 2 n_free finished 217 fig3 trials instead of 65 at no measured gain.
+FINISH_RATE = 0.7
+MAX_FINISH_SWEEPS = 40
 
 
 class _ProductPass(NamedTuple):
@@ -142,14 +178,15 @@ class LossKernel:
     the other parties' unit factors and the rows reshaped around party
     e's axis (`slot_rows`), and never forms the weighted tensor: theta and
     e's block of x are ignored, get exact zero gradient, and
-    `completed(x)` writes the minimizer into x. `sweep(x)` runs the exact
-    one-party sweeps of the module docstring from x until the handover
-    rule; it holds the rows reordered around every party's axis for that.
-    Apart from precomputed constants the kernel holds a one-entry memo:
-    the forward intermediates of the last point evaluated, keyed by the
-    bytes of x, so a point mutated in place is evaluated afresh. Results
-    do not depend on the memo, but one kernel must not be shared between
-    threads.
+    `completed(x)` writes the minimizer into x. `sweep(x, tol_grad)` runs
+    the exact one-party sweeps of the module docstring from x until the
+    handover rule, or on to tol_grad where that pays; it holds the rows
+    reordered around every party's axis for that. Apart from precomputed
+    constants the kernel holds two one-entry memos: the forward
+    intermediates of the last point evaluated and the gradient of the
+    last `value_and_grad` call, each keyed by the bytes of x, so a point
+    mutated in place is evaluated afresh. Results do not depend on the
+    memos, but one kernel must not be shared between threads.
     """
 
     def __init__(self, dims, r: int, sub: Subspace):
@@ -169,6 +206,7 @@ class LossKernel:
         self.left_sizes = [math.prod(self.dims[:k]) for k in range(len(self.dims))]
         self._memo_key = None
         self._memo = None
+        self._grad_memo = (None, 0.0, None)  # (key, value, gradient) of the last value_and_grad
         if self.r > 1:
             self.eliminated = None
             self.rows_conj = self.rows.conj()
@@ -195,6 +233,7 @@ class LossKernel:
         self._pair_starts = 2 * starts
         self._column = np.repeat(np.arange(len(sizes)), sizes)
         self._blocks = [slice(s, s + d) for s, d in zip(starts, sizes)]
+        self._free_dims = 2 * sum(d - 1 for d in sizes)  # real dims of the free factors' manifold
 
     def _forward(self, x: np.ndarray):
         key = x.tobytes()
@@ -310,38 +349,78 @@ class LossKernel:
             out[self.layout.beta[0, blk]] = best.imag
         return out
 
-    def sweep(self, x: np.ndarray) -> tuple[np.ndarray, int]:
+    def sweep(self, x: np.ndarray, tol_grad: float) -> tuple[np.ndarray, int]:
         """Budget 1: exact one-party sweeps from x, and their count.
 
         Starting from the unit factors of x with party e's set to c*, each
         sweep sets every other party's factor, in party order, to its exact
         best for the rest, then party e's, until the handover rule of the
-        module docstring. Returns a copy of x with the unit factors in every
-        party's block and theta as drawn, and the number of sweeps; at
-        budgets >= 2, (x, 0). Raises SingularParameterError where `value`
-        would."""
+        module docstring. With more than two free real dimensions the
+        sweeps then go on where the last drop ratio predicts the l-inf
+        gradient to fall below `tol_grad`, the caller's L-BFGS tolerance,
+        within n_free more sweeps, and return the first point where it
+        does. A continuation that the estimate rules out, whose gradient
+        shrinks by less than FINISH_RATE in a sweep, or that reaches
+        MAX_FINISH_SWEEPS is rolled back: the handover point is returned
+        with its own sweep count, and its gradient is left in the memo for
+        the L-BFGS start. Returns a copy of x with the unit factors in
+        every party's block and theta as drawn, and the number of sweeps
+        that made it; at budgets >= 2, (x, 0). Raises
+        SingularParameterError where `value` would."""
         if self.eliminated is None:
             return x, 0
-        e = self.eliminated
-        out = np.array(x, dtype=np.float64)
-        fw = self._forward(out)
+        x = np.asarray(x, dtype=np.float64)
+        fw = self._forward(x)
         units = [fw.best] * len(self.dims)
         for q, blk in zip(self._others, self._blocks):
             units[q] = fw.units[blk]
         value, drop = fw.value, math.inf
         for sweeps in range(1, MAX_SWEEPS + 1):
-            for q in self._others:
-                units[q] = self._solve(q, self._product(units, q))[1]
-            units[e], *_, swept = self._slot_pass(self._product(units, e))
+            swept = self._sweep_once(units)
             slow = value - swept < SLOW_GATE * value and value - swept > SLOW_RATE * drop
+            ratio = max(value - swept, 0.0) / drop
             if swept <= ZERO_LEVEL or value - swept < SWEEP_TOL * value or slow:
                 break
             value, drop = swept, value - swept
-        lay = self.layout
+        handover = self._with_units(x, units)
+        if self._free_dims <= 2 or swept <= ZERO_LEVEL:
+            return handover, sweeps
+        # The loss gap falls by `ratio` per sweep and the gradient by about
+        # its square root: go on where that reaches tol_grad within as many
+        # sweeps as there are free real dimensions, about what L-BFGS takes.
+        grad_inf = self._grad_inf(handover)
+        rate = math.sqrt(ratio)
+        if grad_inf < tol_grad or not (rate < FINISH_RATE and grad_inf * rate**self._free_dims < tol_grad):
+            return handover, sweeps
+        memo = self._grad_memo  # the handover point's, for L-BFGS after a rollback
+        for more in range(sweeps + 1, MAX_FINISH_SWEEPS + 1):
+            self._sweep_once(units)
+            point = self._with_units(x, units)
+            last, grad_inf = grad_inf, self._grad_inf(point)
+            if grad_inf < tol_grad:
+                return point, more
+            if not grad_inf <= FINISH_RATE * last:
+                break
+        self._grad_memo = memo
+        return handover, sweeps
+
+    def _sweep_once(self, units: list[np.ndarray]) -> float:
+        """One sweep over `units` in place; returns the loss after it."""
+        for q in self._others:
+            units[q] = self._solve(q, self._product(units, q))[1]
+        units[self.eliminated], *_, swept = self._slot_pass(self._product(units, self.eliminated))
+        return swept
+
+    def _with_units(self, x: np.ndarray, units: list[np.ndarray]) -> np.ndarray:
+        """A copy of x with the unit factors in every party's block."""
+        out = x.copy()
         factors = np.concatenate(units)
-        out[lay.alpha[0]] = factors.real
-        out[lay.beta[0]] = factors.imag
-        return out, sweeps
+        out[self.layout.alpha[0]] = factors.real
+        out[self.layout.beta[0]] = factors.imag
+        return out
+
+    def _grad_inf(self, x: np.ndarray) -> float:
+        return float(np.max(np.abs(self.value_and_grad(x)[1])))
 
     def _product(self, units: list[np.ndarray], q: int) -> np.ndarray:
         """The product of every party's unit factor but q's, in party order."""
@@ -355,8 +434,13 @@ class LossKernel:
         return self._forward(x)[-1]
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        if self.eliminated is not None:
-            return self._product_grad(x)
+        key = x.tobytes()
+        if key != self._grad_memo[0]:
+            grad_pass = self._tensor_grad if self.eliminated is None else self._product_grad
+            self._grad_memo = (key, *grad_pass(x))
+        return self._grad_memo[1], self._grad_memo[2].copy()
+
+    def _tensor_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         fw, t, nsq, c, resid, value = self._forward(x)
         lay = self.layout
 

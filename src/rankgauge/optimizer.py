@@ -3,11 +3,13 @@ driver that turns random restarts into a certified minimum.
 
 Each trial draws a random start, sweeps it with `LossKernel.sweep` (exact
 one-party solves at rank budget 1, the start as drawn at budgets >= 2)
-and minimizes from there with L-BFGS, whose stop reason the trial
-reports. The accepted-iterate loss sequence is strictly nonincreasing
-(the line search only accepts sufficient decrease). Trials are
-independent given their (seed, trial index) substream, so the driver's
-min-reduction is order independent.
+and runs L-BFGS from there, whose stop reason the trial reports. L-BFGS
+either finishes the trial or, where the sweeps already reached the
+gradient tolerance, certifies the swept point with `gradient-tolerance`
+after no iteration. The accepted-iterate loss sequence is strictly
+nonincreasing (the line search only accepts sufficient decrease). Trials
+are independent given their (seed, trial index) substream, so the
+driver's min-reduction is order independent.
 """
 
 from __future__ import annotations
@@ -266,6 +268,7 @@ class TrialDiagnostics:
     reinits: int
     failed: bool
     sweeps: int = 0  # budget-1 sweeps before L-BFGS (LossKernel.sweep)
+    grad_inf: float = math.inf  # final l-inf gradient; inf for a failed trial
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,7 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
     for reinit in range(MAX_REINITS + 1):
         x0 = rng.standard_normal(kernel.n_params) * INIT_SCALE
         try:
-            x0, sweeps = kernel.sweep(x0)
+            x0, sweeps = kernel.sweep(x0, cfg.tol_grad)
             res = lbfgs_minimize(
                 kernel.value,
                 kernel.value_and_grad,
@@ -298,7 +301,9 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
             )
         except SingularParameterError:
             continue
-        diag = TrialDiagnostics(res.value, res.iterations, res.converged, res.reason, reinit, False, sweeps)
+        diag = TrialDiagnostics(
+            res.value, res.iterations, res.converged, res.reason, reinit, False, sweeps, res.grad_inf
+        )
         return res.x, diag
     diag = TrialDiagnostics(math.inf, 0, False, "singular-parameters", MAX_REINITS, True)
     return None, diag

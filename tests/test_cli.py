@@ -88,7 +88,7 @@ class TestCompute:
         )
         assert code == 0
         csv_text = (out_dir / "compute.csv").read_text()
-        assert csv_text.startswith("trial,value,iterations,converged,termination\n")
+        assert csv_text.startswith("trial,value,iterations,converged,termination,sweeps,grad_inf\n")
         assert "\r" not in csv_text
         manifest = json.loads((out_dir / "compute.manifest.json").read_text())
         assert manifest["command"] == "compute"

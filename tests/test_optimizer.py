@@ -20,7 +20,14 @@ from rankgauge import optimizer as opt_mod
 from rankgauge.optimizer import lbfgs_minimize
 from rankgauge.objective import LossKernel
 from rankgauge.rank_param import trial_rng
-from rankgauge.catalog import StripParams, dicke_state, ghz_state, strip_e2_closed_form, strip_subspace
+from rankgauge.catalog import (
+    StripParams,
+    dicke_state,
+    ghz_state,
+    max_ces_subspace,
+    strip_e2_closed_form,
+    strip_subspace,
+)
 
 from test_objective import party_slot
 
@@ -241,7 +248,7 @@ class FlakyKernel:
             raise SingularParameterError("forced")
         return self.value(x), x.copy()
 
-    def sweep(self, x):
+    def sweep(self, x, tol_grad):
         return x, 0
 
 
@@ -253,7 +260,7 @@ class FlakySweepKernel(FlakyKernel):
         super().__init__(0)
         self.sweep_failures = fail_times
 
-    def sweep(self, x):
+    def sweep(self, x, tol_grad):
         if self.sweep_failures > 0:
             self.sweep_failures -= 1
             raise SingularParameterError("forced")
@@ -323,6 +330,84 @@ class TestTrials:
         sub = span_of(basis_state((2, 2), (0, 0)))
         with pytest.raises(UsageError):
             LossKernel((2, 2), 0, sub)
+
+
+def sweeps_off(monkeypatch):
+    """Stop the budget-1 sweeps at the handover rule: a gradient that must
+    fall to 0 times itself per sweep never lets them go on."""
+    monkeypatch.setattr(objective, "FINISH_RATE", 0.0)
+
+
+class TestSweepContinuation:
+    @pytest.mark.parametrize("dims", [(3, 3, 8), (3, 4, 7)])
+    def test_ces_trials_finish_in_the_sweeps(self, monkeypatch, dims):
+        # 8 and 10 free real dimensions: the sweeps reach tol_grad, and
+        # L-BFGS only certifies the stop
+        sub = max_ces_subspace(*dims)
+        report = run_certification(sub, 2, OptimConfig())
+        sweeps_off(monkeypatch)
+        handed_over = run_certification(sub, 2, OptimConfig())
+        for d, ref in zip(report.per_trial, handed_over.per_trial):
+            assert d.reason == "gradient-tolerance" and d.iterations <= 1
+            assert d.grad_inf < OptimConfig().tol_grad
+            assert d.sweeps > ref.sweeps and ref.iterations > 1
+            assert d.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
+
+    def test_aborted_continuation_is_the_handover(self, monkeypatch):
+        # a continuation cut after one sweep returns the handover point
+        # byte for byte and leaves its gradient in the memo, so the trial
+        # runs as without the continuation
+        sub = max_ces_subspace(3, 4, 7)
+        kernel = LossKernel(sub.dims, 1, sub)
+        cfg = OptimConfig()
+        calls = {"_sweep_once": 0, "_product_grad": 0}
+        for name in calls:
+            method = getattr(LossKernel, name)
+
+            def counted(self, *args, _name=name, _method=method):
+                calls[_name] += 1
+                return _method(self, *args)
+
+            monkeypatch.setattr(LossKernel, name, counted)
+
+        def trial(i):
+            before = dict(calls)
+            x0 = trial_rng(cfg.seed, i).standard_normal(kernel.n_params)
+            swept = kernel.sweep(x0, cfg.tol_grad)
+            diag = opt_mod._minimize_kernel(kernel, trial_rng(cfg.seed, i), cfg)[1]
+            return swept, diag, {k: calls[k] - before[k] for k in calls}
+
+        rate = objective.FINISH_RATE
+        for i in range(cfg.trials):
+            sweeps_off(monkeypatch)
+            (point, handover), diag, off = trial(i)
+            monkeypatch.setattr(objective, "FINISH_RATE", rate)
+            monkeypatch.setattr(objective, "MAX_FINISH_SWEEPS", handover + 1)
+            (cut, sweeps), cut_diag, on = trial(i)
+            assert cut.tobytes() == point.tobytes() and sweeps == handover
+            assert cut_diag == diag
+            # each of the two sweep calls ran one more sweep and took its
+            # gradient; L-BFGS started from the handover gradient in the memo
+            assert on["_sweep_once"] == off["_sweep_once"] + 2
+            assert on["_product_grad"] == off["_product_grad"] + 2
+
+    @pytest.mark.parametrize("sub", [
+        strip_subspace(StripParams(4, 1.0)),
+        from_spanning_set([haar_random_state((2, 3), np.random.default_rng(2)) for _ in range(2)]),
+    ], ids=["strip-2x4", "random-2x3"])
+    def test_one_free_qubit_sweeps_without_gradients(self, monkeypatch, sub):
+        # two free real dimensions: L-BFGS finishes such trials in about two
+        # iterations, so the sweeps hand over as before and take no gradient
+        kernel = LossKernel(sub.dims, 1, sub)
+        assert kernel._free_dims == 2
+
+        def no_gradient(self, x):
+            raise AssertionError("value_and_grad called inside sweep")
+
+        monkeypatch.setattr(LossKernel, "value_and_grad", no_gradient)
+        for seed in range(5):
+            x = np.random.default_rng(seed).standard_normal(kernel.n_params)
+            assert kernel.sweep(x, OptimConfig().tol_grad)[1] <= objective.MAX_SWEEPS
 
 
 class TestOptimConfig:
