@@ -113,9 +113,10 @@ from .subspace import Subspace
 ZERO_LEVEL = 1e-12
 # Handover from the budget-1 sweeps to L-BFGS, measured in BENCH_11.json
 # while every handover went straight to L-BFGS: after a sweep that lowers
-# the loss by less than SWEEP_TOL of its value, or after MAX_SWEEPS sweeps. SWEEP_TOL = 1e-4 / 1e-6 / 1e-7 / 1e-8 gave
-# strip-sweep wall_s 0.041 / 0.044 / 0.046 / 0.053 s and ces-tripartite
-# 0.031 / 0.030 / 0.030 / 0.030 s: a tight rule hands strip trials to
+# the loss by less than SWEEP_TOL of its value, or after MAX_SWEEPS
+# sweeps. SWEEP_TOL = 1e-4 / 1e-6 / 1e-7 / 1e-8 gave strip-sweep wall_s
+# 0.041 / 0.044 / 0.046 / 0.053 s and ces-tripartite 0.031 / 0.030 /
+# 0.030 / 0.030 s: a tight rule hands strip trials to
 # L-BFGS on the float floor, where more of them stop at `loss-floor`, and
 # sweeps run to convergence leave L-BFGS no superlinear finish at all.
 # ces-tripartite trials take a median of 11 sweeps, and a cap of 6 cost
@@ -390,7 +391,8 @@ class LossKernel:
         # sweeps as there are free real dimensions, about what L-BFGS takes.
         grad_inf = self._grad_inf(handover)
         rate = math.sqrt(ratio)
-        if grad_inf < tol_grad or not (rate < FINISH_RATE and grad_inf * rate**self._free_dims < tol_grad):
+        predicted = grad_inf * rate**self._free_dims
+        if grad_inf < tol_grad or not (rate < FINISH_RATE and predicted < tol_grad):
             return handover, sweeps
         memo = self._grad_memo  # the handover point's, for L-BFGS after a rollback
         for more in range(sweeps + 1, MAX_FINISH_SWEEPS + 1):
