@@ -349,6 +349,8 @@ def _build_wtype(kw):
     return w_type_state(WTypeCoeffs(_float_of(kw, "a"), _float_of(kw, "b"), _float_of(kw, "c")))
 
 
+# name -> (builder of the parsed key=value dict, usage line); the keys
+# named in the usage line's spec are the ones the entry accepts
 _CATALOG = {
     "strip": (_build_strip, "strip:d=3,theta=pi/2[,xi=0]  (2 x d entangled strip subspace)"),
     "ges": (_build_ges, "ges:d=3,theta=pi/2[,xi=0]  (genuinely entangled 2 x d x d subspace)"),
@@ -385,17 +387,26 @@ def build_example(spec: str):
     """Build a catalog object from `name` or `name:key=val,...`.
 
     Returns a Subspace, PureState or MixedState depending on the entry.
+    A key the entry does not take, or one given twice, raises UsageError
+    before anything is built.
     """
     spec = spec.strip()
     name, _, arg_text = spec.partition(":")
     name = name.strip().lower()
     if name not in _CATALOG:
         raise UsageError(f"unknown example '{name}'; known examples:\n{catalog_help()}")
+    builder, usage = _CATALOG[name]
+    keys = re.findall(r"(\w+)=", usage.split()[0])
     kwargs = {}
     if arg_text.strip():
         for item in arg_text.split(","):
             key, eq, val = item.partition("=")
-            if not eq or not key.strip() or not val.strip():
+            key = key.strip().lower()
+            if not eq or not key or not val.strip():
                 raise UsageError(f"malformed example argument {item!r} (expected key=value)")
-            kwargs[key.strip().lower()] = val.strip()
-    return _CATALOG[name][0](kwargs)
+            if key not in keys or key in kwargs:
+                problem = "repeated" if key in kwargs else "unknown"
+                known = ", ".join(keys) or "none"
+                raise UsageError(f"{problem} key '{key}' for example '{name}' (its keys: {known})")
+            kwargs[key] = val.strip()
+    return builder(kwargs)

@@ -23,13 +23,8 @@ with the unit factors party by party, from the last one inwards, and the
 cotangents of all factor blocks land in one (r, sum(dims)) array; the
 projection that removes each block's radial component and the writes into
 the alpha/beta entries then cover every party in one step each, through
-the cached `rank_param.layout`. `LossKernel.value` and
-`LossKernel.value_and_grad` share one forward pass, so their values agree
-bit-for-bit, and the kernel keeps the forward pass of the last point it
-evaluated: `value_and_grad(x)` right after `value(x)` runs only the
-backward pass. It also keeps the gradient of the last `value_and_grad`
-call, which the budget-1 sweeps hand on to L-BFGS. No clamping happens
-here; [0, 1] clamping is reporting-level only.
+the cached `rank_param.layout`. No clamping happens here; [0, 1]
+clamping is reporting-level only.
 
 At rank budget 1 the candidate is one product state, and the factor of
 party e, the largest party (the last of them on ties), is solved exactly,
@@ -76,22 +71,18 @@ decrease is tested on the residual form because 1 - lambda_max cancels
 near zero.
 
 Where the free factors span more than two real dimensions, n_free =
-2 sum_{q != e} (d_q - 1), a handover above ZERO_LEVEL is first weighed
-against finishing the trial in the sweeps. Near a minimum the sweeps
-converge linearly: the loss gap falls by the ratio of the last two drops
-per sweep, and the gradient by about its square root. If the kernel's
-l-inf gradient at the handover point, shrunk at that rate over n_free
-sweeps (about the iterations L-BFGS needs to build its model), falls
-below the caller's tol_grad, the sweeps go on, each followed by a
-gradient, and return the first point whose gradient is below tol_grad;
-L-BFGS then stops there at once with `gradient-tolerance`, so it only
-certifies the point. The continuation rolls back to the handover point
-when a sweep shrinks the gradient by less than FINISH_RATE or the sweeps
-reach MAX_FINISH_SWEEPS, and the handover point's gradient stays in the
-kernel's memo, so the trial then runs bit for bit as without it. One
-free qubit (two real dimensions: every 2 x d strip and the 2 x 3
-subspaces of fig2) keeps the handover alone, and its sweeps take no
-gradient: L-BFGS finishes those trials in about two iterations.
+2 sum_{q != e} (d_q - 1), the sweeps may go on past a handover above
+ZERO_LEVEL. Near a minimum they converge linearly: per sweep the loss gap
+falls by the ratio of the last two drops and the gradient by about its
+square root. So they go on iff the l-inf gradient g at the handover point
+has g sqrt(ratio)^n_free < tol_grad <= g, n_free sweeps being about what
+L-BFGS needs to build its model. They stop at the first point whose
+gradient is below tol_grad, which L-BFGS then only certifies, or at a
+stall: a sweep that shrinks the gradient by less than FINISH_RATE, or
+MAX_FINISH_SWEEPS sweeps in all. One free qubit (every 2 x d strip and
+the 2 x 3 subspaces of fig2) keeps the handover alone and takes no
+gradient in the sweeps: L-BFGS finishes those trials in about two
+iterations.
 """
 
 from __future__ import annotations
@@ -111,41 +102,40 @@ from .subspace import Subspace
 # 4 x 5 x 10); without the stop a non-attained zero, such as the W state at
 # r = 3, is chased down towards 1e-15 for no change of verdict.
 ZERO_LEVEL = 1e-12
-# Handover from the budget-1 sweeps to L-BFGS, measured in BENCH_11.json
-# while every handover went straight to L-BFGS: after a sweep that lowers
-# the loss by less than SWEEP_TOL of its value, or after MAX_SWEEPS
-# sweeps. SWEEP_TOL = 1e-4 / 1e-6 / 1e-7 / 1e-8 gave strip-sweep wall_s
-# 0.041 / 0.044 / 0.046 / 0.053 s and ces-tripartite 0.031 / 0.030 /
-# 0.030 / 0.030 s: a tight rule hands strip trials to
-# L-BFGS on the float floor, where more of them stop at `loss-floor`, and
-# sweeps run to convergence leave L-BFGS no superlinear finish at all.
-# ces-tripartite trials take a median of 11 sweeps, and a cap of 6 cost
-# it a quarter of its gain. The sweeps also stop once a sweep lowers the
-# loss by less than SLOW_GATE of its value but by more than SLOW_RATE
-# times the sweep before: at so slow a linear rate SWEEP_TOL lies many
-# sweeps away. The perturbed 2 x 3 subspaces of fig2 crawl so (rates of
-# 0.5-1 per sweep), and without this stop fig2 ran 10% slower than with no
-# sweeps; the benchmark workloads, whose rates are about 0.1 or less once
-# below SLOW_GATE, run the same with or without it. All of these numbers
-# were taken under the 12-sweep cap, which 13 of 36 ces-tripartite trials
-# (seed 1) hit about 5-8 sweeps short of tol_grad; no variant let sweeps
-# run on to tol_grad. On kernels with more than one free qubit the
-# handover is now where the continuation is weighed (module docstring).
+# Handover from the budget-1 sweeps to L-BFGS (BENCH_11.json, measured
+# with no continuation): after a sweep that lowers the loss by less than
+# SWEEP_TOL of its value, or after MAX_SWEEPS sweeps. SWEEP_TOL = 1e-4 /
+# 1e-6 / 1e-7 / 1e-8 gave strip-sweep wall_s 0.041 / 0.044 / 0.046 / 0.053
+# s and ces-tripartite 0.031 / 0.030 / 0.030 / 0.030 s: a tight rule hands
+# strip trials to L-BFGS on the float floor, where more of them stop at
+# `loss-floor`, and sweeps run to convergence leave L-BFGS no superlinear
+# finish at all. ces-tripartite trials take a median of 11 sweeps, and a
+# cap of 6 cost it a quarter of its gain; the cap of 12 stops 13 of 36 of
+# them (seed 1) 5-8 sweeps short of tol_grad, which the continuation then
+# covers. The sweeps also stop once a sweep lowers the loss by less than
+# SLOW_GATE of its value but by more than SLOW_RATE times the sweep
+# before: at so slow a linear rate SWEEP_TOL lies many sweeps away. The
+# perturbed 2 x 3 subspaces of fig2 crawl so (rates of 0.5-1 per sweep),
+# and without this stop fig2 ran 10% slower than with no sweeps; the
+# benchmark workloads, whose rates are about 0.1 or less once below
+# SLOW_GATE, run the same with or without it.
 SWEEP_TOL = 1e-6
 MAX_SWEEPS = 12
 SLOW_GATE = 1e-2
 SLOW_RATE = 0.5
-# The continuation rolls back once a sweep shrinks the l-inf gradient by
-# less than FINISH_RATE, or at MAX_FINISH_SWEEPS sweeps in all (BENCH_12.json
+# The continuation stalls once a sweep shrinks the l-inf gradient by less
+# than FINISH_RATE; MAX_FINISH_SWEEPS bounds the sweeps in all (BENCH_12.json
 # `continuation_study`). On the maximal CES of ces-tripartite the drop-ratio
 # estimate sqrt(ratio) read 0.24-0.38 per sweep where the gradient fell by
 # 0.28-0.57, and 0.64 on the local minimum 2.29e-4 of 3 x 3 x 8, where it
-# fell by 0.64 and L-BFGS stays the cheaper finish. FINISH_RATE = 0.6 / 0.7
-# / 0.8 and a cap of 24 or 40 did the same ces-tripartite work (33 of 36
-# trials finished in the sweeps, seed 201) and the same fig3 work (65 of
-# 900 trials, 300 points) within timing noise; a budget of n_free / 2
-# sweeps instead of n_free finished 17 of 36 and ran 14% slower, and one
-# of 2 n_free finished 217 fig3 trials instead of 65 at no measured gain.
+# fell by 0.64: the estimate rules those trials out, and L-BFGS is the
+# cheaper finish. FINISH_RATE = 0.6 / 0.7 / 0.8 and a cap of 24 or
+# 40 did the same ces-tripartite work (33 of 36 trials finished in the
+# sweeps, seed 201) and the same fig3 work (65 of 900 trials, 300 points)
+# within timing noise; a budget of n_free / 2 sweeps instead of n_free
+# finished 17 of 36 and ran 14% slower, and one of 2 n_free finished 217
+# fig3 trials instead of 65 at no measured gain. Stalls are rare: 3 of
+# about 3,800 trials on such kernels (BENCH_14.json `traffic`).
 FINISH_RATE = 0.7
 MAX_FINISH_SWEEPS = 40
 
@@ -182,12 +172,16 @@ class LossKernel:
     `completed(x)` writes the minimizer into x. `sweep(x, tol_grad)` runs
     the exact one-party sweeps of the module docstring from x until the
     handover rule, or on to tol_grad where that pays; it holds the rows
-    reordered around every party's axis for that. Apart from precomputed
-    constants the kernel holds two one-entry memos: the forward
-    intermediates of the last point evaluated and the gradient of the
-    last `value_and_grad` call, each keyed by the bytes of x, so a point
-    mutated in place is evaluated afresh. Results do not depend on the
-    memos, but one kernel must not be shared between threads.
+    reordered around every party's axis for that.
+
+    Apart from precomputed constants the kernel holds one memo: the last
+    point evaluated, keyed by the bytes of x, with its forward pass and,
+    once `value_and_grad` asked for it, its gradient. `value` and
+    `value_and_grad` share the forward pass, so their values agree bit
+    for bit; `value_and_grad(x)` right after `value(x)` runs only the
+    backward pass, a repeat runs neither, and a point mutated in place is
+    evaluated afresh. Results do not depend on the memo, but one kernel
+    must not be shared between threads.
     """
 
     def __init__(self, dims, r: int, sub: Subspace):
@@ -205,9 +199,7 @@ class LossKernel:
         self.rows = sub.complement_rows if self.complement else sub.basis
         self.layout = layout(self.dims, self.r)
         self.left_sizes = [math.prod(self.dims[:k]) for k in range(len(self.dims))]
-        self._memo_key = None
-        self._memo = None
-        self._grad_memo = (None, 0.0, None)  # (key, value, gradient) of the last value_and_grad
+        self._memo = (None, None, None)  # (key, forward pass, gradient or None)
         if self.r > 1:
             self.eliminated = None
             self.rows_conj = self.rows.conj()
@@ -238,10 +230,10 @@ class LossKernel:
 
     def _forward(self, x: np.ndarray):
         key = x.tobytes()
-        if key != self._memo_key:
-            self._memo = self._tensor_pass(x) if self.eliminated is None else self._product_pass(x)
-            self._memo_key = key
-        return self._memo
+        if key != self._memo[0]:
+            forward = self._tensor_pass(x) if self.eliminated is None else self._product_pass(x)
+            self._memo = (key, forward, None)
+        return self._memo[1]
 
     def _tensor_pass(self, x: np.ndarray):
         fw = forward_map(x, self.dims, self.r)
@@ -278,7 +270,7 @@ class LossKernel:
         basis side it also returns conj(T - P_S T) in the (d_e, P) frame of
         `slot_rows`."""
         u = col = None
-        prefixes = [self.layout.ones[0]]  # p = [1] when e is the only party
+        factors = []
         if self._others:
             raw = np.asarray(x, dtype=np.float64)[self._pairs]
             norms = np.sqrt(np.add.reduceat(raw * raw, self._pair_starts))
@@ -287,10 +279,17 @@ class LossKernel:
                 raise SingularParameterError(f"zero factor block for party {k + 1} (term 1)")
             col = norms[self._column]
             u = raw.view(np.complex128) / col
-            prefixes = [u[self._blocks[0]]]
-            for blk in self._blocks[1:]:
-                prefixes.append(np.multiply.outer(prefixes[-1], u[blk]).ravel())
+            factors = [u[blk] for blk in self._blocks]
+        prefixes = self._prefixes(factors)
         return _ProductPass(u, col, prefixes, *self._slot_pass(prefixes[-1]))
+
+    def _prefixes(self, factors: list[np.ndarray]) -> list[np.ndarray]:
+        """Budget 1: the running products of `factors` in order, prefixes[k]
+        that of the first k + 1; the product over no factors is [1]."""
+        prefixes = [factors[0] if factors else self.layout.ones[0]]
+        for f in factors[1:]:
+            prefixes.append(np.multiply.outer(prefixes[-1], f).ravel())
+        return prefixes
 
     def _slot_pass(self, p: np.ndarray):
         """Budget 1: c*, party e's exact best factor for the product p of
@@ -308,13 +307,13 @@ class LossKernel:
             rsq = float(np.vdot(resid, resid).real)
         return best, csq, w, resid, nsq, rsq / nsq
 
-    def _product_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
+    def _product_grad(self, forward: _ProductPass) -> np.ndarray:
         """Budget 1: the gradient in the other parties' blocks through the
         cotangent of p; theta and party e's block stay exactly zero."""
-        u, col, prefixes, best, csq, w, resid, nsq, value = self._forward(x)
+        u, col, prefixes, best, csq, w, resid, nsq, value = forward
         grad = np.zeros(self.n_params, dtype=np.float64)
         if u is None:
-            return value, grad
+            return grad
         if resid is None:
             resid = w.conj() @ self._wide_rows
         # conj of the cotangent of p, N/2 times: conj(y) contracted with c*
@@ -336,7 +335,7 @@ class LossKernel:
         # imaginary parts
         z = float((g @ p).real)
         grad[self._pairs] = ((h.conj() - z * u) / (0.5 * nsq * col)).view(np.float64)
-        return value, grad
+        return grad
 
     def completed(self, x: np.ndarray) -> np.ndarray:
         """A copy of x whose eliminated block holds the exact best factor
@@ -355,16 +354,11 @@ class LossKernel:
 
         Starting from the unit factors of x with party e's set to c*, each
         sweep sets every other party's factor, in party order, to its exact
-        best for the rest, then party e's, until the handover rule of the
-        module docstring. With more than two free real dimensions the
-        sweeps then go on where the last drop ratio predicts the l-inf
-        gradient to fall below `tol_grad`, the caller's L-BFGS tolerance,
-        within n_free more sweeps, and return the first point where it
-        does. A continuation that the estimate rules out, whose gradient
-        shrinks by less than FINISH_RATE in a sweep, or that reaches
-        MAX_FINISH_SWEEPS is rolled back: the handover point is returned
-        with its own sweep count, and its gradient is left in the memo for
-        the L-BFGS start. Returns a copy of x with the unit factors in
+        best for the rest, then party e's, by the handover and continuation
+        rules of the module docstring, with `tol_grad` the caller's L-BFGS
+        tolerance. There is no rollback: the last swept point is returned,
+        and where the sweeps took gradients the memo holds its gradient
+        for the L-BFGS start. Returns a copy of x with the unit factors in
         every party's block and theta as drawn, and the number of sweeps
         that made it; at budgets >= 2, (x, 0). Raises
         SingularParameterError where `value` would."""
@@ -383,28 +377,22 @@ class LossKernel:
             if swept <= ZERO_LEVEL or value - swept < SWEEP_TOL * value or slow:
                 break
             value, drop = swept, value - swept
-        handover = self._with_units(x, units)
+        point = self._with_units(x, units)
         if self._free_dims <= 2 or swept <= ZERO_LEVEL:
-            return handover, sweeps
+            return point, sweeps
         # The loss gap falls by `ratio` per sweep and the gradient by about
         # its square root: go on where that reaches tol_grad within as many
         # sweeps as there are free real dimensions, about what L-BFGS takes.
-        grad_inf = self._grad_inf(handover)
-        rate = math.sqrt(ratio)
-        predicted = grad_inf * rate**self._free_dims
-        if grad_inf < tol_grad or not (rate < FINISH_RATE and predicted < tol_grad):
-            return handover, sweeps
-        memo = self._grad_memo  # the handover point's, for L-BFGS after a rollback
-        for more in range(sweeps + 1, MAX_FINISH_SWEEPS + 1):
+        grad_inf = self._grad_inf(point)
+        if not grad_inf * math.sqrt(ratio) ** self._free_dims < tol_grad <= grad_inf:
+            return point, sweeps
+        for sweeps in range(sweeps + 1, MAX_FINISH_SWEEPS + 1):
             self._sweep_once(units)
             point = self._with_units(x, units)
             last, grad_inf = grad_inf, self._grad_inf(point)
-            if grad_inf < tol_grad:
-                return point, more
-            if not grad_inf <= FINISH_RATE * last:
+            if grad_inf < tol_grad or not grad_inf <= FINISH_RATE * last:
                 break
-        self._grad_memo = memo
-        return handover, sweeps
+        return point, sweeps
 
     def _sweep_once(self, units: list[np.ndarray]) -> float:
         """One sweep over `units` in place; returns the loss after it."""
@@ -426,24 +414,21 @@ class LossKernel:
 
     def _product(self, units: list[np.ndarray], q: int) -> np.ndarray:
         """The product of every party's unit factor but q's, in party order."""
-        others = [u for k, u in enumerate(units) if k != q]
-        p = others[0] if others else self.layout.ones[0]
-        for u in others[1:]:
-            p = np.multiply.outer(p, u).ravel()
-        return p
+        return self._prefixes(units[:q] + units[q + 1:])[-1]
 
     def value(self, x: np.ndarray) -> float:
         return self._forward(x)[-1]
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        key = x.tobytes()
-        if key != self._grad_memo[0]:
-            grad_pass = self._tensor_grad if self.eliminated is None else self._product_grad
-            self._grad_memo = (key, *grad_pass(x))
-        return self._grad_memo[1], self._grad_memo[2].copy()
+        forward = self._forward(x)
+        key, _, grad = self._memo
+        if grad is None:
+            grad = (self._tensor_grad if self.eliminated is None else self._product_grad)(forward)
+            self._memo = (key, forward, grad)
+        return forward[-1], grad.copy()
 
-    def _tensor_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
-        fw, t, nsq, c, resid, value = self._forward(x)
+    def _tensor_grad(self, forward: tuple) -> np.ndarray:
+        fw, t, nsq, c, resid, value = forward
         lay = self.layout
 
         if resid is None:
@@ -473,4 +458,4 @@ class LossKernel:
         f = fw.units
         grad[lay.alpha] = (h.real - radial * f.real) / fw.col_norms
         grad[lay.beta] = (-h.imag - radial * f.imag) / fw.col_norms
-        return value, grad
+        return grad

@@ -43,8 +43,6 @@ MAX_REINITS = 3
 # parameters) took 10040/6635/4006/3735/3827 iterations and their wall
 # time stopped falling at 40.
 MEMORY = 40
-# Standard deviation of the i.i.d. normal starting parameters.
-INIT_SCALE = 1.0
 
 
 @dataclass(frozen=True)
@@ -62,6 +60,8 @@ class OptimConfig:
             raise UsageError("tolerances must be finite and positive")
         if self.max_iters < 1 or self.trials < 1:
             raise UsageError("max_iters and trials must be >= 1")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -221,17 +221,14 @@ def lbfgs_minimize(
     hist = _History(x.size)
     values = [float(f)]
     plateau = 0
-    reason, converged = "iteration-cap", False
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
+    reason = "iteration-cap"
+    for _ in range(max_iters):
         g_inf = float(np.max(np.abs(g))) if g.size else 0.0
         if g_inf < tol_grad:
-            reason, converged = "gradient-tolerance", True
-            iterations -= 1
+            reason = "gradient-tolerance"
             break
         if f <= zero_level:
-            reason, converged = "zero-witness", True
-            iterations -= 1
+            reason = "zero-witness"
             break
         d = _two_loop(g, hist)
         slope = float(np.dot(d, g))
@@ -243,8 +240,7 @@ def lbfgs_minimize(
         t0 = 1.0 if hist.count else min(1.0, 1.0 / max(1e-12, float(np.linalg.norm(g))))
         hit = _wolfe_line_search(evaluate, value_and_grad, x, f, g, d, t0)
         if hit is None:
-            reason, converged = "loss-floor", True
-            iterations -= 1
+            reason = "loss-floor"
             break
         _, xt, ft, gt = hit
         hist.push(xt - x, gt - g)
@@ -253,10 +249,11 @@ def lbfgs_minimize(
         x, f, g = xt, ft, gt
         values.append(float(f))
         if plateau >= PLATEAU_WINDOW:
-            reason, converged = "loss-plateau", True
+            reason = "loss-plateau"
             break
     g_inf = float(np.max(np.abs(g))) if g.size else 0.0
-    return LbfgsResult(x, float(f), g_inf, iterations, converged, reason, tuple(values))
+    # values holds x0's loss, then one per completed iteration
+    return LbfgsResult(x, float(f), g_inf, len(values) - 1, reason != "iteration-cap", reason, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -287,7 +284,7 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
     """One trial against a prepared kernel: draw, sweep, minimize, and
     reinit on singular starts (at most MAX_REINITS times)."""
     for reinit in range(MAX_REINITS + 1):
-        x0 = rng.standard_normal(kernel.n_params) * INIT_SCALE
+        x0 = rng.standard_normal(kernel.n_params)
         try:
             x0, sweeps = kernel.sweep(x0, cfg.tol_grad)
             res = lbfgs_minimize(

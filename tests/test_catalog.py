@@ -13,6 +13,7 @@ from rankgauge import (
     er_pure,
     support_space,
 )
+from rankgauge import catalog
 from rankgauge.catalog import (
     StripParams,
     WTypeCoeffs,
@@ -261,3 +262,22 @@ class TestCatalogGrammar:
             build_example("strip:d=3")  # theta missing
         with pytest.raises(UsageError):
             build_example("dicke:n=3,k")  # malformed pair
+
+    @pytest.mark.parametrize("spec,problem,keys", [
+        ("strip:d=3,theta=pi/2,zi=1", "unknown key 'zi'", "d, theta, xi"),
+        ("strip:d=3,d=4,theta=pi/2", "repeated key 'd'", "d, theta, xi"),
+        ("maxces:d1=2,d2=2,D2=3,d3=2", "repeated key 'd2'", "d1, d2, d3"),
+        ("ghz:n=3,k=1", "unknown key 'k'", "n, d"),
+        ("tiles:n=2", "unknown key 'n'", "none"),
+    ])
+    def test_build_example_rejects_unknown_and_repeated_keys(self, monkeypatch, spec, problem, keys):
+        def no_build(*args):
+            raise AssertionError("built before the keys were checked")
+
+        monkeypatch.setattr(catalog, "strip_subspace", no_build)
+        monkeypatch.setattr(catalog, "max_ces_subspace", no_build)
+        monkeypatch.setattr(catalog, "ghz_state", no_build)
+        monkeypatch.setattr(catalog, "tiles_bound_entangled_state", no_build)
+        with pytest.raises(UsageError) as err:
+            build_example(spec)
+        assert problem in str(err.value) and f"(its keys: {keys})" in str(err.value)

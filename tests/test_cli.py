@@ -303,3 +303,21 @@ class TestErrorsAndExitCodes:
         monkeypatch.setenv("RANKGAUGE_SEED", "abc")
         code, _, err = run_cli(capsys, "compute", "--example", "ghz", "--r", "2")
         assert code == 4
+
+    def test_negative_seed_rejected_before_input(self, capsys, monkeypatch):
+        # a missing input file would exit 2: the seed is checked first
+        code, out, err = run_cli(capsys, "compute", "/nonexistent/file.json", "--seed", "-1")
+        assert (code, out) == (4, "")
+        assert "seed must be >= 0" in err
+        monkeypatch.setenv("RANKGAUGE_SEED", "-1")
+        code, out, err = run_cli(capsys, "compute", "/nonexistent/file.json")
+        assert (code, out) == (4, "")
+        assert "seed must be >= 0" in err
+
+    @pytest.mark.parametrize("example", ["strip:d=3,theta=pi/2,zi=1", "strip:d=3,d=4,theta=pi/2"])
+    def test_bad_catalog_key_rejected(self, capsys, tmp_path, example):
+        code, out, err = run_cli(capsys, "compute", "--example", example, "--out", str(tmp_path))
+        assert code == 4
+        assert "usage error" in err and "(its keys: d, theta, xi)" in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given
@@ -161,25 +163,49 @@ class TestLossValues:
 
 
 class TestLossAndGradient:
-    def test_value_is_bitwise_identical_to_loss(self, rng):
+    def test_value_is_bitwise_identical_to_loss(self, rng, monkeypatch):
+        passes = []  # "forward" or "backward", per pass run
+        for name, kind in [("_tensor_pass", "forward"), ("_product_pass", "forward"),
+                           ("_tensor_grad", "backward"), ("_product_grad", "backward")]:
+            method = getattr(LossKernel, name)
+
+            def counted(self, arg, _kind=kind, _method=method):
+                passes.append(_kind)
+                return _method(self, arg)
+
+            monkeypatch.setattr(LossKernel, name, counted)
+
+        def check(kernel, sub, x, runs):
+            """value_and_grad(x) runs the passes `runs`, and its value and
+            gradient equal fresh kernels' value(x) and value_and_grad(x)
+            bit for bit."""
+            fresh_value = LossKernel(kernel.dims, kernel.r, sub).value(x)
+            fresh = LossKernel(kernel.dims, kernel.r, sub).value_and_grad(x)
+            passes.clear()
+            value, grad = kernel.value_and_grad(x)
+            assert passes == runs
+            assert value == fresh_value == fresh[0]
+            np.testing.assert_array_equal(grad, fresh[1])
+
         # d_S = 1 and 2 project onto the subspace, 7 onto its complement
-        for d_s in (1, 2, 7):
+        for budget, d_s in itertools.product((1, 2), (1, 2, 7)):
             sub = random_subspace((2, 2, 2), d_s, rng)
-            kernel = LossKernel((2, 2, 2), 2, sub)
+            kernel = LossKernel((2, 2, 2), budget, sub)
             for seed in range(20):
-                p = random_params((2, 2, 2), 2, seed)
-                assert kernel.value_and_grad(p.x)[0] == kernel.value(p.x)
-                # value_and_grad right after value reuses the memoized
-                # forward pass; a point mutated in place in between must not
-                x = p.x.copy()
-                for mutate in (False, True):
-                    kernel.value(x)
-                    if mutate:
-                        x[seed % x.size] += 0.25
-                    fresh = LossKernel((2, 2, 2), 2, sub).value_and_grad(x)
-                    value, grad = kernel.value_and_grad(x)
-                    assert value == fresh[0]
-                    np.testing.assert_array_equal(grad, fresh[1])
+                x = random_params((2, 2, 2), budget, seed).x.copy()
+                # value_and_grad right after value runs only the backward
+                # pass, and a repeat runs neither
+                kernel.value(x)
+                check(kernel, sub, x, ["backward"])
+                check(kernel, sub, x, [])
+                # a point mutated in place after value_and_grad or after
+                # value is evaluated afresh; every coordinate moves, so a
+                # stale gradient would differ
+                x += 0.25
+                check(kernel, sub, x, ["forward", "backward"])
+                kernel.value(x)
+                x -= 0.5
+                check(kernel, sub, x, ["forward", "backward"])
 
     def test_matches_finite_differences(self, rng):
         configs = [((2, 2), 1), ((2, 2), 2), ((2, 3, 2), 2), ((3, 3, 3), 3)] + kernel_cases()

@@ -333,9 +333,9 @@ class TestTrials:
 
 
 def sweeps_off(monkeypatch):
-    """Stop the budget-1 sweeps at the handover rule: a gradient that must
-    fall to 0 times itself per sweep never lets them go on."""
-    monkeypatch.setattr(objective, "FINISH_RATE", 0.0)
+    """Stop the budget-1 sweeps at the handover rule: a bound of no sweeps
+    in all never lets them go on."""
+    monkeypatch.setattr(objective, "MAX_FINISH_SWEEPS", 0)
 
 
 class TestSweepContinuation:
@@ -353,43 +353,36 @@ class TestSweepContinuation:
             assert d.sweeps > ref.sweeps and ref.iterations > 1
             assert d.value == pytest.approx(ref.value, rel=1e-12, abs=0.0)
 
-    def test_aborted_continuation_is_the_handover(self, monkeypatch):
-        # a continuation cut after one sweep returns the handover point
-        # byte for byte and leaves its gradient in the memo, so the trial
-        # runs as without the continuation
+    def test_cut_continuation_hands_on_its_last_point(self, monkeypatch):
+        # a continuation cut one sweep after the handover returns that later
+        # point and count, no higher than the handover point, and leaves its
+        # gradient in the memo for the L-BFGS start
         sub = max_ces_subspace(3, 4, 7)
         kernel = LossKernel(sub.dims, 1, sub)
         cfg = OptimConfig()
-        calls = {"_sweep_once": 0, "_product_grad": 0}
-        for name in calls:
-            method = getattr(LossKernel, name)
+        grads = []
+        method = LossKernel._product_grad
 
-            def counted(self, *args, _name=name, _method=method):
-                calls[_name] += 1
-                return _method(self, *args)
+        def counted(self, forward):
+            grads.append(forward)
+            return method(self, forward)
 
-            monkeypatch.setattr(LossKernel, name, counted)
-
-        def trial(i):
-            before = dict(calls)
-            x0 = trial_rng(cfg.seed, i).standard_normal(kernel.n_params)
-            swept = kernel.sweep(x0, cfg.tol_grad)
-            diag = opt_mod._minimize_kernel(kernel, trial_rng(cfg.seed, i), cfg)[1]
-            return swept, diag, {k: calls[k] - before[k] for k in calls}
-
-        rate = objective.FINISH_RATE
+        monkeypatch.setattr(LossKernel, "_product_grad", counted)
         for i in range(cfg.trials):
+            x0 = trial_rng(cfg.seed, i).standard_normal(kernel.n_params)
             sweeps_off(monkeypatch)
-            (point, handover), diag, off = trial(i)
-            monkeypatch.setattr(objective, "FINISH_RATE", rate)
-            monkeypatch.setattr(objective, "MAX_FINISH_SWEEPS", handover + 1)
-            (cut, sweeps), cut_diag, on = trial(i)
-            assert cut.tobytes() == point.tobytes() and sweeps == handover
-            assert cut_diag == diag
-            # each of the two sweep calls ran one more sweep and took its
-            # gradient; L-BFGS started from the handover gradient in the memo
-            assert on["_sweep_once"] == off["_sweep_once"] + 2
-            assert on["_product_grad"] == off["_product_grad"] + 2
+            handover, count = kernel.sweep(x0, cfg.tol_grad)
+            monkeypatch.setattr(objective, "MAX_FINISH_SWEEPS", count + 1)
+            grads.clear()
+            cut, sweeps = kernel.sweep(x0, cfg.tol_grad)
+            # the handover point's gradient, then the cut point's
+            assert sweeps == count + 1 and len(grads) == 2
+            kernel.value_and_grad(cut)
+            assert len(grads) == 2
+            assert cut.tobytes() != handover.tobytes()
+            assert kernel.value(cut) <= kernel.value(handover)
+            diag = opt_mod._minimize_kernel(kernel, trial_rng(cfg.seed, i), cfg)[1]
+            assert diag.sweeps == count + 1 and not diag.failed
 
     @pytest.mark.parametrize("sub", [
         strip_subspace(StripParams(4, 1.0)),
@@ -416,6 +409,11 @@ class TestOptimConfig:
     def test_tolerance_must_be_finite_and_positive(self, field, bad):
         with pytest.raises(UsageError, match="finite and positive"):
             OptimConfig(**{field: bad})
+
+    def test_seed_must_be_non_negative(self):
+        with pytest.raises(UsageError, match="seed must be >= 0"):
+            OptimConfig(seed=-1)
+        assert OptimConfig(seed=0).seed == 0
 
 
 class TestRunCertification:
