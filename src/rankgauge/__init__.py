@@ -44,7 +44,9 @@ from .measures import (
 )
 from . import catalog
 
-__version__ = "0.1.0"
+# Also the results version that manifests record as `artifact_version`: a
+# change that moves any output bit bumps it, here and in pyproject.toml.
+__version__ = "0.2.0"
 
 __all__ = [
     # types

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .optimizer import OptimConfig, run_certification
+from .optimizer import OptimConfig, check_level_bound, run_certification
 from .subspace import MixedState, Subspace, apply_unitary_to_subspace, span_of, support_space
 from .tensor_core import (
     Bipartition,
@@ -104,6 +104,7 @@ def minimal_rank_scan(
     span of a pure state this is its border rank."""
     if r_max < 2:
         raise UsageError(f"r_max must be >= 2, got {r_max}")
+    check_level_bound(sub.dims, r_max, "r_max")
     _check_threshold(zero_threshold)
     entries = []
     for r in range(2, r_max + 1):

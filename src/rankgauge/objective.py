@@ -13,24 +13,25 @@ c_j = <q_j|T>, so L = ||c||^2 / N and P_perp T = sum_j c_j q_j. Otherwise
 the basis rows e_j of S are used and P_perp T = T - sum_j <e_j|T> e_j.
 Either way L is a sum of squares that keeps its relative accuracy as it
 approaches zero; nothing is subtracted from 1. Differentiating through
-softplus weights, factor normalization, the product sum and the final
-quotient gives, for any real parameter x_p with dT/dx_p = T_p,
+the product sum and the final quotient gives, for any real parameter x_p
+with dT/dx_p = T_p,
 
     dL/dx_p = Re( y^dag T_p ),    y = (2/N) (P_perp T - L T),
 
 which is assembled below for all terms at once. conj(y) is contracted
-with the unit factors party by party, from the last one inwards, and the
-cotangents of all factor blocks land in one (r, sum(dims)) array; the
-projection that removes each block's radial component and the writes into
-the alpha/beta entries then cover every party in one step each, through
-the cached `rank_param.layout`. No clamping happens here; [0, 1]
-clamping is reporting-level only.
+with the raw factors party by party, from the last one inwards, and the
+cotangents h of all factor blocks land in one (r, sum(dims)) array, so
+that the alpha entries are Re h and the beta entries -Im h, written for
+every party in one step each through the cached `rank_param.layout`.
+The factors are not normalized, so there is no radial component to
+project out. No clamping happens here; [0, 1] clamping is
+reporting-level only.
 
 At rank budget 1 the candidate is one product state, and the factor of
 party e, the largest party (the last of them on ties), is solved exactly,
-so the kernel never forms the weighted tensor. It gathers and normalizes
-only the other parties' blocks and forms the product p of their unit
-factors, of size P = D / d_e (p = [1] when e is the only party). With the
+so the kernel never forms the tensor. It gathers and normalizes only the
+other parties' blocks and forms the product p of their unit factors, of
+size P = D / d_e (p = [1] when e is the only party). With the
 rows reordered as R, of shape (m, d_e, P) around e's axis, B = conj(R) p
 has shape (m, d_e), and T = c (x) p, with c in e's slot, has the
 coefficients w = B c. The loss is ||w||^2 / N on the complement side and
@@ -41,15 +42,15 @@ the highest eigenvector of the d_e x d_e matrix B^dag B, which every
 evaluation computes; with one basis row b, as for the span of a state,
 it is conj(b) / ||b|| without an eigenproblem. So the value is the exact
 loss of a product state and a true upper bound. Party e's block of x is
-ignored, and so is theta, on which no budget-1 loss depends; their
-gradient entries are exactly zero. c* is stationary on the unit sphere,
-so by the envelope theorem the gradient in the other factors is taken at
-fixed c*. The cotangent of p is y, as above, contracted with conj(c*) on
-e's axis, in residual form so that no O(1) terms cancel: M^dag w - L p on
-the complement side, where M = conj(R) contracted with c* on e's axis
-gives w = M p, and T - w R contracted with conj(c*), minus L p, on the
-basis side (both times 2/N). It is contracted with the other parties'
-unit factors party by party and chained through v / ||v|| as above.
+ignored, and its gradient entries are exactly zero. c* is stationary on
+the unit sphere, so by the envelope theorem the gradient in the other
+factors is taken at fixed c*. The cotangent of p is y, as above,
+contracted with conj(c*) on e's axis, in residual form so that no O(1)
+terms cancel: M^dag w - L p on the complement side, where M = conj(R)
+contracted with c* on e's axis gives w = M p, and T - w R contracted with
+conj(c*), minus L p, on the basis side (both times 2/N). It is contracted
+with the other parties' unit factors party by party and chained through
+each block's normalization v / ||v||.
 `LossKernel.completed(x)` fills party e's block with c*, so that the
 state of the returned parameters is the witness of the value.
 
@@ -93,7 +94,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularParameterError, UsageError
-from .rank_param import forward_map, layout, logistic_vec, params_length
+from .rank_param import forward_map, layout, params_length
 from .subspace import Subspace
 
 # Loss at or below which a trial stops as a zero witness. The residual-form
@@ -167,12 +168,12 @@ class LossKernel:
     largest parties) is the exact minimizer for the other factors, as the
     module docstring derives. The kernel then works on the product p of
     the other parties' unit factors and the rows reshaped around party
-    e's axis (`slot_rows`), and never forms the weighted tensor: theta and
-    e's block of x are ignored, get exact zero gradient, and
-    `completed(x)` writes the minimizer into x. `sweep(x, tol_grad)` runs
-    the exact one-party sweeps of the module docstring from x until the
-    handover rule, or on to tol_grad where that pays; it holds the rows
-    reordered around every party's axis for that.
+    e's axis (`slot_rows`), and never forms the tensor: e's block of x is
+    ignored, gets exact zero gradient, and `completed(x)` writes the
+    minimizer into x. `sweep(x, tol_grad)` runs the exact one-party sweeps
+    of the module docstring from x until the handover rule, or on to
+    tol_grad where that pays; it holds the rows reordered around every
+    party's axis for that.
 
     Apart from precomputed constants the kernel holds one memo: the last
     point evaluated, keyed by the bytes of x, with its forward pass and,
@@ -241,7 +242,7 @@ class LossKernel:
         c = self.rows_conj @ t
         nsq = float(np.real(np.vdot(t, t)))
         if not math.sqrt(nsq) > 1e-300:
-            raise SingularParameterError("the weighted product sum vanished")
+            raise SingularParameterError("the product sum vanished")
         if self.complement:
             resid = None  # P_perp T = c @ rows, formed only for the gradient
             rsq = float(np.real(np.vdot(c, c)))
@@ -309,7 +310,7 @@ class LossKernel:
 
     def _product_grad(self, forward: _ProductPass) -> np.ndarray:
         """Budget 1: the gradient in the other parties' blocks through the
-        cotangent of p; theta and party e's block stay exactly zero."""
+        cotangent of p; party e's block stays exactly zero."""
         u, col, prefixes, best, csq, w, resid, nsq, value = forward
         grad = np.zeros(self.n_params, dtype=np.float64)
         if u is None:
@@ -359,9 +360,9 @@ class LossKernel:
         tolerance. There is no rollback: the last swept point is returned,
         and where the sweeps took gradients the memo holds its gradient
         for the L-BFGS start. Returns a copy of x with the unit factors in
-        every party's block and theta as drawn, and the number of sweeps
-        that made it; at budgets >= 2, (x, 0). Raises
-        SingularParameterError where `value` would."""
+        every party's block, and the number of sweeps that made it; at
+        budgets >= 2, (x, 0). Raises SingularParameterError where `value`
+        would."""
         if self.eliminated is None:
             return x, 0
         x = np.asarray(x, dtype=np.float64)
@@ -438,24 +439,18 @@ class LossKernel:
         # Contract conj(y) with the factors from the last party inwards.
         # Before party k is contracted, acc[i] holds conj(y) summed against
         # term i's factors of parties > k, shape (left_k, d_k); h[i, j] is
-        # then the sum over the parties < k against term i's prefix.
-        h = np.empty_like(fw.units)
+        # then the sum over the parties < k against term i's prefix. Party
+        # 1 has no prefix: its cotangent is acc itself (conj(y) when it is
+        # the only party, the same for every term).
+        h = np.empty(lay.alpha.shape, dtype=np.complex128)
         acc = y.conj()
-        for k in range(len(self.dims) - 1, -1, -1):
+        for k in range(len(self.dims) - 1, 0, -1):
             acc = acc.reshape(-1, self.left_sizes[k], self.dims[k])
             h[:, lay.blocks[k]] = (fw.prefixes[k][:, None, :] @ acc)[:, 0, :]
-            acc = acc @ fw.unit_factors[k][:, :, None]
-        # z_i = <term i's unit product|conj(y)>, with every party contracted
-        z = acc.reshape(self.r).real
+            acc = acc @ fw.factors[k][:, :, None]
+        h[:, lay.blocks[0]] = acc.reshape(-1, self.dims[0])
 
         grad = np.empty(self.n_params, dtype=np.float64)
-        grad[lay.theta] = z * logistic_vec(fw.theta)
-        # Chain through v / ||v||: drop the radial component of each block.
-        # Summed over a block, h times the unit factor gives z for every
-        # party, so the radial coefficient is lam * z throughout.
-        h *= fw.lam[:, None]
-        radial = (fw.lam * z)[:, None]
-        f = fw.units
-        grad[lay.alpha] = (h.real - radial * f.real) / fw.col_norms
-        grad[lay.beta] = (-h.imag - radial * f.imag) / fw.col_norms
+        grad[lay.alpha] = h.real
+        grad[lay.beta] = -h.imag
         return grad

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, UsageError
-from .tensor_core import PureState, as_dims
+from .tensor_core import PureState, as_dims, peak_scaled
 
 # Constructor check on the basis Gram matrix. Builders in this package
 # produce orthonormality at the 1e-12 level; the looser bound accommodates
@@ -109,7 +109,9 @@ def from_spanning_set(vectors: list[PureState], tol: float = GS_DROP_TOL) -> Sub
     modified Gram-Schmidt basis.
 
     Vectors whose residual norm falls below tol * max(input norms) are
-    dropped as linearly dependent; `tol` must be finite and positive.
+    dropped as linearly dependent; `tol` must be finite and positive. The
+    stack is first scaled by its largest |entry|, so that no norm
+    overflows or underflows.
     """
     if not vectors:
         raise UsageError("from_spanning_set requires at least one vector")
@@ -119,7 +121,7 @@ def from_spanning_set(vectors: list[PureState], tol: float = GS_DROP_TOL) -> Sub
     for v in vectors[1:]:
         if v.dims != dims:
             raise UsageError(f"dims mismatch in spanning set: {v.dims} vs {dims}")
-    rows = np.array([v.amp for v in vectors], dtype=np.complex128)
+    rows = peak_scaled(np.array([v.amp for v in vectors], dtype=np.complex128))[0]
     scale = float(np.max(np.linalg.norm(rows, axis=1)))
     if scale <= 0.0:
         raise UsageError("spanning set contains only zero vectors")
@@ -275,7 +277,7 @@ def state_from_dict(obj: dict) -> PureState:
     if rows.shape[0] != 1:
         raise InputError(f"expected exactly one vector for a pure state, got {rows.shape[0]}")
     state = PureState(dims, rows[0])
-    if state.norm() <= 1e-300:
+    if state.norm() == 0.0:
         raise InputError("state vector is zero")
     return state.normalize()
 

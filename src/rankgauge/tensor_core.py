@@ -9,6 +9,7 @@ every operation is a pure function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,8 +27,9 @@ HERMITIAN_ATOL = 1e-8
 
 
 def as_dims(dims) -> tuple[int, ...]:
-    """Validate and freeze a list of party dimensions (each >= 2, n >= 1,
-    product at most MAX_AMPLITUDES).
+    """Validate and freeze a list of party dimensions (integers, each >= 2,
+    n >= 1, product at most MAX_AMPLITUDES). Python and numpy integers are
+    accepted; floats and strings are refused, not truncated or parsed.
 
     `dims` may be any iterable, a lazy one included: it is read only up
     to the first party that takes the product over the budget, so callers
@@ -37,7 +39,7 @@ def as_dims(dims) -> tuple[int, ...]:
     total = 1
     try:
         for d in dims:
-            d = int(d)
+            d = operator.index(d)
             if d < 2:
                 raise UsageError(f"every party dimension must be >= 2, got {d} for party {len(out) + 1}")
             total *= d
@@ -52,6 +54,18 @@ def as_dims(dims) -> tuple[int, ...]:
     if not out:
         raise UsageError("at least one party is required")
     return tuple(out)
+
+
+def peak_scaled(amp: np.ndarray) -> tuple[np.ndarray, float]:
+    """(amp / p, p) for p the largest |entry| of the complex array amp, or
+    (amp, 0.0) if every entry is zero. Norms of amp / p neither overflow
+    (entries near 1e308) nor underflow (subnormal entries). The division
+    runs on the real and imaginary parts: a complex quotient by a
+    subnormal p would overflow."""
+    peak = float(np.max(np.abs(amp)))
+    if peak == 0.0:
+        return amp, peak
+    return (np.ascontiguousarray(amp).view(np.float64) / peak).view(np.complex128), peak
 
 
 @dataclass(frozen=True)
@@ -79,7 +93,7 @@ class PureState:
         amp.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amp", amp)
-        object.__setattr__(self, "normalized", abs(np.linalg.norm(amp) - 1.0) <= NORM_ATOL)
+        object.__setattr__(self, "normalized", abs(self.norm() - 1.0) <= NORM_ATOL)
 
     @property
     def dim_total(self) -> int:
@@ -90,13 +104,14 @@ class PureState:
         return len(self.dims)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amp))
+        amp, peak = peak_scaled(self.amp)
+        return peak * float(np.linalg.norm(amp))
 
     def normalize(self) -> "PureState":
-        n = self.norm()
-        if n <= 1e-300:
+        amp, peak = peak_scaled(self.amp)
+        if peak == 0.0:
             raise UsageError("cannot normalize a zero state")
-        return PureState(self.dims, self.amp / n)
+        return PureState(self.dims, amp / np.linalg.norm(amp))
 
     def as_tensor(self) -> np.ndarray:
         return self.amp.reshape(self.dims)

@@ -238,6 +238,47 @@ class TestErrorsAndExitCodes:
         assert out == ""
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--example", "strip:d=3,theta=1", "--r", "100000000"],
+        ["border-rank", "--example", "dicke:n=3,k=1", "--r-max", "100000000"],
+    ])
+    def test_oversized_rank_budget_rejected_before_allocation(self, tmp_path, argv):
+        # capped at 3 GB of address space, where the parameter layout of a
+        # budget of 1e8 terms fails to allocate
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rankgauge.cli", *argv, "--out", str(tmp_path)],
+            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert "usage error" in proc.stderr and "tensor rank" in proc.stderr
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("vectors", [
+        [[[1e200, 0], [1e200, 0], [0, 0], [0, 0]]],  # |0>|+>, whose squared norm overflows
+        [[[3e-320, 0], [3e-320, 0], [0, 0], [0, 0]]],  # and underflows
+        [[[1e308, 0], [1e308, 0], [0, 0], [0, 0]], [[0, 0], [1e308, 0], [1e308, 0], [0, 0]]],
+    ])
+    def test_inputs_at_extreme_scales(self, capsys, tmp_path, vectors):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dims": [2, 2], "vectors": vectors}))
+        code, out, err = run_cli(capsys, "compute", str(path), "--seed", "1")
+        assert code == 0, err
+        assert 0.0 <= value_from_compute(out) <= 1.0
+        if len(vectors) == 1:
+            assert value_from_compute(out) < 1e-12  # a product state
+
+    def test_non_integer_dims_rejected(self, capsys, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dims": [2.5, 2], "vectors": [[[1, 0]] * 4]}))
+        code, out, err = run_cli(capsys, "compute", str(path))
+        assert (code, out) == (2, "")
+        assert "integers" in err
+
     @pytest.mark.parametrize("example", [
         "ghz:n=30","ghz:n=3,d=1000", "dicke:n=30,k=1", "mmul:n=20", "maxces:d1=1000,d2=1000,d3=1000",
         "maxces:d1=256,d2=256,d3=256", "strip:d=20000,theta=1", "ges:d=300,theta=1",

@@ -225,10 +225,10 @@ class TestMeasureInvariants:
             assert 0.0 <= v <= 1.0
 
 
-# At (2, 3), seed 2, all three default trials on the grown subspace stop at
-# a stationary point of value 0.12095, against its E_2 of 0.0236 (about 60%
-# of starts land there): a wrong upper bound that the default trial count
-# does not escape.
+# The grown subspace of (2, 3), seed 2, has a stationary point of value
+# 0.12095 against its E_2 of 0.0236, and 16 of 30 trials (optimizer seed 0)
+# stop there. With optimizer seed 6 all three default trials do: a wrong
+# upper bound that the default trial count does not escape.
 _GROWN_MISSED = pytest.mark.xfail(strict=True, reason="all default trials reach a local minimum")
 
 
@@ -245,17 +245,16 @@ class TestMonotonicity:
         for prev, cur in zip(values, values[1:]):
             assert cur <= prev + 1e-9, values
 
-    @pytest.mark.parametrize("dims,k,seed", [
-        pytest.param(dims, k, seed, marks=_GROWN_MISSED if (dims, seed) == ((2, 3), 2) else (),
-                     id=f"{'x'.join(map(str, dims))}-seed{seed}")
+    @pytest.mark.parametrize("dims,k,seed,opt_seed", [
+        pytest.param(dims, k, seed, seed, id=f"{'x'.join(map(str, dims))}-seed{seed}")
         for dims, k in [((3, 3), 2), ((2, 2, 2), 2), ((2, 3), 1)]
         for seed in range(4)
-    ])
-    def test_nonincreasing_when_subspace_grows(self, dims, k, seed):
+    ] + [pytest.param((2, 3), 1, 2, 6, marks=_GROWN_MISSED, id="2x3-seed2-opt6")])
+    def test_nonincreasing_when_subspace_grows(self, dims, k, seed, opt_seed):
         rng = np.random.default_rng(seed)
         sub = from_spanning_set([haar_random_state(dims, rng) for _ in range(k)])
         grown = from_spanning_set([PureState(dims, row) for row in sub.basis] + [haar_random_state(dims, rng)])
-        cfg = OptimConfig(seed=seed)
+        cfg = OptimConfig(seed=opt_seed)
         assert er_subspace(grown, 2, cfg) <= er_subspace(sub, 2, cfg) + 1e-9
 
 

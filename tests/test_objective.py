@@ -48,17 +48,16 @@ def rel_linf(a, b):
 def dense_tensor(x, dims, r):
     """Reference T(x): each term assembled with np.kron from its own slice
     of x, in the documented per-term layout."""
-    width = 2 * sum(dims) + 1
+    width = 2 * sum(dims)
     t = np.zeros(int(np.prod(dims)), dtype=complex)
     for i in range(r):
         row = x[i * width:(i + 1) * width]
         term = np.ones(1, dtype=complex)
-        off = 1
+        off = 0
         for d in dims:
-            v = row[off:off + d] + 1j * row[off + d:off + 2 * d]
-            term = np.kron(term, v / np.linalg.norm(v))
+            term = np.kron(term, row[off:off + d] + 1j * row[off + d:off + 2 * d])
             off += 2 * d
-        t += np.logaddexp(0.0, row[0]) * term
+        t += term
     return t
 
 
@@ -68,7 +67,7 @@ def party_slot(x, dims):
     built with np.kron from the factors in x."""
     e = len(dims) - 1 - dims[::-1].index(max(dims))
     a = np.ones((1, 1), dtype=complex)
-    off = 1
+    off = 0
     for k, d in enumerate(dims):
         v = x[off:off + d] + 1j * x[off + d:off + 2 * d]
         a = np.kron(a, np.eye(d) if k == e else (v / np.linalg.norm(v))[:, None])
@@ -116,12 +115,12 @@ def kernel_cases():
 class TestLossValues:
     def test_orthogonal_state_gives_one(self):
         sub = span_of(basis_state((2, 2), (0, 0)))
-        p = make_params((2, 2), 1, [(0.0, [([0, 1], [0, 0]), ([0, 1], [0, 0])])])
+        p = make_params((2, 2), 1, [[([0, 1], [0, 0]), ([0, 1], [0, 0])]])
         assert LossKernel(p.dims, p.r, sub).value(p.x) == pytest.approx(1.0, abs=1e-14)
 
     def test_member_state_gives_zero(self):
         sub = span_of(basis_state((2, 2), (0, 0)))
-        p = make_params((2, 2), 1, [(0.0, [([1, 0], [0, 0]), ([1, 0], [0, 0])])])
+        p = make_params((2, 2), 1, [[([1, 0], [0, 0]), ([1, 0], [0, 0])]])
         assert LossKernel(p.dims, p.r, sub).value(p.x) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_explicit_projector(self, rng):
@@ -228,16 +227,14 @@ class TestLossAndGradient:
         # a state orthogonal to S maximizes the loss; the gradient vanishes
         # there, and directions staying inside the complement are flat
         sub = span_of(basis_state((2, 2), (0, 0)))
-        p = make_params((2, 2), 1, [(0.2, [([0, 1], [0, 0]), ([0, 1], [0, 0])])])
+        p = make_params((2, 2), 1, [[([0, 1], [0, 0]), ([0, 1], [0, 0])]])
         kernel = LossKernel((2, 2), 1, sub)
         _, grad = kernel.value_and_grad(p.x)
         assert np.max(np.abs(grad)) < 1e-12
-        # directional finite differences along flat directions: scaling theta
-        # and rotating |1> toward |0> on party 2 both keep the state in S_perp
-        for direction in (
-            np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0]),
-            np.array([0.0, 0, 0, 0, 0, 1.0, 0, 0, 0]),
-        ):
+        # directional finite differences along flat directions: scaling party
+        # 1's block, and rotating |1> toward |0> on party 1 or on party 2,
+        # all keep the state in S_perp
+        for direction in np.eye(8)[[1, 0, 4]]:
             h = 1e-5
             der = (kernel.value(p.x + h * direction) - kernel.value(p.x - h * direction)) / (2 * h)
             assert abs(der) < 1e-9
@@ -282,7 +279,7 @@ class TestGradientProperty:
 
 def block_norms(x, dims):
     """Budget 1: the norm of every party's factor block of x."""
-    offsets = np.cumsum([1] + [2 * d for d in dims])
+    offsets = np.cumsum([0] + [2 * d for d in dims])
     return np.array([np.linalg.norm(x[a:b]) for a, b in zip(offsets, offsets[1:])])
 
 
@@ -292,10 +289,10 @@ class TestSweepProperty:
     @example(((2, 4, 3), 1, 20, 0))  # in the middle, complement side
     @example(((3, 2, 3), 1, 10, 0))  # a tie
     @example(((2,), 1, 1, 0))  # one party
-    def test_sweep_lowers_the_loss_and_keeps_theta(self, case):
+    def test_sweep_lowers_the_loss_and_writes_unit_factors(self, case):
         """At budget 1 the swept point's loss is at most the completed
-        start's, its factor blocks are unit vectors and theta is as drawn;
-        at budgets >= 2 the sweep is the identity."""
+        start's and its factor blocks are unit vectors; at budgets >= 2 the
+        sweep is the identity."""
         dims, budget, d_s, seed = case
         rng = np.random.default_rng(seed)
         sub = random_subspace(dims, d_s, rng)
@@ -313,8 +310,6 @@ class TestSweepProperty:
         # 1e-30 allows for rounding at an exact zero, whose residual of
         # size eps squares to about 1e-32 (2 x 3 with four basis rows)
         assert kernel.value(swept) <= start * (1.0 + 1e-13) + 1e-30
-        theta = kernel.layout.theta
-        np.testing.assert_array_equal(swept[theta], x[theta])
         np.testing.assert_allclose(block_norms(swept, dims), 1.0, atol=1e-12)
 
     @given(kernel_shapes())
@@ -348,11 +343,11 @@ class TestBudgetOne:
         assert kernel.complement == (d_s == 20) and kernel.eliminated == 1
         lay = kernel.layout
         blk = lay.blocks[kernel.eliminated]
-        ignored = np.concatenate([lay.theta, lay.alpha[0, blk], lay.beta[0, blk]])
+        ignored = np.concatenate([lay.alpha[0, blk], lay.beta[0, blk]])
         x = rng.standard_normal(kernel.n_params)
         value, grad = kernel.value_and_grad(x)
         assert np.all(grad[ignored] == 0.0)
-        # theta and the solved party's block change nothing, bit for bit
+        # the solved party's block changes nothing, bit for bit
         for _ in range(3):
             y = x.copy()
             y[ignored] = rng.standard_normal(ignored.size)

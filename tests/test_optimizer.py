@@ -178,11 +178,11 @@ class TestLbfgs:
         # point; each point must still get one forward pass, and only
         # points that pass the Armijo test may get a backward pass.
         # E_3 of the 3 x 3 maximally entangled state: some of its budget-2
-        # starts end at the floor, which budget-1 starts, with one party
-        # solved exactly, no longer reach
+        # starts end at the floor (seeds 13 and 16 here), which budget-1
+        # starts, with one party solved exactly, no longer reach
         sub = span_of(ghz_state(2, 3))
         kernel = LossKernel(sub.dims, 2, sub)
-        starts = [trial_rng(seed).standard_normal(kernel.n_params) for seed in range(6)]
+        starts = [trial_rng(seed).standard_normal(kernel.n_params) for seed in range(12, 18)]
         direct = [lbfgs_minimize(kernel.value, kernel.value_and_grad, x0) for x0 in starts]
 
         forward = []
@@ -482,7 +482,7 @@ class TestRunCertification:
                 x = report.best_params.x
                 vh = np.linalg.svd(p_perp @ party_slot(x, sub.dims))[2]
                 e = len(sub.dims) - 1 - sub.dims[::-1].index(max(sub.dims))
-                off = 1 + 2 * sum(sub.dims[:e])
+                off = 2 * sum(sub.dims[:e])
                 block = x[off:off + sub.dims[e]] + 1j * x[off + sub.dims[e]:off + 2 * sub.dims[e]]
                 overlap = abs(np.vdot(vh[-1].conj(), block)) / np.linalg.norm(block)
                 assert overlap == pytest.approx(1.0, abs=1e-9), sub.dims
@@ -491,6 +491,19 @@ class TestRunCertification:
         sub = span_of(basis_state((2, 2), (0, 0)))
         with pytest.raises(UsageError):
             run_certification(sub, 1, OptimConfig(seed=1))
+
+    def test_rejects_levels_beyond_the_rank_bound(self):
+        # every 2 x 3 state has tensor rank <= 6 / 3 = 2, so E_r = 0 exactly
+        # for r >= 3: r = 3 runs, and a larger r is refused before the
+        # kernel's layout of 2 * 5 * (r - 1) reals is made
+        sub = strip_subspace(StripParams(3, 1.0))
+        assert run_certification(sub, 3, OptimConfig(seed=1, trials=1)).best_value < 1e-12
+        for r in (4, 10**8):
+            with pytest.raises(UsageError, match="tensor rank <= 2"):
+                run_certification(sub, r, OptimConfig(seed=1))
+            with pytest.raises(UsageError, match="r_max must be <= 3"):
+                minimal_rank_scan(sub, r, cfg=OptimConfig(seed=1))
+        assert minimal_rank_scan(sub, 3, cfg=OptimConfig(seed=1, trials=1)).certified_rank == 2
 
     def test_rejects_full_space(self, rng):
         sub = from_spanning_set([haar_random_state((2,), rng) for _ in range(3)])

@@ -1,3 +1,6 @@
+import re
+from pathlib import Path
+
 import rankgauge
 
 PUBLIC = {
@@ -25,3 +28,10 @@ def test_all_names_resolve():
 def test_public_surface_is_exactly_the_user_api():
     assert len(PUBLIC) == 38
     assert sorted(rankgauge.__all__) == sorted(PUBLIC)
+
+
+def test_version_matches_pyproject():
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version\s*=\s*"([^"]+)"', text, re.MULTILINE)
+    assert match is not None
+    assert match.group(1) == rankgauge.__version__ == "0.2.0"

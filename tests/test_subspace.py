@@ -92,6 +92,14 @@ class TestFromSpanningSet:
             coef = sub.basis.conj() @ v.amp
             assert np.linalg.norm(sub.basis.T @ coef - v.amp) < 1e-9
 
+    @pytest.mark.parametrize("scale", [1e308, 3e-320])
+    def test_extreme_scales(self, scale):
+        # squared norms overflow or underflow at these scales
+        rows = np.array([[1.0, 1, 0, 0], [0, 1, 1, -1]])
+        sub = from_spanning_set([PureState((2, 2), scale * row) for row in rows])
+        ref = from_spanning_set([PureState((2, 2), row) for row in rows])
+        np.testing.assert_allclose(sub.basis, ref.basis, atol=1e-15)
+
     def test_zero_span_rejected(self):
         zero = PureState((2,), [0.0, 0.0])
         with pytest.raises(UsageError):
@@ -363,6 +371,19 @@ class TestJsonInterchange:
         path.write_text(json.dumps(state_to_dict(psi)))
         back = state_from_dict(read_json(str(path))[1])
         assert abs(abs(np.vdot(back.amp, psi.amp)) - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e200, 3e-320])
+    def test_state_at_extreme_scales(self, scale):
+        doc = {"dims": [2, 2], "vectors": [[[scale, 0], [scale, 0], [0, 0], [0, 0]]]}
+        np.testing.assert_allclose(state_from_dict(doc).amp, [2**-0.5, 2**-0.5, 0, 0], atol=1e-15)
+        with pytest.raises(InputError, match="zero"):
+            state_from_dict({"dims": [2], "vectors": [[[0, 0], [0, 0]]]})
+
+    @pytest.mark.parametrize("dims", [[2.5, 2], ["3", 2]])
+    def test_non_integer_dims_rejected(self, dims):
+        doc = {"dims": dims, "vectors": [[[1, 0]] * 4]}
+        with pytest.raises(InputError, match="integers"):
+            state_from_dict(doc)
 
     def test_unnormalized_dependent_vectors_accepted(self, tmp_path):
         doc = {

@@ -50,6 +50,26 @@ class TestPureState:
         with pytest.raises(UsageError, match="budget"):
             as_dims(repeat(2))
 
+    def test_dims_must_be_integers(self):
+        # floats and strings are refused, not truncated or parsed
+        for bad in ([2.5, 2], ["3", 2], [2.0, 2]):
+            with pytest.raises(UsageError, match="must be integers"):
+                as_dims(bad)
+        assert as_dims([np.int64(3), np.uint8(2)]) == (3, 2)
+        assert all(type(d) is int for d in as_dims([np.int64(3), 2]))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e308, 3e-320])
+    def test_normalize_at_extreme_scales(self, scale):
+        # |0>|+> up to scale: squared norms overflow or underflow at these
+        # scales, but the state is not zero
+        s = PureState((2, 2), [scale, scale, 0.0, 0.0])
+        assert s.norm() == pytest.approx(np.sqrt(2.0) * scale, rel=1e-3 if scale < 1e-300 else 1e-15)
+        unit = s.normalize()
+        assert unit.normalized
+        np.testing.assert_allclose(unit.amp, [2**-0.5, 2**-0.5, 0, 0], atol=1e-15)
+        with pytest.raises(UsageError, match="zero state"):
+            PureState((2,), [0.0, 0.0]).normalize()
+
     def test_rejects_nonfinite(self):
         with pytest.raises(UsageError):
             PureState((2,), [np.nan, 0.0])
