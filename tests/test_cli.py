@@ -22,6 +22,21 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_capped(tmp_path, *argv):
+    """Run the CLI in a child capped at 2 GiB of address space, writing
+    under tmp_path: an allocation the size checks should have refused
+    fails there at once instead of exhausting the host's memory."""
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "rankgauge.cli", *argv, "--out", str(tmp_path)],
+        env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
+    )
+
+
 def value_from_compute(out: str) -> float:
     for line in out.splitlines():
         if line.startswith("E_"):
@@ -243,17 +258,9 @@ class TestErrorsAndExitCodes:
         ["border-rank", "--example", "dicke:n=3,k=1", "--r-max", "100000000"],
     ])
     def test_oversized_rank_budget_rejected_before_allocation(self, tmp_path, argv):
-        # capped at 3 GB of address space, where the parameter layout of a
-        # budget of 1e8 terms fails to allocate
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "rankgauge.cli", *argv, "--out", str(tmp_path)],
-            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
-        )
+        # without the level check, the parameter layout of 1e8 terms fails
+        # to allocate under the cap
+        proc = run_capped(tmp_path, *argv)
         assert proc.returncode == 4, proc.stderr
         assert "usage error" in proc.stderr and "tensor rank" in proc.stderr
         assert not list(tmp_path.iterdir())
@@ -284,18 +291,8 @@ class TestErrorsAndExitCodes:
         "maxces:d1=256,d2=256,d3=256", "strip:d=20000,theta=1", "ges:d=300,theta=1",
     ])
     def test_oversized_example_rejected_before_allocation(self, tmp_path, example):
-        # A child capped at 2 GiB of address space: without the size budget
-        # the builder's allocation fails there at once instead of exhausting
-        # the host's memory.
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
-
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "rankgauge.cli", "compute", "--example", example, "--out", str(tmp_path)],
-            env=env, preexec_fn=cap_memory, capture_output=True, text=True, timeout=60,
-        )
+        # without the size budget the builder's allocation fails under the cap
+        proc = run_capped(tmp_path, "compute", "--example", example)
         assert proc.returncode == 4, proc.stderr
         assert "budget" in proc.stderr
         assert not list(tmp_path.iterdir())
