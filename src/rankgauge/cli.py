@@ -323,7 +323,7 @@ def _build_parser() -> _Parser:
     p_border = sub.add_parser("border-rank", help="zero/nonzero transition scan of a pure state")
     add_common(p_border, _border_rank)
     p_border.add_argument("--r-max", type=_int_at_least(2), default=4,
-                          help="largest level scanned (default 4)")
+                          help="largest level scanned (default 4; at most D / max(dims) + 1)")
 
     p_ges = sub.add_parser("ges", help="E_2 across every bipartition of a multipartite subspace")
     add_common(p_ges, _ges)

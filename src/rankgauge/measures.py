@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .optimizer import OptimConfig, check_level_bound, run_certification
+from .optimizer import OptimConfig, level_bound, run_certification
 from .subspace import MixedState, Subspace, apply_unitary_to_subspace, span_of, support_space
 from .tensor_core import (
     Bipartition,
@@ -99,15 +99,15 @@ def minimal_rank_scan(
     zero_threshold: float = ZERO_THRESHOLD,
     cfg: OptimConfig = OptimConfig(),
 ) -> CertificateScan:
-    """Scan E_r of a subspace for r = 2..r_max; the certified minimal rank
-    is the r with E_r above the threshold and E_{r+1} below it. For the
-    span of a pure state this is its border rank."""
+    """Scan E_r of a subspace for r = 2..r_max, stopping at level_bound(dims)
+    where E_r = 0 for every input; the certified minimal rank is the r with
+    E_r above the threshold and E_{r+1} below it. For the span of a pure
+    state this is its border rank."""
     if r_max < 2:
         raise UsageError(f"r_max must be >= 2, got {r_max}")
-    check_level_bound(sub.dims, r_max, "r_max")
     _check_threshold(zero_threshold)
     entries = []
-    for r in range(2, r_max + 1):
+    for r in range(2, min(r_max, level_bound(sub.dims)) + 1):
         report = run_certification(sub, r, cfg)
         reason = report.per_trial[report.best_trial].reason
         entries.append(ScanEntry(r, clamp01(report.best_value), reason))

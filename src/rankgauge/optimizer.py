@@ -306,19 +306,11 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig):
     return None, diag
 
 
-def check_level_bound(dims: tuple[int, ...], r: int, name: str) -> None:
-    """Refuse an entanglement level above D / max(dims) + 1 with UsageError.
-
-    Expanded in a basis of all parties but the largest one, every state
-    over `dims` is a sum of D / max(dims) products, so E_r = 0 exactly for
-    r > D / max(dims): D / max(dims) + 1 is the first level that is zero
-    for every input. The check runs before anything of size r is made."""
-    limit = math.prod(dims) // max(dims) + 1
-    if r > limit:
-        raise UsageError(
-            f"{name} must be <= {limit} for dims {dims}: every state there has tensor rank "
-            f"<= {limit - 1}, so E_r = 0 for all r >= {limit}; got {r}"
-        )
+def level_bound(dims: tuple[int, ...]) -> int:
+    """D / max(dims) + 1, the first level r with E_r = 0 for every state over
+    `dims`: in a basis of all parties but the largest one, each such state
+    is a sum of D / max(dims) products."""
+    return math.prod(dims) // max(dims) + 1
 
 
 def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
@@ -327,7 +319,10 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     independent restarts."""
     if r < 2:
         raise UsageError(f"entanglement level r must be >= 2, got {r}")
-    check_level_bound(sub.dims, r, "entanglement level r")
+    limit = level_bound(sub.dims)
+    if r > limit:  # refused before anything of size r is made
+        raise UsageError(f"entanglement level r must be <= {limit}, since every state over dims "
+                         f"{sub.dims} has tensor rank <= {limit - 1}; got {r}")
     if sub.dim >= sub.dim_total:
         raise UsageError("the full space is trivially reachable; pass a proper subspace")
     start = time.perf_counter()

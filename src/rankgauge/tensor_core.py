@@ -93,7 +93,8 @@ class PureState:
         amp.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amp", amp)
-        object.__setattr__(self, "normalized", abs(self.norm() - 1.0) <= NORM_ATOL)
+        with np.errstate(over="ignore"):  # an overflowing norm is inf: not normalized
+            object.__setattr__(self, "normalized", abs(np.linalg.norm(amp) - 1.0) <= NORM_ATOL)
 
     @property
     def dim_total(self) -> int:

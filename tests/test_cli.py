@@ -162,6 +162,16 @@ class TestBorderRank:
         assert lines[-1].startswith("border_rank,2")
         assert "border_rank,2" in out
 
+    @pytest.mark.parametrize("r_max", [[], ["--r-max", "100000000"]])
+    def test_scan_stops_at_the_rank_bound(self, tmp_path, r_max):
+        # every 2 x 2 state has tensor rank <= 2, so the Bell state's scan
+        # ends at r = 3 whatever r_max is, the default 4 included
+        proc = run_capped(tmp_path, "border-rank", "--example", "ghz:n=2", "--seed", "5", *r_max)
+        assert proc.returncode == 0, proc.stderr
+        lines = (tmp_path / "border_rank.csv").read_text().strip().splitlines()
+        assert [line.split(",")[0] for line in lines] == ["r", "2", "3", "border_rank"]
+        assert lines[-1] == "border_rank,2,"
+
     def test_requires_pure_state(self, capsys):
         code, _, err = run_cli(capsys, "border-rank", "--example", "strip:d=3,theta=pi/2")
         assert code == 4
@@ -253,14 +263,10 @@ class TestErrorsAndExitCodes:
         assert out == ""
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("argv", [
-        ["compute", "--example", "strip:d=3,theta=1", "--r", "100000000"],
-        ["border-rank", "--example", "dicke:n=3,k=1", "--r-max", "100000000"],
-    ])
-    def test_oversized_rank_budget_rejected_before_allocation(self, tmp_path, argv):
+    def test_oversized_rank_budget_rejected_before_allocation(self, tmp_path):
         # without the level check, the parameter layout of 1e8 terms fails
         # to allocate under the cap
-        proc = run_capped(tmp_path, *argv)
+        proc = run_capped(tmp_path, "compute", "--example", "strip:d=3,theta=1", "--r", "100000000")
         assert proc.returncode == 4, proc.stderr
         assert "usage error" in proc.stderr and "tensor rank" in proc.stderr
         assert not list(tmp_path.iterdir())

@@ -17,7 +17,7 @@ from rankgauge import (
 )
 from rankgauge import objective
 from rankgauge import optimizer as opt_mod
-from rankgauge.optimizer import lbfgs_minimize
+from rankgauge.optimizer import lbfgs_minimize, level_bound
 from rankgauge.objective import LossKernel
 from rankgauge.rank_param import trial_rng
 from rankgauge.catalog import (
@@ -494,16 +494,18 @@ class TestRunCertification:
 
     def test_rejects_levels_beyond_the_rank_bound(self):
         # every 2 x 3 state has tensor rank <= 6 / 3 = 2, so E_r = 0 exactly
-        # for r >= 3: r = 3 runs, and a larger r is refused before the
-        # kernel's layout of 2 * 5 * (r - 1) reals is made
+        # for r >= 3: r = 3 runs, a larger r is refused before the kernel's
+        # layout of 2 * 5 * (r - 1) reals is made, and a scan stops at r = 3
         sub = strip_subspace(StripParams(3, 1.0))
+        assert level_bound(sub.dims) == 3
         assert run_certification(sub, 3, OptimConfig(seed=1, trials=1)).best_value < 1e-12
         for r in (4, 10**8):
             with pytest.raises(UsageError, match="tensor rank <= 2"):
                 run_certification(sub, r, OptimConfig(seed=1))
-            with pytest.raises(UsageError, match="r_max must be <= 3"):
-                minimal_rank_scan(sub, r, cfg=OptimConfig(seed=1))
-        assert minimal_rank_scan(sub, 3, cfg=OptimConfig(seed=1, trials=1)).certified_rank == 2
+        for r_max in (3, 4, 10**8):
+            scan = minimal_rank_scan(sub, r_max, cfg=OptimConfig(seed=1, trials=1))
+            assert [e.r for e in scan.entries] == [2, 3]
+            assert scan.certified_rank == 2
 
     def test_rejects_full_space(self, rng):
         sub = from_spanning_set([haar_random_state((2,), rng) for _ in range(3)])
