@@ -114,7 +114,6 @@ def _sha256(data: bytes) -> str:
 class _Outcome(NamedTuple):
     """What one subcommand body produced; `main` times, prints and records it."""
 
-    name: str             # base name of the CSV and its manifest
     lines: list[str]      # CSV rows, header first
     extra: dict           # command-specific manifest config
     shown: list[str]      # printed before the wall time
@@ -156,7 +155,7 @@ def _compute(args, cfg: OptimConfig, obj) -> _Outcome:
     if args.emit_closest:
         _write_lines(Path(args.emit_closest), [json.dumps(state_to_dict(report.best_state))])
         trailer.append(f"closest state written to {args.emit_closest}")
-    return _Outcome("compute", lines, {"r": args.r}, shown, trailer)
+    return _Outcome(lines, {"r": args.r}, shown, trailer)
 
 
 def _border_rank(args, cfg: OptimConfig, obj) -> _Outcome:
@@ -168,7 +167,7 @@ def _border_rank(args, cfg: OptimConfig, obj) -> _Outcome:
     lines = ["r,value,termination"]
     lines += [f"{e.r},{_fmt(e.value)},{e.termination}" for e in scan.entries]
     lines.append(f"border_rank,{scan.rank_label()},")
-    return _Outcome("border_rank", lines, {"r_max": args.r_max}, lines, [])
+    return _Outcome(lines, {"r_max": args.r_max}, lines, [])
 
 
 def _ges(args, cfg: OptimConfig, obj) -> _Outcome:
@@ -185,7 +184,7 @@ def _ges(args, cfg: OptimConfig, obj) -> _Outcome:
     lines = ["bipartition,value"]
     lines += [f"{cut},{_fmt(val)}" for cut, val in values.items()]
     lines.append(f"genuinely_entangled,{str(verdict).lower()}")
-    return _Outcome("ges", lines, {}, lines, [])
+    return _Outcome(lines, {}, lines, [])
 
 
 def _reproduce_fig1(args, cfg: OptimConfig):
@@ -285,7 +284,7 @@ REPRODUCE = {
 
 def _reproduce(args, cfg: OptimConfig, obj) -> _Outcome:
     lines, extra, shown = REPRODUCE[args.target](args, cfg)
-    return _Outcome(args.target, lines, extra, shown, [f"wrote {args.out}/{args.target}.csv"])
+    return _Outcome(lines, extra, shown, [f"wrote {args.out}/{args.target}.csv"])
 
 
 def _build_parser() -> _Parser:
@@ -375,6 +374,33 @@ def _load_input(args):
     return obj, _sha256(raw), str(Path(args.input))
 
 
+def _result_name(args) -> str:
+    """Base name of the CSV and its manifest."""
+    return args.target if args.command == "reproduce" else args.command.replace("-", "_")
+
+
+def _output_files(args) -> list[Path]:
+    """Every file the command will write: the CSV and manifest under --out
+    and the --emit-closest state."""
+    paths = [Path(args.emit_closest)] if getattr(args, "emit_closest", None) else []
+    if args.out is not None:
+        paths += [Path(args.out) / f"{_result_name(args)}{ext}" for ext in (".csv", ".manifest.json")]
+    return paths
+
+
+def _check_writable(path: Path) -> None:
+    """Refuse a file that cannot be written, before any work: a directory
+    in its place, or a nearest existing ancestor that is not a writable
+    directory."""
+    if path.is_dir():
+        raise UsageError(f"cannot write {path}: it is a directory")
+    ancestor = path.parent
+    while not ancestor.exists():
+        ancestor = ancestor.parent
+    if not (ancestor.is_dir() and os.access(ancestor, os.W_OK | os.X_OK)):
+        raise UsageError(f"cannot write {path}: {ancestor} is not a writable directory")
+
+
 def _write_lines(path: Path, lines: list[str]) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
@@ -382,7 +408,7 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 def main(argv=None) -> int:
     """The one pipeline every subcommand shares: parse -> seed -> config ->
-    input -> timed body -> print -> CSV + manifest."""
+    output paths -> input -> timed body -> print -> CSV + manifest."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = _build_parser().parse_args(argv)
@@ -391,6 +417,8 @@ def main(argv=None) -> int:
             return 0
         cfg = OptimConfig(tol_grad=args.tol_grad, tol_loss_rel=args.tol_loss, max_iters=args.max_iters,
                           trials=args.trials, seed=_resolve_seed(args))
+        for path in _output_files(args):
+            _check_writable(path)
         obj, input_hash, source = _load_input(args)
         start = time.perf_counter()
         outcome = args.body(args, cfg, obj)
@@ -413,9 +441,9 @@ def main(argv=None) -> int:
                 "input_hash": input_hash,
                 "wall_time_s": wall,
             }
-            out = Path(args.out)
-            _write_lines(out / f"{outcome.name}.csv", outcome.lines)
-            _write_lines(out / f"{outcome.name}.manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
+            out, name = Path(args.out), _result_name(args)
+            _write_lines(out / f"{name}.csv", outcome.lines)
+            _write_lines(out / f"{name}.manifest.json", [json.dumps(manifest, indent=2, sort_keys=True)])
         return 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -19,18 +19,17 @@ with dT/dx_p = T_p,
     dL/dx_p = Re( y^dag T_p ),    y = (2/N) (P_perp T - L T),
 
 which is assembled below for all terms at once. conj(y) is contracted
-with the raw factors party by party, from the last one inwards, and the
-cotangents h of all factor blocks land in one (r, sum(dims)) array, so
-that the alpha entries are Re h and the beta entries -Im h, written for
-every party in one step each through the cached `rank_param.layout`.
-The factors are not normalized, so there is no radial component to
-project out. No clamping happens here; [0, 1] clamping is
+with the factors party by party, from the last one inwards, and the
+cotangents h of all factors land in one (r, sum(dims)) complex array,
+the shape of x's complex view: the gradient is the float64 view of
+conj(h). The factors are not normalized, so there is no radial component
+to project out. No clamping happens here; [0, 1] clamping is
 reporting-level only.
 
 At rank budget 1 the candidate is one product state, and the factor of
 party e, the largest party (the last of them on ties), is solved exactly,
 so the kernel never forms the tensor. It gathers and normalizes only the
-other parties' blocks and forms the product p of their unit factors, of
+other parties' factors and forms the product p of their unit factors, of
 size P = D / d_e (p = [1] when e is the only party). With the
 rows reordered as R, of shape (m, d_e, P) around e's axis, B = conj(R) p
 has shape (m, d_e), and T = c (x) p, with c in e's slot, has the
@@ -94,7 +93,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularParameterError, UsageError
-from .rank_param import forward_map, layout, params_length
+from .rank_param import forward_map, params_length, party_columns
 from .subspace import Subspace
 
 # Loss at or below which a trial stops as a zero witness. The residual-form
@@ -198,7 +197,7 @@ class LossKernel:
         # full space takes the complement side, whose rows raise UsageError
         self.complement = 2 * sub.dim > sub.dim_total
         self.rows = sub.complement_rows if self.complement else sub.basis
-        self.layout = layout(self.dims, self.r)
+        self.columns = party_columns(self.dims)
         self.left_sizes = [math.prod(self.dims[:k]) for k in range(len(self.dims))]
         self._memo = (None, None, None)  # (key, forward pass, gradient or None)
         if self.r > 1:
@@ -217,12 +216,12 @@ class LossKernel:
         self.slot_rows = self._party_rows[e]
         self._wide_rows = self.slot_rows.reshape(m, -1)  # a view, for sums over the rows
         self._one_row = m == 1 and not self.complement
-        # the other parties' blocks of x as (alpha_j, beta_j) pairs, so that
-        # one gather read as complex gives all their raw factors side by side
+        # the float positions of the other parties' columns, so that one
+        # gather read as complex gives all their raw factors side by side
         self._others = [k for k in range(len(self.dims)) if k != e]
         sizes = [self.dims[k] for k in self._others]
-        columns = self.layout.party != e
-        self._pairs = np.stack([self.layout.alpha[0, columns], self.layout.beta[0, columns]], axis=1).ravel()
+        cols = np.delete(np.arange(sum(self.dims)), self.columns[e])
+        self._pairs = (2 * cols[:, None] + [0, 1]).ravel()
         starts = np.cumsum([0] + sizes[:-1])
         self._pair_starts = 2 * starts
         self._column = np.repeat(np.arange(len(sizes)), sizes)
@@ -287,7 +286,7 @@ class LossKernel:
     def _prefixes(self, factors: list[np.ndarray]) -> list[np.ndarray]:
         """Budget 1: the running products of `factors` in order, prefixes[k]
         that of the first k + 1; the product over no factors is [1]."""
-        prefixes = [factors[0] if factors else self.layout.ones[0]]
+        prefixes = [factors[0] if factors else np.ones(1, dtype=np.complex128)]
         for f in factors[1:]:
             prefixes.append(np.multiply.outer(prefixes[-1], f).ravel())
         return prefixes
@@ -332,8 +331,7 @@ class LossKernel:
             acc = acc @ u[blk]
         h[self._blocks[0]] = acc
         # chain through v / ||v||: every block's radial coefficient is z, and
-        # conj(h) - z u holds the alpha and beta entries as its real and
-        # imaginary parts
+        # the float64 view of conj(h) - z u is the gradient in their columns
         z = float((g @ p).real)
         grad[self._pairs] = ((h.conj() - z * u) / (0.5 * nsq * col)).view(np.float64)
         return grad
@@ -344,10 +342,7 @@ class LossKernel:
         budgets >= 2."""
         out = np.array(x, dtype=np.float64)
         if self.eliminated is not None:
-            blk = self.layout.blocks[self.eliminated]
-            best = self._forward(out).best
-            out[self.layout.alpha[0, blk]] = best.real
-            out[self.layout.beta[0, blk]] = best.imag
+            out.view(np.complex128)[self.columns[self.eliminated]] = self._forward(out).best
         return out
 
     def sweep(self, x: np.ndarray, tol_grad: float) -> tuple[np.ndarray, int]:
@@ -359,8 +354,8 @@ class LossKernel:
         rules of the module docstring, with `tol_grad` the caller's L-BFGS
         tolerance. There is no rollback: the last swept point is returned,
         and where the sweeps took gradients the memo holds its gradient
-        for the L-BFGS start. Returns a copy of x with the unit factors in
-        every party's block, and the number of sweeps that made it; at
+        for the L-BFGS start. Returns the point that holds every party's
+        unit factor, and the number of sweeps that made it; at
         budgets >= 2, (x, 0). Raises SingularParameterError where `value`
         would."""
         if self.eliminated is None:
@@ -378,7 +373,7 @@ class LossKernel:
             if swept <= ZERO_LEVEL or value - swept < SWEEP_TOL * value or slow:
                 break
             value, drop = swept, value - swept
-        point = self._with_units(x, units)
+        point = np.concatenate(units).view(np.float64)
         if self._free_dims <= 2 or swept <= ZERO_LEVEL:
             return point, sweeps
         # The loss gap falls by `ratio` per sweep and the gradient by about
@@ -389,7 +384,7 @@ class LossKernel:
             return point, sweeps
         for sweeps in range(sweeps + 1, MAX_FINISH_SWEEPS + 1):
             self._sweep_once(units)
-            point = self._with_units(x, units)
+            point = np.concatenate(units).view(np.float64)
             last, grad_inf = grad_inf, self._grad_inf(point)
             if grad_inf < tol_grad or not grad_inf <= FINISH_RATE * last:
                 break
@@ -401,14 +396,6 @@ class LossKernel:
             units[q] = self._solve(q, self._product(units, q))[1]
         units[self.eliminated], *_, swept = self._slot_pass(self._product(units, self.eliminated))
         return swept
-
-    def _with_units(self, x: np.ndarray, units: list[np.ndarray]) -> np.ndarray:
-        """A copy of x with the unit factors in every party's block."""
-        out = x.copy()
-        factors = np.concatenate(units)
-        out[self.layout.alpha[0]] = factors.real
-        out[self.layout.beta[0]] = factors.imag
-        return out
 
     def _grad_inf(self, x: np.ndarray) -> float:
         return float(np.max(np.abs(self.value_and_grad(x)[1])))
@@ -430,7 +417,6 @@ class LossKernel:
 
     def _tensor_grad(self, forward: tuple) -> np.ndarray:
         fw, t, nsq, c, resid, value = forward
-        lay = self.layout
 
         if resid is None:
             resid = c @ self.rows
@@ -442,15 +428,11 @@ class LossKernel:
         # then the sum over the parties < k against term i's prefix. Party
         # 1 has no prefix: its cotangent is acc itself (conj(y) when it is
         # the only party, the same for every term).
-        h = np.empty(lay.alpha.shape, dtype=np.complex128)
+        h = np.empty((self.r, sum(self.dims)), dtype=np.complex128)
         acc = y.conj()
         for k in range(len(self.dims) - 1, 0, -1):
             acc = acc.reshape(-1, self.left_sizes[k], self.dims[k])
-            h[:, lay.blocks[k]] = (fw.prefixes[k][:, None, :] @ acc)[:, 0, :]
+            h[:, self.columns[k]] = (fw.prefixes[k - 1][:, None, :] @ acc)[:, 0, :]
             acc = acc @ fw.factors[k][:, :, None]
-        h[:, lay.blocks[0]] = acc.reshape(-1, self.dims[0])
-
-        grad = np.empty(self.n_params, dtype=np.float64)
-        grad[lay.alpha] = h.real
-        grad[lay.beta] = -h.imag
-        return grad
+        h[:, self.columns[0]] = acc.reshape(-1, self.dims[0])
+        return h.conj().view(np.float64).ravel()

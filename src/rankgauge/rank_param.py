@@ -3,20 +3,20 @@
 A free real vector x of length 2 D r, with D = sum of party dimensions,
 is mapped to a state of tensor rank <= r, the CP sum
 
-    T(x) = sum_i  v_i^(1) x ... x v_i^(n),   v_i^(k) = alpha_i^(k) + i beta_i^(k),
+    T(x) = sum_i  v_i^(1) x ... x v_i^(n),
 
-normalized at the end. Layout per term: for each party k the pair
-(alpha^(k), beta^(k)), each of length d_k. There are no weights and no
-factor normalization: the product of a term's block norms is its weight,
-and the final normalization absorbs the common scale. A zero block only
-drops its term; only T = 0 itself is singular. `layout(dims, r)` holds
-the layout as index arrays, built once per shape, so that the forward map
-gathers the factor blocks of every party and term in one step.
+normalized at the end. x is the float64 view of the (r, D) complex
+factors: x.view(complex128).reshape(r, D) holds term i's factors in row
+i, party k's in its d_k columns after those of the parties before it, so
+each entry of a factor is a (real, imaginary) pair of x. There are no
+weights and no factor normalization: the product of a term's factor norms
+is its weight, and the final normalization absorbs the common scale. A
+zero factor only drops its term; only T = 0 itself is singular.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -64,44 +64,10 @@ def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-class Layout(NamedTuple):
-    """Where each block of a parameter vector sits, for one (dims, r).
-
-    `alpha` and `beta` are flat positions into x. Column j of these
-    (r, sum(dims)) arrays runs over the parties' local indices side by
-    side; `party[j]` says whose block it belongs to, and `blocks[k]` is
-    party k's slice of the columns.
-    """
-
-    alpha: np.ndarray   # (r, sum(dims)) real parts of the factors
-    beta: np.ndarray    # (r, sum(dims)) imaginary parts
-    party: np.ndarray   # (sum(dims),)
-    ones: np.ndarray    # (r, 1) complex ones, the product over no parties
-    blocks: tuple[slice, ...]
-
-
-@functools.lru_cache(maxsize=64)
-def layout(dims: tuple[int, ...], r: int) -> Layout:
-    """The cached Layout of the parameter vector for `dims` and budget r."""
-    dims = as_dims(dims)
-    rows = 2 * sum(dims) * np.arange(int(r))[:, None]
-    alpha, beta, blocks = [], [], []
-    off, col = 0, 0
-    for d in dims:
-        alpha.extend(range(off, off + d))
-        beta.extend(range(off + d, off + 2 * d))
-        blocks.append(slice(col, col + d))
-        off += 2 * d
-        col += d
-    arrays = (
-        rows + np.array(alpha),
-        rows + np.array(beta),
-        np.repeat(np.arange(len(dims)), dims),
-        np.ones((int(r), 1), dtype=np.complex128),
-    )
-    for a in arrays:
-        a.setflags(write=False)
-    return Layout(*arrays, tuple(blocks))
+def party_columns(dims) -> list[slice]:
+    """Party k's columns of the (r, sum(dims)) complex factors."""
+    ends = itertools.accumulate(dims)
+    return [slice(end - d, end) for d, end in zip(dims, ends)]
 
 
 def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -112,17 +78,16 @@ def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class ForwardMap(NamedTuple):
     """Intermediates of the forward map, reused by the gradient."""
 
-    factors: list[np.ndarray]    # per party, (r, d_k) raw factors of all terms
-    prefixes: list[np.ndarray]   # prefixes[k]: products over parties < k, (r, prod)
+    factors: list[np.ndarray]    # per party, (r, d_k) factors of all terms
+    prefixes: list[np.ndarray]   # prefixes[k]: products over parties <= k, (r, prod)
     tensor: np.ndarray           # unnormalized sum T(x), (D_total,)
 
 
 def forward_map(x: np.ndarray, dims: tuple[int, ...], r: int) -> ForwardMap:
     """Evaluate T(x), keeping intermediates."""
-    lay = layout(dims, r)
-    v = x[lay.alpha] + 1j * x[lay.beta]
-    factors = [v[:, blk] for blk in lay.blocks]
-    prefixes = [lay.ones, factors[0]]
+    v = np.array(x, dtype=np.float64).view(np.complex128).reshape(r, -1)
+    factors = [v[:, cols] for cols in party_columns(dims)]
+    prefixes = factors[:1]
     for f in factors[1:]:
         prefixes.append(_row_kron(prefixes[-1], f))
     return ForwardMap(factors, prefixes, prefixes[-1].sum(axis=0))

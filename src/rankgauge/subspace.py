@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -255,10 +256,13 @@ def _parse_vectors(obj: dict) -> tuple[tuple[int, ...], np.ndarray]:
         for j, pair in enumerate(vec):
             if (not isinstance(pair, list)) or len(pair) != 2:
                 raise InputError(f"field 'vectors[{i}][{j}]': expected [re, im]")
+            # numbers only: booleans and numeric strings are not amplitudes
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in pair):
+                raise InputError(f"field 'vectors[{i}][{j}]': non-numeric entry")
             try:
                 rows[i, j] = complex(float(pair[0]), float(pair[1]))
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"field 'vectors[{i}][{j}]': non-numeric entry") from exc
+            except OverflowError as exc:  # an integer beyond the float range
+                raise InputError("field 'vectors': entries must be finite") from exc
     if not np.all(np.isfinite(rows.real)) or not np.all(np.isfinite(rows.imag)):
         raise InputError("field 'vectors': entries must be finite")
     return dims, rows

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rankgauge
 from rankgauge import OptimConfig, haar_random_state, subspace_to_dict, from_spanning_set
 from rankgauge.catalog import build_example, dicke_state
 from rankgauge.cli import main
@@ -302,6 +303,51 @@ class TestErrorsAndExitCodes:
         assert proc.returncode == 4, proc.stderr
         assert "budget" in proc.stderr
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--example", "strip:d=3,theta=1", "--out", "{file}"],
+        ["compute", "--example", "strip:d=3,theta=1", "--out", "{file}/sub"],
+        ["compute", "--example", "strip:d=3,theta=1", "--emit-closest", "{dir}"],
+        ["reproduce", "fig1", "--out", "{file}"],
+        ["border-rank", "--example", "ghz:n=2", "--out", "{taken}"],
+    ])
+    def test_unwritable_output_rejected_before_work(self, capsys, tmp_path, argv):
+        # each path fails to be written, which would end the finished run
+        # in a traceback: it is refused before anything runs or prints
+        (tmp_path / "file").write_text("kept")
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "taken" / "border_rank.manifest.json").mkdir(parents=True)
+        paths = {name: tmp_path / name for name in ("file", "dir", "taken")}
+        code, out, err = run_cli(capsys, *[arg.format(**paths) for arg in argv])
+        assert (code, out) == (4, "")
+        assert "usage error: cannot write" in err
+        assert (tmp_path / "file").read_text() == "kept"
+        assert not list((tmp_path / "dir").iterdir())
+        assert [p.name for p in (tmp_path / "taken").iterdir()] == ["border_rank.manifest.json"]
+
+    @pytest.mark.parametrize("entry", [True, "0.5", None])
+    def test_non_numeric_amplitude_rejected(self, capsys, tmp_path, entry):
+        # a boolean or numeric string is not read as a number
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dims": [2, 2], "vectors": [[[1, 0], [entry, 0], [0, 0], [0, 0]]]}))
+        code, out, err = run_cli(capsys, "compute", str(path))
+        assert (code, out) == (2, "")
+        assert "vectors[0][1]': non-numeric entry" in err
+
+    def test_integer_amplitude_beyond_float_range_rejected(self, capsys, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text('{"dims": [2, 2], "vectors": [[[1%s, 0], [0, 0], [0, 0], [0, 0]]]}' % ("0" * 400))
+        code, out, err = run_cli(capsys, "compute", str(path))
+        assert (code, out) == (2, "")
+        assert "entries must be finite" in err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "rankgauge", "--version"],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"rankgauge {rankgauge.__version__}"
 
     def test_usage_error_no_input(self, capsys):
         code, _, err = run_cli(capsys, "compute", "--r", "2")

@@ -227,7 +227,7 @@ class TestMeasureInvariants:
 
 # The grown subspace of (2, 3), seed 2, has a stationary point of value
 # 0.12095 against its E_2 of 0.0236, and 16 of 30 trials (optimizer seed 0)
-# stop there. With optimizer seed 6 all three default trials do: a wrong
+# stop there. With optimizer seed 13 all three default trials do: a wrong
 # upper bound that the default trial count does not escape.
 _GROWN_MISSED = pytest.mark.xfail(strict=True, reason="all default trials reach a local minimum")
 
@@ -249,7 +249,7 @@ class TestMonotonicity:
         pytest.param(dims, k, seed, seed, id=f"{'x'.join(map(str, dims))}-seed{seed}")
         for dims, k in [((3, 3), 2), ((2, 2, 2), 2), ((2, 3), 1)]
         for seed in range(4)
-    ] + [pytest.param((2, 3), 1, 2, 6, marks=_GROWN_MISSED, id="2x3-seed2-opt6")])
+    ] + [pytest.param((2, 3), 1, 2, 13, marks=_GROWN_MISSED, id="2x3-seed2-opt13")])
     def test_nonincreasing_when_subspace_grows(self, dims, k, seed, opt_seed):
         rng = np.random.default_rng(seed)
         sub = from_spanning_set([haar_random_state(dims, rng) for _ in range(k)])

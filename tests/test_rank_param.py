@@ -6,7 +6,6 @@ from rankgauge.rank_param import (
     RankParams,
     build_state,
     forward_map,
-    layout,
     params_length,
     trial_rng,
 )
@@ -19,16 +18,18 @@ def random_params(dims, r, seed):
 
 
 def make_params(dims, r, terms):
-    """Assemble x from [[(alpha_1, beta_1), ..., (alpha_n, beta_n)], ...],
-    one list of party blocks per term."""
-    parts = [part for blocks in terms for block in blocks for part in block]
-    x = np.concatenate([np.asarray(p, dtype=float).ravel() for p in parts])
+    """Assemble x from [[(re_1, im_1), ..., (re_n, im_n)], ...], one list
+    of party factors per term, each given by its real and imaginary parts
+    and stored as (re, im) pairs."""
+    pairs = [np.stack([re, im], axis=-1) for factors in terms for re, im in factors]
+    x = np.concatenate([np.asarray(p, dtype=float).ravel() for p in pairs])
     return RankParams(dims, r, x)
 
 
 def unit_blocks(x, dims):
-    """x with every factor block scaled to unit norm, and each term's first
-    block then scaled by the product of that term's block norms."""
+    """x with every factor scaled to unit norm, and each term's first
+    factor then scaled by the product of that term's factor norms; party
+    k's factor is its 2 d_k consecutive reals."""
     blocks = x.reshape(-1, 2 * sum(dims))
     out, weight, off = [], 1.0, 0
     for d in dims:
@@ -47,18 +48,18 @@ class TestRankParams:
             RankParams((2, 2), 1, np.zeros(9))
         RankParams((2, 2), 1, np.zeros(8))
 
-    def test_layout_per_term(self):
+    def test_factors_are_the_complex_view(self):
+        # x is the float64 view of the (r, sum(dims)) complex factors:
+        # party k's factors are its columns of that view
         dims = (2, 3)
         x = np.arange(params_length(dims, 2), dtype=float)
-        lay = layout(dims, 2)
-        alpha, beta = x[lay.alpha], x[lay.beta]
         assert x.size == 20
-        np.testing.assert_allclose(alpha[0, lay.blocks[0]], [0.0, 1.0])
-        np.testing.assert_allclose(beta[0, lay.blocks[0]], [2.0, 3.0])
-        np.testing.assert_allclose(alpha[0, lay.blocks[1]], [4.0, 5.0, 6.0])
-        np.testing.assert_allclose(alpha[1, lay.blocks[0]], [10.0, 11.0])
-        np.testing.assert_allclose(beta[1, lay.blocks[1]], [17.0, 18.0, 19.0])
-        np.testing.assert_array_equal(lay.party, [0, 0, 1, 1, 1])
+        v = x.view(np.complex128).reshape(2, 5)
+        factors = forward_map(x, dims, 2).factors
+        np.testing.assert_array_equal(factors[0], v[:, 0:2])
+        np.testing.assert_array_equal(factors[1], v[:, 2:5])
+        np.testing.assert_array_equal(factors[0][0], [1j, 2 + 3j])
+        np.testing.assert_array_equal(factors[1][1], [14 + 15j, 16 + 17j, 18 + 19j])
 
     def test_rejects_nonfinite(self):
         with pytest.raises(UsageError):
@@ -75,7 +76,7 @@ class TestBuildProductTerm:
         np.testing.assert_array_equal(fw.tensor, [1, 0, 0, 0])
 
     def test_plus_factor(self):
-        # alpha and beta are the real and imaginary parts, left unnormalized
+        # the real and imaginary parts, left unnormalized
         p = make_params((2,), 1, [[([1, 1], [0, 2])]])
         fw = forward_map(p.x, p.dims, p.r)
         np.testing.assert_array_equal(fw.factors[0][0], [1, 1 + 2j])
@@ -154,10 +155,10 @@ class TestBuildState:
         for r in (1, 2, 3):
             p = random_params((2, 3), r, 4)
             st = build_state(p)
-            x2 = p.x.copy().reshape(r, -1)
-            z = (x2[:, 0:2] + 1j * x2[:, 2:4]) * np.exp(1j * gamma)
-            x2[:, 0:2], x2[:, 2:4] = z.real, z.imag
-            st2 = build_state(RankParams((2, 3), r, x2.ravel()))
+            x2 = p.x.copy()
+            v = x2.view(np.complex128).reshape(r, -1)
+            v[:, 0:2] *= np.exp(1j * gamma)
+            st2 = build_state(RankParams((2, 3), r, x2))
             assert abs(abs(np.vdot(st.amp, st2.amp)) - 1.0) < 1e-10
 
 
