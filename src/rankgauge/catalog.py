@@ -15,8 +15,8 @@ from itertools import combinations, repeat
 import numpy as np
 
 from .errors import UsageError
-from .subspace import MixedState, Subspace, complement_basis
-from .tensor_core import MAX_AMPLITUDES, PureState, as_dims
+from .subspace import MixedState, Subspace, _basis_dims, complement_basis
+from .tensor_core import PureState, as_dims
 
 
 @dataclass(frozen=True)
@@ -43,20 +43,6 @@ class StripParams:
     @property
     def b(self) -> complex:
         return np.exp(1j * self.xi) * math.sin(self.theta / 2.0)
-
-
-def _basis_dims(k: int, dims) -> tuple[int, ...]:
-    """Validated `dims` for a spanning set of k vectors, refused before
-    any vector is built when its k * prod(dims) amplitudes exceed
-    MAX_AMPLITUDES."""
-    dims = as_dims(dims)
-    total = k * math.prod(dims)
-    if total > MAX_AMPLITUDES:
-        raise UsageError(
-            f"{k} spanning vectors over dims {dims} hold {total} amplitudes, "
-            f"over the budget of {MAX_AMPLITUDES}"
-        )
-    return dims
 
 
 def strip_subspace(p: StripParams) -> Subspace:

@@ -28,28 +28,32 @@ reporting-level only.
 
 At rank budget 1 the candidate is one product state, and the factor of
 party e, the largest party (the last of them on ties), is solved exactly,
-so the kernel never forms the tensor. It gathers and normalizes only the
-other parties' factors and forms the product p of their unit factors, of
-size P = D / d_e (p = [1] when e is the only party). With the
-rows reordered as R, of shape (m, d_e, P) around e's axis, B = conj(R) p
-has shape (m, d_e), and T = c (x) p, with c in e's slot, has the
-coefficients w = B c. The loss is ||w||^2 / N on the complement side and
-||T - w R||^2 / N on the basis side, with N = ||p||^2 ||c||^2: p and c
-are unit vectors only up to rounding, and dropping the quotient made
-more trials end on a noisy loss floor. The minimizer c* is the lowest or
-the highest eigenvector of the d_e x d_e matrix B^dag B, which every
-evaluation computes; with one basis row b, as for the span of a state,
-it is conj(b) / ||b|| without an eigenproblem. So the value is the exact
-loss of a product state and a true upper bound. Party e's block of x is
-ignored, and its gradient entries are exactly zero. c* is stationary on
-the unit sphere, so by the envelope theorem the gradient in the other
-factors is taken at fixed c*. The cotangent of p is y, as above,
-contracted with conj(c*) on e's axis, in residual form so that no O(1)
-terms cancel: M^dag w - L p on the complement side, where M = conj(R)
-contracted with c* on e's axis gives w = M p, and T - w R contracted with
-conj(c*), minus L p, on the basis side (both times 2/N). It is contracted
-with the other parties' unit factors party by party and chained through
-each block's normalization v / ||v||.
+so the kernel never forms the tensor. It gathers only the other parties'
+raw factors, the parameters of one product state over their dimensions,
+and `forward_map` of them gives their product p, of size P = D / d_e
+(p = [1] when e is the only party). With the rows reordered as R, of
+shape (m, d_e, P) around e's axis, B = conj(R) p has shape (m, d_e), and
+T = c (x) p, with c in e's slot, has the coefficients w = B c. The loss
+is ||w||^2 / N on the complement side and ||T - w R||^2 / N on the basis
+side, with N = ||p||^2 ||c||^2, which divides out the scale of every
+factor. The minimizer c* is the lowest or the highest eigenvector of the
+d_e x d_e matrix B^dag B, which every evaluation computes; with one basis
+row b, as for the span of a state, it is conj(b) / ||b|| without an
+eigenproblem. So the value is the exact loss of a product state and a
+true upper bound. Party e's block of x is ignored, and its gradient
+entries are exactly zero. c* is stationary on the unit sphere, so by the
+envelope theorem the gradient in the other factors is taken at fixed c*.
+The cotangent of p is y, as above, contracted with conj(c*) on e's axis,
+in residual form so that no O(1) terms cancel: M^dag w - L p on the
+complement side, where M = conj(R) contracted with c* on e's axis gives
+w = M p, and T - w R contracted with conj(c*), minus L p, on the basis
+side (both times 2/N). The same loop as at budgets >= 2 contracts it
+with the other parties' factors. As there, p = 0 raises
+SingularParameterError, and the factors' scales must keep p and N within
+the float range: two blocks scaled by 1e-100 raise, and two scaled by
+1e100 overflow. Starts are standard normal, the sweeps hand over unit
+factors, and L-BFGS steps are orthogonal to each block to first order,
+so no run comes near those scales.
 `LossKernel.completed(x)` fills party e's block with c*, so that the
 state of the returned parameters is the witness of the value.
 
@@ -59,7 +63,7 @@ state is the alternating eigen-update of Streltsov, Kampermann and Bruss
 (PRA 2011). Each sweep visits the other parties in order and then party
 e: party q's factor becomes the lowest (complement side) or highest
 (basis side) eigenvector of B_q^dag B_q, where B_q contracts the rows,
-reordered around q's axis, with the product of the other unit factors.
+reordered around q's axis, with the product of the other factors.
 This is the solve that gives c*, and with one basis row it is conj(b) /
 ||b|| for every party. Every solve is an exact minimum over one factor,
 so no sweep raises the loss. The sweeps hand over to L-BFGS after a
@@ -87,13 +91,14 @@ iterations.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import SingularParameterError, UsageError
-from .rank_param import forward_map, params_length, party_columns
+from .rank_param import ForwardMap, forward_map, params_length, party_columns
 from .subspace import Subspace
 
 # Loss at or below which a trial stops as a zero witness. The residual-form
@@ -144,9 +149,7 @@ class _ProductPass(NamedTuple):
     """Budget-1 forward intermediates, in the (d_e, P) frame of
     `LossKernel.slot_rows`."""
 
-    units: np.ndarray | None  # the other parties' unit factors side by side
-    col_norms: np.ndarray | None  # norm of the raw block holding each column
-    prefixes: list[np.ndarray]  # prefixes[k]: product of the first k + 1 others; p last
+    fw: ForwardMap | None  # the other parties' raw factors; fw.tensor is p (None: p = [1])
     best: np.ndarray  # c*, party e's exact best unit factor
     csq: float  # ||c*||^2
     w: np.ndarray  # <row_j|T>
@@ -166,13 +169,14 @@ class LossKernel:
     At rank budget 1 the factor of party `eliminated` (the last of the
     largest parties) is the exact minimizer for the other factors, as the
     module docstring derives. The kernel then works on the product p of
-    the other parties' unit factors and the rows reshaped around party
-    e's axis (`slot_rows`), and never forms the tensor: e's block of x is
-    ignored, gets exact zero gradient, and `completed(x)` writes the
-    minimizer into x. `sweep(x, tol_grad)` runs the exact one-party sweeps
-    of the module docstring from x until the handover rule, or on to
-    tol_grad where that pays; it holds the rows reordered around every
-    party's axis for that.
+    the other parties' raw factors, read through `forward_map`, and the
+    rows reshaped around party e's axis (`slot_rows`), and never forms the
+    tensor: e's block of x is ignored, gets exact zero gradient, and
+    `completed(x)` writes the minimizer into x. Only p = 0 is singular;
+    the module docstring gives the scale range of the factors.
+    `sweep(x, tol_grad)` runs the exact one-party sweeps of the module
+    docstring from x until the handover rule, or on to tol_grad where that
+    pays; it holds the rows reordered around every party's axis for that.
 
     Apart from precomputed constants the kernel holds one memo: the last
     point evaluated, keyed by the bytes of x, with its forward pass and,
@@ -198,7 +202,6 @@ class LossKernel:
         self.complement = 2 * sub.dim > sub.dim_total
         self.rows = sub.complement_rows if self.complement else sub.basis
         self.columns = party_columns(self.dims)
-        self.left_sizes = [math.prod(self.dims[:k]) for k in range(len(self.dims))]
         self._memo = (None, None, None)  # (key, forward pass, gradient or None)
         if self.r > 1:
             self.eliminated = None
@@ -210,23 +213,19 @@ class LossKernel:
         m = self.rows.shape[0]
         conj_rows = self.rows.conj()
         self._party_rows = [
-            conj_rows.reshape(m, self.left_sizes[q], d, -1).transpose(0, 2, 1, 3).reshape(m, d, -1)
+            conj_rows.reshape(m, math.prod(self.dims[:q]), d, -1).transpose(0, 2, 1, 3).reshape(m, d, -1)
             for q, d in enumerate(self.dims)
         ]
         self.slot_rows = self._party_rows[e]
         self._wide_rows = self.slot_rows.reshape(m, -1)  # a view, for sums over the rows
         self._one_row = m == 1 and not self.complement
-        # the float positions of the other parties' columns, so that one
-        # gather read as complex gives all their raw factors side by side
+        # the float positions of the other parties' columns: gathered, they
+        # are the parameters of one product state over `_other_dims`
         self._others = [k for k in range(len(self.dims)) if k != e]
-        sizes = [self.dims[k] for k in self._others]
+        self._other_dims = tuple(self.dims[k] for k in self._others)
         cols = np.delete(np.arange(sum(self.dims)), self.columns[e])
         self._pairs = (2 * cols[:, None] + [0, 1]).ravel()
-        starts = np.cumsum([0] + sizes[:-1])
-        self._pair_starts = 2 * starts
-        self._column = np.repeat(np.arange(len(sizes)), sizes)
-        self._blocks = [slice(s, s + d) for s, d in zip(starts, sizes)]
-        self._free_dims = 2 * sum(d - 1 for d in sizes)  # real dims of the free factors' manifold
+        self._free_dims = 2 * sum(d - 1 for d in self._other_dims)  # real dims of the free factors' manifold
 
     def _forward(self, x: np.ndarray):
         key = x.tobytes()
@@ -252,7 +251,7 @@ class LossKernel:
 
     def _solve(self, q: int, p: np.ndarray):
         """Budget 1: B = conj(rows) contracted with the product p of the
-        other parties' unit factors, shape (m, d_q), and party q's exact best
+        other parties' factors, shape (m, d_q), and party q's exact best
         unit factor for p: the lowest (complement side) or highest (basis
         side) eigenvector of B^dag B."""
         b = self._party_rows[q] @ p
@@ -265,40 +264,26 @@ class LossKernel:
         return b, vecs[:, 0] if self.complement else vecs[:, -1]
 
     def _product_pass(self, x: np.ndarray):
-        """Budget 1: the other parties' unit factors, their product p, the
-        exact best factor c* of party e and the loss of c* (x) p. On the
-        basis side it also returns conj(T - P_S T) in the (d_e, P) frame of
-        `slot_rows`."""
-        u = col = None
-        factors = []
-        if self._others:
-            raw = np.asarray(x, dtype=np.float64)[self._pairs]
-            norms = np.sqrt(np.add.reduceat(raw * raw, self._pair_starts))
-            if np.count_nonzero(norms) < norms.size:
-                k = self._others[int(np.argmin(norms))]
-                raise SingularParameterError(f"zero factor block for party {k + 1} (term 1)")
-            col = norms[self._column]
-            u = raw.view(np.complex128) / col
-            factors = [u[blk] for blk in self._blocks]
-        prefixes = self._prefixes(factors)
-        return _ProductPass(u, col, prefixes, *self._slot_pass(prefixes[-1]))
-
-    def _prefixes(self, factors: list[np.ndarray]) -> list[np.ndarray]:
-        """Budget 1: the running products of `factors` in order, prefixes[k]
-        that of the first k + 1; the product over no factors is [1]."""
-        prefixes = [factors[0] if factors else np.ones(1, dtype=np.complex128)]
-        for f in factors[1:]:
-            prefixes.append(np.multiply.outer(prefixes[-1], f).ravel())
-        return prefixes
+        """Budget 1: the forward map of the other parties' raw factors, a
+        single product state whose tensor is p, then the exact best factor
+        c* of party e and the loss of c* (x) p. On the basis side it also
+        returns conj(T - P_S T) in the (d_e, P) frame of `slot_rows`."""
+        if not self._others:
+            return _ProductPass(None, *self._slot_pass(np.ones(1, dtype=np.complex128)))
+        fw = forward_map(np.asarray(x, dtype=np.float64)[self._pairs], self._other_dims, 1)
+        return _ProductPass(fw, *self._slot_pass(fw.tensor))
 
     def _slot_pass(self, p: np.ndarray):
         """Budget 1: c*, party e's exact best factor for the product p of
-        the other unit factors, and the loss of c* (x) p, as the trailing
-        fields of `_ProductPass`."""
+        the other factors, and the loss of c* (x) p, as the trailing fields
+        of `_ProductPass`."""
+        psq = float(np.vdot(p, p).real)
+        if not math.sqrt(psq) > 1e-300:
+            raise SingularParameterError("the product sum vanished")
         b, best = self._solve(self.eliminated, p)
         w = b @ best  # <row_j|T>
         csq = float(np.vdot(best, best).real)
-        nsq = float(np.vdot(p, p).real) * csq
+        nsq = psq * csq
         if self.complement:
             resid = None  # conj(P_perp T) = conj(w) @ rows, formed only for the gradient
             rsq = float(np.vdot(w, w).real)
@@ -310,30 +295,16 @@ class LossKernel:
     def _product_grad(self, forward: _ProductPass) -> np.ndarray:
         """Budget 1: the gradient in the other parties' blocks through the
         cotangent of p; party e's block stays exactly zero."""
-        u, col, prefixes, best, csq, w, resid, nsq, value = forward
+        fw, best, csq, w, resid, nsq, value = forward
         grad = np.zeros(self.n_params, dtype=np.float64)
-        if u is None:
+        if fw is None:
             return grad
         if resid is None:
             resid = w.conj() @ self._wide_rows
         # conj of the cotangent of p, N/2 times: conj(y) contracted with c*
         # on e's axis, for y = (2/N)(P_perp T - L T) and T = c* (x) p
-        p = prefixes[-1]
-        g = best @ resid.reshape(best.size, -1) - (value * csq) * p.conj()
-        # contract it with the other unit factors from the last one inwards;
-        # before party k, acc holds g summed against the factors after k
-        h = np.empty_like(u)
-        acc = g
-        for k in range(len(self._blocks) - 1, 0, -1):
-            blk = self._blocks[k]
-            acc = acc.reshape(-1, blk.stop - blk.start)
-            h[blk] = prefixes[k - 1] @ acc
-            acc = acc @ u[blk]
-        h[self._blocks[0]] = acc
-        # chain through v / ||v||: every block's radial coefficient is z, and
-        # the float64 view of conj(h) - z u is the gradient in their columns
-        z = float((g @ p).real)
-        grad[self._pairs] = ((h.conj() - z * u) / (0.5 * nsq * col)).view(np.float64)
+        g = best @ resid.reshape(best.size, -1) - (value * csq) * fw.tensor.conj()
+        grad[self._pairs] = _cotangents((2.0 / nsq) * g, fw).conj().view(np.float64).ravel()
         return grad
 
     def completed(self, x: np.ndarray) -> np.ndarray:
@@ -348,7 +319,7 @@ class LossKernel:
     def sweep(self, x: np.ndarray, tol_grad: float) -> tuple[np.ndarray, int]:
         """Budget 1: exact one-party sweeps from x, and their count.
 
-        Starting from the unit factors of x with party e's set to c*, each
+        Starting from the factors of x with party e's set to c*, each
         sweep sets every other party's factor, in party order, to its exact
         best for the rest, then party e's, by the handover and continuation
         rules of the module docstring, with `tol_grad` the caller's L-BFGS
@@ -360,20 +331,19 @@ class LossKernel:
         would."""
         if self.eliminated is None:
             return x, 0
-        x = np.asarray(x, dtype=np.float64)
-        fw = self._forward(x)
-        units = [fw.best] * len(self.dims)
-        for q, blk in zip(self._others, self._blocks):
-            units[q] = fw.units[blk]
-        value, drop = fw.value, math.inf
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        forward = self._forward(x)
+        factors = [x.view(np.complex128)[cols] for cols in self.columns]
+        factors[self.eliminated] = forward.best
+        value, drop = forward.value, math.inf
         for sweeps in range(1, MAX_SWEEPS + 1):
-            swept = self._sweep_once(units)
+            swept = self._sweep_once(factors)
             slow = value - swept < SLOW_GATE * value and value - swept > SLOW_RATE * drop
             ratio = max(value - swept, 0.0) / drop
             if swept <= ZERO_LEVEL or value - swept < SWEEP_TOL * value or slow:
                 break
             value, drop = swept, value - swept
-        point = np.concatenate(units).view(np.float64)
+        point = np.concatenate(factors).view(np.float64)
         if self._free_dims <= 2 or swept <= ZERO_LEVEL:
             return point, sweeps
         # The loss gap falls by `ratio` per sweep and the gradient by about
@@ -383,26 +353,29 @@ class LossKernel:
         if not grad_inf * math.sqrt(ratio) ** self._free_dims < tol_grad <= grad_inf:
             return point, sweeps
         for sweeps in range(sweeps + 1, MAX_FINISH_SWEEPS + 1):
-            self._sweep_once(units)
-            point = np.concatenate(units).view(np.float64)
+            self._sweep_once(factors)
+            point = np.concatenate(factors).view(np.float64)
             last, grad_inf = grad_inf, self._grad_inf(point)
             if grad_inf < tol_grad or not grad_inf <= FINISH_RATE * last:
                 break
         return point, sweeps
 
-    def _sweep_once(self, units: list[np.ndarray]) -> float:
-        """One sweep over `units` in place; returns the loss after it."""
+    def _sweep_once(self, factors: list[np.ndarray]) -> float:
+        """One sweep over `factors` in place; returns the loss after it."""
         for q in self._others:
-            units[q] = self._solve(q, self._product(units, q))[1]
-        units[self.eliminated], *_, swept = self._slot_pass(self._product(units, self.eliminated))
+            factors[q] = self._solve(q, self._product(factors, q))[1]
+        factors[self.eliminated], *_, swept = self._slot_pass(self._product(factors, self.eliminated))
         return swept
 
     def _grad_inf(self, x: np.ndarray) -> float:
         return float(np.max(np.abs(self.value_and_grad(x)[1])))
 
-    def _product(self, units: list[np.ndarray], q: int) -> np.ndarray:
-        """The product of every party's unit factor but q's, in party order."""
-        return self._prefixes(units[:q] + units[q + 1:])[-1]
+    def _product(self, factors: list[np.ndarray], q: int) -> np.ndarray:
+        """The product of every party's factor but q's, in party order."""
+        rest = factors[:q] + factors[q + 1:]
+        if not rest:
+            return np.ones(1, dtype=np.complex128)
+        return functools.reduce(lambda a, f: np.multiply.outer(a, f).ravel(), rest)
 
     def value(self, x: np.ndarray) -> float:
         return self._forward(x)[-1]
@@ -417,22 +390,31 @@ class LossKernel:
 
     def _tensor_grad(self, forward: tuple) -> np.ndarray:
         fw, t, nsq, c, resid, value = forward
-
         if resid is None:
             resid = c @ self.rows
         y = (2.0 / nsq) * (resid - value * t)  # adjoint of the quotient
+        return _cotangents(y.conj(), fw).conj().view(np.float64).ravel()
 
-        # Contract conj(y) with the factors from the last party inwards.
-        # Before party k is contracted, acc[i] holds conj(y) summed against
-        # term i's factors of parties > k, shape (left_k, d_k); h[i, j] is
-        # then the sum over the parties < k against term i's prefix. Party
-        # 1 has no prefix: its cotangent is acc itself (conj(y) when it is
-        # the only party, the same for every term).
-        h = np.empty((self.r, sum(self.dims)), dtype=np.complex128)
-        acc = y.conj()
-        for k in range(len(self.dims) - 1, 0, -1):
-            acc = acc.reshape(-1, self.left_sizes[k], self.dims[k])
-            h[:, self.columns[k]] = (fw.prefixes[k - 1][:, None, :] @ acc)[:, 0, :]
-            acc = acc @ fw.factors[k][:, :, None]
-        h[:, self.columns[0]] = acc.reshape(-1, self.dims[0])
-        return h.conj().view(np.float64).ravel()
+
+def _cotangents(acc: np.ndarray, fw: ForwardMap) -> np.ndarray:
+    """The cotangents h, shape (r, sum of widths), of all factors of `fw`:
+    h[i, j] is the derivative of sum(acc * fw.tensor), holomorphic in the
+    factors, in entry j of term i's factors, so the float64 view of conj(h)
+    is the gradient of its real part in x. Sizes are read off fw's shapes.
+    The loop runs from the last party inwards, with the invariant: before
+    party k, acc[i] holds the input summed against term i's factors after
+    k, shape (left_k, d_k), and party k's h is acc[i] summed against term
+    i's prefix over the parties before k. The first party has no prefix:
+    its h is the final acc (the input, for every term, when it is the only
+    party)."""
+    end = sum(f.shape[1] for f in fw.factors)
+    h = np.empty((fw.prefixes[-1].shape[0], end), dtype=np.complex128)
+    for k in range(len(fw.factors) - 1, 0, -1):
+        prefix, factor = fw.prefixes[k - 1], fw.factors[k]
+        start = end - factor.shape[1]
+        acc = acc.reshape(-1, prefix.shape[1], factor.shape[1])
+        h[:, start:end] = (prefix[:, None, :] @ acc)[:, 0, :]
+        acc = acc @ factor[:, :, None]
+        end = start
+    h[:, :end] = acc.reshape(-1, end)
+    return h

@@ -15,7 +15,6 @@ driver's min-reduction is order independent.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -277,7 +276,6 @@ class OptimReport:
     best_state: PureState
     best_trial: int
     per_trial: tuple[TrialDiagnostics, ...]
-    wall_time: float
 
 
 def _minimize_kernel(kernel, rng, cfg: OptimConfig):
@@ -325,7 +323,6 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
                          f"{sub.dims} has tensor rank <= {limit - 1}; got {r}")
     if sub.dim >= sub.dim_total:
         raise UsageError("the full space is trivially reachable; pass a proper subspace")
-    start = time.perf_counter()
     kernel = LossKernel(sub.dims, r - 1, sub)
     outcomes = [_minimize_kernel(kernel, trial_rng(cfg.seed, i), cfg) for i in range(cfg.trials)]
     diagnostics = tuple(d for _, d in outcomes)
@@ -346,5 +343,4 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
         best_state=build_state(best_params),
         best_trial=best_idx,
         per_trial=diagnostics,
-        wall_time=time.perf_counter() - start,
     )

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError, UsageError
-from .tensor_core import PureState, as_dims, peak_scaled
+from .tensor_core import MAX_AMPLITUDES, PureState, as_dims, peak_scaled
 
 # Constructor check on the basis Gram matrix. Builders in this package
 # produce orthonormality at the 1e-12 level; the looser bound accommodates
@@ -232,20 +232,34 @@ def state_to_dict(state: PureState) -> dict:
     }
 
 
+def _basis_dims(k: int, dims) -> tuple[int, ...]:
+    """Validated `dims` for a spanning set of k vectors, refused before
+    any vector is built when its k * prod(dims) amplitudes exceed
+    MAX_AMPLITUDES."""
+    dims = as_dims(dims)
+    total = k * math.prod(dims)
+    if total > MAX_AMPLITUDES:
+        raise UsageError(
+            f"{k} spanning vectors over dims {dims} hold {total} amplitudes, "
+            f"over the budget of {MAX_AMPLITUDES}"
+        )
+    return dims
+
+
 def _parse_vectors(obj: dict) -> tuple[tuple[int, ...], np.ndarray]:
     if not isinstance(obj, dict):
         raise InputError("top-level JSON value must be an object")
     for key in ("dims", "vectors"):
         if key not in obj:
             raise InputError(f"missing required field '{key}'")
-    try:
-        dims = as_dims(obj["dims"])
-    except UsageError as exc:
-        raise InputError(f"field 'dims': {exc}") from exc
-    d_total = math.prod(dims)
     raw = obj["vectors"]
     if not isinstance(raw, list) or not raw:
         raise InputError("field 'vectors' must be a nonempty list")
+    try:
+        dims = _basis_dims(len(raw), obj["dims"])
+    except UsageError as exc:
+        raise InputError(f"field 'dims': {exc}") from exc
+    d_total = math.prod(dims)
     rows = np.zeros((len(raw), d_total), dtype=np.complex128)
     for i, vec in enumerate(raw):
         if not isinstance(vec, list) or len(vec) != d_total:

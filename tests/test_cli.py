@@ -304,6 +304,16 @@ class TestErrorsAndExitCodes:
         assert "budget" in proc.stderr
         assert not list(tmp_path.iterdir())
 
+    def test_oversized_input_file_rejected_before_allocation(self, tmp_path):
+        # 100 empty vectors over 4096 x 4096: a file of a few hundred bytes
+        # whose rows would take 25 GiB, refused before any row is made
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"dims": [4096, 4096], "vectors": [[]] * 100}))
+        proc = run_capped(tmp_path, "compute", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert "budget" in proc.stderr and "Traceback" not in proc.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["in.json"]
+
     @pytest.mark.parametrize("argv", [
         ["compute", "--example", "strip:d=3,theta=1", "--out", "{file}"],
         ["compute", "--example", "strip:d=3,theta=1", "--out", "{file}/sub"],

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from rankgauge import (
     OptimConfig,
+    SingularParameterError,
     Subspace,
     UsageError,
     basis_state,
@@ -356,6 +357,38 @@ class TestBudgetOne:
         t = dense_tensor(kernel.completed(x), dims, 1)
         p_perp = np.eye(t.size) - sub.basis.T @ sub.basis.conj()
         assert abs(np.vdot(t, p_perp @ t).real / np.vdot(t, t).real - value) < 1e-12
+
+    @pytest.mark.parametrize("d_s", [2, 20])
+    def test_zero_block_of_a_free_party_is_singular(self, d_s):
+        dims = (2, 4, 3)
+        rng = np.random.default_rng(d_s)
+        sub = random_subspace(dims, d_s, rng)
+        for block in (slice(0, 4), slice(12, 18)):  # parties 1 and 3; party 2 is solved
+            x = rng.standard_normal(2 * sum(dims))
+            x[block] = 0.0
+            for call in (LossKernel(dims, 1, sub).value, LossKernel(dims, 1, sub).value_and_grad,
+                         lambda x: LossKernel(dims, 1, sub).sweep(x, OptimConfig().tol_grad)):
+                with pytest.raises(SingularParameterError, match="vanished"):
+                    call(x)
+
+    @pytest.mark.parametrize("d_s", [2, 20])
+    @pytest.mark.parametrize("scale", [1e-50, 1e50])
+    def test_scale_of_a_free_block_divides_out(self, d_s, scale):
+        """Raw factors: the value does not see a free block's scale s, and
+        that block's gradient scales by 1 / s."""
+        dims = (2, 4, 3)
+        rng = np.random.default_rng(d_s)
+        sub = random_subspace(dims, d_s, rng)
+        kernel = LossKernel(dims, 1, sub)
+        x = rng.standard_normal(kernel.n_params)
+        value, grad = kernel.value_and_grad(x)
+        for block in (slice(0, 4), slice(12, 18)):
+            y = x.copy()
+            y[block] *= scale
+            scaled_value, scaled_grad = kernel.value_and_grad(y)
+            assert abs(scaled_value / value - 1.0) < 1e-14
+            scaled_grad[block] *= scale
+            np.testing.assert_allclose(scaled_grad, grad, rtol=0, atol=1e-13 * np.max(np.abs(grad)))
 
 
 class TestKernelReference:

@@ -385,6 +385,11 @@ class TestJsonInterchange:
         with pytest.raises(InputError, match="integers"):
             state_from_dict(doc)
 
+    def test_oversized_vector_set_rejected_before_parsing(self):
+        doc = {"dims": [4096, 4096], "vectors": [[]] * 100}
+        with pytest.raises(InputError, match="100 spanning vectors .* over the budget"):
+            subspace_from_dict(doc)
+
     def test_unnormalized_dependent_vectors_accepted(self, tmp_path):
         doc = {
             "dims": [2, 2],
