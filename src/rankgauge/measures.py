@@ -21,6 +21,7 @@ from .tensor_core import (
     Bipartition,
     HermitianOp,
     PureState,
+    as_int,
     canonical_bipartitions,
     schmidt_coefficients,
     unitary_from_hamiltonian,
@@ -103,6 +104,7 @@ def minimal_rank_scan(
     where E_r = 0 for every input; the certified minimal rank is the r with
     E_r above the threshold and E_{r+1} below it. For the span of a pure
     state this is its border rank."""
+    r_max = as_int(r_max, "r_max")
     if r_max < 2:
         raise UsageError(f"r_max must be >= 2, got {r_max}")
     _check_threshold(zero_threshold)

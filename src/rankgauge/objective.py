@@ -64,15 +64,15 @@ state is the alternating eigen-update of Streltsov, Kampermann and Bruss
 e: party q's factor becomes the lowest (complement side) or highest
 (basis side) eigenvector of B_q^dag B_q, where B_q contracts the rows,
 reordered around q's axis, with the product of the other factors.
-This is the solve that gives c*, and with one basis row it is conj(b) /
-||b|| for every party. Every solve is an exact minimum over one factor,
-so no sweep raises the loss. The sweeps hand over to L-BFGS after a
-sweep that lowers the residual-form loss by less than SWEEP_TOL of its
-value, or by less than SLOW_GATE of it and more than SLOW_RATE times the
-sweep before (a linear rate too slow to be worth more sweeps), after
-MAX_SWEEPS sweeps, or once the loss is at or below ZERO_LEVEL. The
-decrease is tested on the residual form because 1 - lambda_max cancels
-near zero.
+Party e's solve is the kernel's forward pass of the swept point, which
+gives c*, and with one basis row every solve is conj(b) / ||b||. Every
+solve is an exact minimum over one factor, so no sweep raises the loss.
+The sweeps hand over to L-BFGS after a sweep that lowers the
+residual-form loss by less than SWEEP_TOL of its value, or by less than
+SLOW_GATE of it and more than SLOW_RATE times the sweep before (a linear
+rate too slow to be worth more sweeps), after MAX_SWEEPS sweeps, or once
+the loss is at or below ZERO_LEVEL. The decrease is tested on the
+residual form because 1 - lambda_max cancels near zero.
 
 Where the free factors span more than two real dimensions, n_free =
 2 sum_{q != e} (d_q - 1), the sweeps may go on past a handover above
@@ -100,6 +100,7 @@ import numpy as np
 from .errors import SingularParameterError, UsageError
 from .rank_param import ForwardMap, forward_map, params_length, party_columns
 from .subspace import Subspace
+from .tensor_core import as_int
 
 # Loss at or below which a trial stops as a zero witness. The residual-form
 # loss keeps relative accuracy down to here, and this is five orders below
@@ -179,20 +180,22 @@ class LossKernel:
     pays; it holds the rows reordered around every party's axis for that.
 
     Apart from precomputed constants the kernel holds one memo: the last
-    point evaluated, keyed by the bytes of x, with its forward pass and,
-    once `value_and_grad` asked for it, its gradient. `value` and
-    `value_and_grad` share the forward pass, so their values agree bit
-    for bit; `value_and_grad(x)` right after `value(x)` runs only the
-    backward pass, a repeat runs neither, and a point mutated in place is
-    evaluated afresh. Results do not depend on the memo, but one kernel
-    must not be shared between threads.
+    point evaluated, keyed by the bytes of the blocks the loss reads (all
+    of x at budgets >= 2, the other parties' blocks at budget 1), with its
+    forward pass and, once `value_and_grad` asked for it, its gradient.
+    `value` and `value_and_grad` share the forward pass, so their values
+    agree bit for bit; `value_and_grad(x)` right after `value(x)`, or
+    after `value` of a point that differs from x in party e's block only,
+    runs only the backward pass, a repeat runs neither, and a point
+    mutated in place is evaluated afresh. Results do not depend on the
+    memo, but one kernel must not be shared between threads.
     """
 
     def __init__(self, dims, r: int, sub: Subspace):
         if tuple(dims) != sub.dims:
             raise UsageError(f"dims mismatch: {tuple(dims)} vs subspace {sub.dims}")
         self.dims = sub.dims
-        self.r = int(r)
+        self.r = as_int(r, "rank budget")
         if self.r < 1:
             raise UsageError(f"rank budget must be >= 1, got {r}")
         self.n_params = params_length(self.dims, self.r)
@@ -228,9 +231,10 @@ class LossKernel:
         self._free_dims = 2 * sum(d - 1 for d in self._other_dims)  # real dims of the free factors' manifold
 
     def _forward(self, x: np.ndarray):
-        key = x.tobytes()
+        blocks = x if self.eliminated is None else np.asarray(x, dtype=np.float64)[self._pairs]
+        key = blocks.tobytes()
         if key != self._memo[0]:
-            forward = self._tensor_pass(x) if self.eliminated is None else self._product_pass(x)
+            forward = (self._tensor_pass if self.eliminated is None else self._product_pass)(blocks)
             self._memo = (key, forward, None)
         return self._memo[1]
 
@@ -263,20 +267,14 @@ class LossKernel:
         vecs = np.linalg.eigh(b.conj().T @ b)[1]
         return b, vecs[:, 0] if self.complement else vecs[:, -1]
 
-    def _product_pass(self, x: np.ndarray):
-        """Budget 1: the forward map of the other parties' raw factors, a
-        single product state whose tensor is p, then the exact best factor
-        c* of party e and the loss of c* (x) p. On the basis side it also
-        returns conj(T - P_S T) in the (d_e, P) frame of `slot_rows`."""
-        if not self._others:
-            return _ProductPass(None, *self._slot_pass(np.ones(1, dtype=np.complex128)))
-        fw = forward_map(np.asarray(x, dtype=np.float64)[self._pairs], self._other_dims, 1)
-        return _ProductPass(fw, *self._slot_pass(fw.tensor))
-
-    def _slot_pass(self, p: np.ndarray):
-        """Budget 1: c*, party e's exact best factor for the product p of
-        the other factors, and the loss of c* (x) p, as the trailing fields
-        of `_ProductPass`."""
+    def _product_pass(self, blocks: np.ndarray):
+        """Budget 1: the forward map of `blocks`, the gathered floats of the
+        other parties' raw factors, a single product state whose tensor is
+        p; then the exact best factor c* of party e and the loss of
+        c* (x) p. On the basis side it also returns conj(T - P_S T) in the
+        (d_e, P) frame of `slot_rows`."""
+        fw = forward_map(blocks, self._other_dims, 1) if self._others else None
+        p = np.ones(1, dtype=np.complex128) if fw is None else fw.tensor
         psq = float(np.vdot(p, p).real)
         if not math.sqrt(psq) > 1e-300:
             raise SingularParameterError("the product sum vanished")
@@ -290,7 +288,7 @@ class LossKernel:
         else:
             resid = np.multiply.outer(best, p).conj().ravel() - w.conj() @ self._wide_rows
             rsq = float(np.vdot(resid, resid).real)
-        return best, csq, w, resid, nsq, rsq / nsq
+        return _ProductPass(fw, best, csq, w, resid, nsq, rsq / nsq)
 
     def _product_grad(self, forward: _ProductPass) -> np.ndarray:
         """Budget 1: the gradient in the other parties' blocks through the
@@ -319,53 +317,53 @@ class LossKernel:
     def sweep(self, x: np.ndarray, tol_grad: float) -> tuple[np.ndarray, int]:
         """Budget 1: exact one-party sweeps from x, and their count.
 
-        Starting from the factors of x with party e's set to c*, each
-        sweep sets every other party's factor, in party order, to its exact
-        best for the rest, then party e's, by the handover and continuation
-        rules of the module docstring, with `tol_grad` the caller's L-BFGS
-        tolerance. There is no rollback: the last swept point is returned,
-        and where the sweeps took gradients the memo holds its gradient
-        for the L-BFGS start. Returns the point that holds every party's
-        unit factor, and the number of sweeps that made it; at
-        budgets >= 2, (x, 0). Raises SingularParameterError where `value`
-        would."""
+        Works in place on `completed(x)`, one copy of x. Each sweep sets
+        every other party's factor, in party order, to its exact best for
+        the rest, then party e's to c* of the forward pass of the swept
+        point, by the handover and continuation rules of the module
+        docstring, with `tol_grad` the caller's L-BFGS tolerance. There is
+        no rollback. Returns the last swept point, which holds every
+        party's unit factor and is its own `completed`, and the number of
+        sweeps that made it; the memo holds its forward pass, and its
+        gradient where the sweeps took gradients, for the L-BFGS start. At
+        budgets >= 2, returns (x, 0). Raises SingularParameterError where
+        `value` would."""
         if self.eliminated is None:
             return x, 0
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        forward = self._forward(x)
+        x = self.completed(x)
         factors = [x.view(np.complex128)[cols] for cols in self.columns]
-        factors[self.eliminated] = forward.best
-        value, drop = forward.value, math.inf
+        value, drop = self._forward(x).value, math.inf
         for sweeps in range(1, MAX_SWEEPS + 1):
-            swept = self._sweep_once(factors)
+            swept = self._sweep_once(x, factors)
             slow = value - swept < SLOW_GATE * value and value - swept > SLOW_RATE * drop
             ratio = max(value - swept, 0.0) / drop
             if swept <= ZERO_LEVEL or value - swept < SWEEP_TOL * value or slow:
                 break
             value, drop = swept, value - swept
-        point = np.concatenate(factors).view(np.float64)
         if self._free_dims <= 2 or swept <= ZERO_LEVEL:
-            return point, sweeps
+            return x, sweeps
         # The loss gap falls by `ratio` per sweep and the gradient by about
         # its square root: go on where that reaches tol_grad within as many
         # sweeps as there are free real dimensions, about what L-BFGS takes.
-        grad_inf = self._grad_inf(point)
+        grad_inf = self._grad_inf(x)
         if not grad_inf * math.sqrt(ratio) ** self._free_dims < tol_grad <= grad_inf:
-            return point, sweeps
+            return x, sweeps
         for sweeps in range(sweeps + 1, MAX_FINISH_SWEEPS + 1):
-            self._sweep_once(factors)
-            point = np.concatenate(factors).view(np.float64)
-            last, grad_inf = grad_inf, self._grad_inf(point)
+            self._sweep_once(x, factors)
+            last, grad_inf = grad_inf, self._grad_inf(x)
             if grad_inf < tol_grad or not grad_inf <= FINISH_RATE * last:
                 break
-        return point, sweeps
+        return x, sweeps
 
-    def _sweep_once(self, factors: list[np.ndarray]) -> float:
-        """One sweep over `factors` in place; returns the loss after it."""
+    def _sweep_once(self, x: np.ndarray, factors: list[np.ndarray]) -> float:
+        """One sweep over x in place, through the complex views `factors` of
+        its party blocks, party e's solve being the forward pass of the
+        swept point; returns the loss after it."""
         for q in self._others:
-            factors[q] = self._solve(q, self._product(factors, q))[1]
-        factors[self.eliminated], *_, swept = self._slot_pass(self._product(factors, self.eliminated))
-        return swept
+            factors[q][:] = self._solve(q, self._product(factors, q))[1]
+        forward = self._forward(x)
+        factors[self.eliminated][:] = forward.best
+        return forward.value
 
     def _grad_inf(self, x: np.ndarray) -> float:
         return float(np.max(np.abs(self.value_and_grad(x)[1])))

@@ -23,7 +23,7 @@ from .errors import OptimizationError, SingularParameterError, UsageError
 from .objective import ZERO_LEVEL, LossKernel
 from .rank_param import RankParams, build_state, trial_rng
 from .subspace import Subspace
-from .tensor_core import PureState
+from .tensor_core import PureState, as_int
 
 # Consecutive small relative-decrease iterations required to declare a plateau.
 PLATEAU_WINDOW = 5
@@ -55,6 +55,8 @@ class OptimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("max_iters", "trials", "seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if not all(math.isfinite(t) and t > 0 for t in (self.tol_grad, self.tol_loss_rel)):
             raise UsageError("tolerances must be finite and positive")
         if self.max_iters < 1 or self.trials < 1:
@@ -315,6 +317,7 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     """Geometric measure of r-bounded rank of a subspace: minimum of the
     complement-overlap loss over rank budget r - 1, across cfg.trials
     independent restarts."""
+    r = as_int(r, "entanglement level r")
     if r < 2:
         raise UsageError(f"entanglement level r must be >= 2, got {r}")
     limit = level_bound(sub.dims)

@@ -23,11 +23,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularParameterError, UsageError
-from .tensor_core import PureState, as_dims
+from .tensor_core import PureState, as_dims, as_int
 
 
 def params_length(dims, r: int) -> int:
-    return 2 * sum(as_dims(dims)) * int(r)
+    return 2 * sum(as_dims(dims)) * as_int(r, "rank budget")
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,7 @@ class RankParams:
 
     def __post_init__(self):
         dims = as_dims(self.dims)
-        r = int(self.r)
+        r = as_int(self.r, "rank budget")
         if r < 1:
             raise UsageError(f"rank budget must be >= 1, got {r}")
         x = np.array(self.x, dtype=np.float64).ravel()
@@ -84,13 +84,15 @@ class ForwardMap(NamedTuple):
 
 
 def forward_map(x: np.ndarray, dims: tuple[int, ...], r: int) -> ForwardMap:
-    """Evaluate T(x), keeping intermediates."""
+    """Evaluate T(x), keeping intermediates. They are views of a copy of
+    x, never of x itself: callers keep them, as the loss kernel's memo
+    does, while the caller of x may mutate it in place."""
     v = np.array(x, dtype=np.float64).view(np.complex128).reshape(r, -1)
     factors = [v[:, cols] for cols in party_columns(dims)]
     prefixes = factors[:1]
     for f in factors[1:]:
         prefixes.append(_row_kron(prefixes[-1], f))
-    return ForwardMap(factors, prefixes, prefixes[-1].sum(axis=0))
+    return ForwardMap(factors, prefixes, prefixes[-1][0] if r == 1 else prefixes[-1].sum(axis=0))
 
 
 def build_state(p: RankParams) -> PureState:

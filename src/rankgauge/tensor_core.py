@@ -56,6 +56,15 @@ def as_dims(dims) -> tuple[int, ...]:
     return tuple(out)
 
 
+def as_int(value, what: str) -> int:
+    """`value` as a Python int. Python and numpy integers are accepted;
+    floats and strings are refused with UsageError, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise UsageError(f"{what} must be an integer, got {value!r}") from exc
+
+
 def peak_scaled(amp: np.ndarray) -> tuple[np.ndarray, float]:
     """(amp / p, p) for p the largest |entry| of the complex array amp, or
     (amp, 0.0) if every entry is zero. Norms of amp / p neither overflow

@@ -18,8 +18,8 @@ from rankgauge import (
 )
 from rankgauge import objective
 from rankgauge.objective import LossKernel
-from rankgauge.rank_param import RankParams, build_state
-from rankgauge.catalog import StripParams, strip_subspace
+from rankgauge.rank_param import RankParams, build_state, trial_rng
+from rankgauge.catalog import StripParams, max_ces_subspace, strip_subspace
 
 from test_rank_param import make_params, random_params
 
@@ -194,10 +194,18 @@ class TestLossAndGradient:
             for seed in range(20):
                 x = random_params((2, 2, 2), budget, seed).x.copy()
                 # value_and_grad right after value runs only the backward
-                # pass, and a repeat runs neither
-                kernel.value(x)
+                # pass, and a repeat runs neither. At budget 1 the memo is
+                # keyed on the blocks the loss reads: value of a point that
+                # differs from x in the solved party's block only will do,
+                # and completing that point runs no pass
+                y = x.copy()
+                if budget == 1:
+                    y.view(np.complex128)[kernel.columns[kernel.eliminated]] += 1.0
+                kernel.value(y)
                 check(kernel, sub, x, ["backward"])
                 check(kernel, sub, x, [])
+                kernel.completed(y)
+                assert passes == []
                 # a point mutated in place after value_and_grad or after
                 # value is evaluated afresh; every coordinate moves, so a
                 # stale gradient would differ
@@ -389,6 +397,49 @@ class TestBudgetOne:
             assert abs(scaled_value / value - 1.0) < 1e-14
             scaled_grad[block] *= scale
             np.testing.assert_allclose(scaled_grad, grad, rtol=0, atol=1e-13 * np.max(np.abs(grad)))
+
+
+class TestBudgetOneSweepMemo:
+    @pytest.mark.parametrize("sub", [
+        strip_subspace(StripParams(4, 1.0)),  # the basis side
+        max_ces_subspace(3, 3, 8),  # the complement side
+    ], ids=["strip-2x4", "ces-3x3x8"])
+    def test_sweep_solves_party_e_once_per_sweep(self, sub, monkeypatch):
+        """Party e is solved only in the forward pass: once for the start
+        and once per sweep. The swept point is its own completion and its
+        forward pass is in the memo, so the sweeps' gradients and the
+        L-BFGS start run only the backward pass."""
+        calls = {"forward": 0, "backward": 0, "solve_e": 0}
+        for name, kind in [("_product_pass", "forward"), ("_product_grad", "backward")]:
+            method = getattr(LossKernel, name)
+
+            def counted(self, arg, _kind=kind, _method=method):
+                calls[_kind] += 1
+                return _method(self, arg)
+
+            monkeypatch.setattr(LossKernel, name, counted)
+        solve = LossKernel._solve
+
+        def counted_solve(self, q, p):
+            calls["solve_e"] += q == self.eliminated
+            return solve(self, q, p)
+
+        monkeypatch.setattr(LossKernel, "_solve", counted_solve)
+        kernel = LossKernel(sub.dims, 1, sub)
+        gradients = 0
+        for i in range(3):
+            x = trial_rng(1, i).standard_normal(kernel.n_params)
+            before = dict(calls)
+            point, sweeps = kernel.sweep(x, OptimConfig().tol_grad)
+            assert calls["forward"] - before["forward"] == sweeps + 1
+            assert calls["solve_e"] - before["solve_e"] == sweeps + 1
+            gradients += calls["backward"] - before["backward"]
+            assert point.tobytes() == kernel.completed(point).tobytes()
+            kernel.value_and_grad(point)
+            assert calls["forward"] - before["forward"] == sweeps + 1
+        # the continuation takes gradients on the 8 free real dimensions of
+        # 3 x 3 x 8, never on the one free qubit of 2 x 4
+        assert (gradients > 0) == (sub.dims == (3, 3, 8))
 
 
 class TestKernelReference:

@@ -330,6 +330,8 @@ class TestTrials:
         sub = span_of(basis_state((2, 2), (0, 0)))
         with pytest.raises(UsageError):
             LossKernel((2, 2), 0, sub)
+        with pytest.raises(UsageError, match="rank budget must be an integer"):
+            LossKernel((2, 2), 1.5, sub)
 
 
 def sweeps_off(monkeypatch):
@@ -417,6 +419,14 @@ class TestOptimConfig:
             OptimConfig(seed=-1)
         assert OptimConfig(seed=0).seed == 0
 
+    @pytest.mark.parametrize("field, bad", [("trials", 2.5), ("max_iters", 1e4), ("seed", 1.5), ("seed", "1")])
+    def test_counts_must_be_integers(self, field, bad):
+        # refused, not truncated to another run or left to fail in a trial
+        with pytest.raises(UsageError, match=f"{field} must be an integer"):
+            OptimConfig(**{field: bad})
+        cfg = OptimConfig(**{field: np.int64(2)})
+        assert getattr(cfg, field) == 2 and type(getattr(cfg, field)) is int
+
 
 class TestRunCertification:
     def test_example_strip_value(self):
@@ -493,6 +503,19 @@ class TestRunCertification:
         sub = span_of(basis_state((2, 2), (0, 0)))
         with pytest.raises(UsageError):
             run_certification(sub, 1, OptimConfig(seed=1))
+
+    def test_non_integer_levels_are_refused_before_any_kernel(self, monkeypatch):
+        # int(2.5) would silently compute E_2
+        sub = strip_subspace(StripParams(4, 1.0))
+
+        def no_kernel(*args):
+            raise AssertionError("kernel built")
+
+        monkeypatch.setattr(opt_mod, "LossKernel", no_kernel)
+        with pytest.raises(UsageError, match="entanglement level r must be an integer"):
+            run_certification(sub, 2.5, OptimConfig())
+        with pytest.raises(UsageError, match="r_max must be an integer"):
+            minimal_rank_scan(sub, 3.0)
 
     def test_rejects_levels_beyond_the_rank_bound(self):
         # every 2 x 3 state has tensor rank <= 6 / 3 = 2, so E_r = 0 exactly

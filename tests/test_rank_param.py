@@ -47,6 +47,10 @@ class TestRankParams:
         with pytest.raises(UsageError):
             RankParams((2, 2), 1, np.zeros(9))
         RankParams((2, 2), 1, np.zeros(8))
+        # a float budget is refused, not truncated to one that fits the length
+        with pytest.raises(UsageError, match="rank budget must be an integer"):
+            RankParams((2, 2), 1.5, np.zeros(8))
+        assert RankParams((2, 2), np.int64(1), np.zeros(8)).r == 1
 
     def test_factors_are_the_complex_view(self):
         # x is the float64 view of the (r, sum(dims)) complex factors:
