@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UsageError
 from .subspace import MixedState, Subspace, _basis_dims, complement_basis
-from .tensor_core import PureState, as_dims
+from .tensor_core import PureState, as_dims, as_int
 
 
 @dataclass(frozen=True)
@@ -28,13 +28,14 @@ class StripParams:
     xi: float = 0.0
 
     def __post_init__(self):
-        if int(self.d) < 2:
-            raise UsageError(f"d must be >= 2, got {self.d}")
+        d = as_int(self.d, "d")
+        if d < 2:
+            raise UsageError(f"d must be >= 2, got {d}")
         if not 0.0 < self.theta < math.pi:
             raise UsageError(f"theta must lie in (0, pi), got {self.theta}")
         if not 0.0 <= self.xi < 2.0 * math.pi:
             raise UsageError(f"xi must lie in [0, 2pi), got {self.xi}")
-        object.__setattr__(self, "d", int(self.d))
+        object.__setattr__(self, "d", d)
 
     @property
     def a(self) -> complex:
@@ -188,6 +189,7 @@ def max_ces_dimension(d1: int, d2: int, d3: int) -> int:
 def dicke_state(n: int, k: int) -> PureState:
     """Symmetric n-qubit state with k excitations (uniform over the
     C(n, k) basis states with k ones)."""
+    n, k = as_int(n, "n"), as_int(k, "k")
     if not 0 <= k <= n or n < 1:
         raise UsageError(f"need 0 <= k <= n, got n={n}, k={k}")
     dims = as_dims(repeat(2, n))
@@ -201,6 +203,7 @@ def dicke_state(n: int, k: int) -> PureState:
 
 def dicke_e2_closed_form(n: int, k: int) -> float:
     """E_2 of the Dicke state: 1 - C(n,k) (k/n)^k ((n-k)/n)^(n-k)."""
+    n, k = as_int(n, "n"), as_int(k, "k")
     if not 0 <= k <= n or n < 1:
         raise UsageError(f"need 0 <= k <= n, got n={n}, k={k}")
     overlap = math.comb(n, k) * (k / n) ** k * ((n - k) / n) ** (n - k)
@@ -261,6 +264,7 @@ def w_type_e2_closed_form(coeffs: WTypeCoeffs) -> float:
 
 def ghz_state(n: int = 3, d: int = 2) -> PureState:
     """(|0...0> + ... + |d-1...d-1>) / sqrt(d) over n parties."""
+    n, d = as_int(n, "n"), as_int(d, "d")
     if n < 2 or d < 2:
         raise UsageError(f"need n >= 2 and d >= 2, got n={n}, d={d}")
     dims = as_dims(repeat(d, n))

@@ -18,37 +18,36 @@ with dT/dx_p = T_p,
 
     dL/dx_p = Re( y^dag T_p ),    y = (2/N) (P_perp T - L T),
 
-which is assembled below for all terms at once. conj(y) is contracted
-with the factors party by party, from the last one inwards, and the
-cotangents h of all factors land in one (r, sum(dims)) complex array,
-the shape of x's complex view: the gradient is the float64 view of
-conj(h). The factors are not normalized, so there is no radial component
-to project out. No clamping happens here; [0, 1] clamping is
-reporting-level only.
+which is assembled below for all terms at once. The kernel forms conj(y)
+from conj(P_perp T), which is sum_j conj(c_j) conj(q_j) or conj(T) -
+sum_j conj(<e_j|T>) conj(e_j), so it holds only the conjugated rows.
+conj(y) is contracted with the factors party by party, from the last one
+inwards, and the cotangents h of all factors land in one (r, sum(dims))
+complex array, the shape of x's complex view: the gradient is the
+float64 view of conj(h). The factors are not normalized, so there is no
+radial component to project out. No clamping happens here; [0, 1]
+clamping is reporting-level only.
 
 At rank budget 1 the candidate is one product state, and the factor of
-party e, the largest party (the last of them on ties), is solved exactly,
-so the kernel never forms the tensor. It gathers only the other parties'
-raw factors, the parameters of one product state over their dimensions,
-and `forward_map` of them gives their product p, of size P = D / d_e
-(p = [1] when e is the only party). With the rows reordered as R, of
-shape (m, d_e, P) around e's axis, B = conj(R) p has shape (m, d_e), and
-T = c (x) p, with c in e's slot, has the coefficients w = B c. The loss
-is ||w||^2 / N on the complement side and ||T - w R||^2 / N on the basis
-side, with N = ||p||^2 ||c||^2, which divides out the scale of every
-factor. The minimizer c* is the lowest or the highest eigenvector of the
-d_e x d_e matrix B^dag B, which every evaluation computes; with one basis
-row b, as for the span of a state, it is conj(b) / ||b|| without an
-eigenproblem. So the value is the exact loss of a product state and a
-true upper bound. Party e's block of x is ignored, and its gradient
+party e, the largest party (the last of them on ties), is solved exactly.
+The kernel gathers only the other parties' raw factors, the parameters of
+one product state over their dimensions, and `forward_map` of them gives
+their product p, of size P = D / d_e (p = [1] when e is the only party).
+It works in the frame with e's axis first: the rows reordered as R, of
+shape (m, d_e, P), B = conj(R) p of shape (m, d_e), and T = c (x) p,
+whose coefficients are w = B c. The minimizer c* of the loss over c is
+the lowest (complement side) or the highest (basis side) eigenvector of
+the d_e x d_e matrix B^dag B, which every evaluation computes; with one
+basis row b, as for the span of a state, it is conj(b) / ||b|| without an
+eigenproblem. From T = c* (x) p and w = B c* on, the loss, N and y are
+those above, in this frame, so the value is the exact loss of a product
+state and a true upper bound, and N = ||p||^2 ||c*||^2 divides out the
+scale of every factor. Party e's block of x is ignored, and its gradient
 entries are exactly zero. c* is stationary on the unit sphere, so by the
-envelope theorem the gradient in the other factors is taken at fixed c*.
-The cotangent of p is y, as above, contracted with conj(c*) on e's axis,
-in residual form so that no O(1) terms cancel: M^dag w - L p on the
-complement side, where M = conj(R) contracted with c* on e's axis gives
-w = M p, and T - w R contracted with conj(c*), minus L p, on the basis
-side (both times 2/N). The same loop as at budgets >= 2 contracts it
-with the other parties' factors. As there, p = 0 raises
+envelope theorem the gradient in the other factors is taken at fixed c*:
+since dT = c* (x) dp, conj(y) contracted with c* on e's axis is the
+cotangent of p, and the same loop as at budgets >= 2 contracts it with
+the other parties' factors. As there, p = 0 raises
 SingularParameterError, and the factors' scales must keep p and N within
 the float range: two blocks scaled by 1e-100 raise, and two scaled by
 1e100 overflow. Starts are standard normal, the sweeps hand over unit
@@ -146,16 +145,16 @@ FINISH_RATE = 0.7
 MAX_FINISH_SWEEPS = 40
 
 
-class _ProductPass(NamedTuple):
-    """Budget-1 forward intermediates, in the (d_e, P) frame of
-    `LossKernel.slot_rows`."""
+class _Pass(NamedTuple):
+    """Forward intermediates at every budget, in the frame of
+    `LossKernel._conj_rows`."""
 
-    fw: ForwardMap | None  # the other parties' raw factors; fw.tensor is p (None: p = [1])
-    best: np.ndarray  # c*, party e's exact best unit factor
-    csq: float  # ||c*||^2
+    fw: ForwardMap | None  # the forward map of the factors the loss reads (None: p = [1])
+    t: np.ndarray  # T
+    best: np.ndarray | None  # budget 1: c*, party e's exact best unit factor
     w: np.ndarray  # <row_j|T>
     resid: np.ndarray | None  # conj(T - P_S T) on the basis side
-    nsq: float  # N = ||p||^2 ||c*||^2
+    nsq: float  # N = <T|T>
     value: float
 
 
@@ -169,12 +168,13 @@ class LossKernel:
     otherwise; a full space has no complement and raises UsageError.
     At rank budget 1 the factor of party `eliminated` (the last of the
     largest parties) is the exact minimizer for the other factors, as the
-    module docstring derives. The kernel then works on the product p of
-    the other parties' raw factors, read through `forward_map`, and the
-    rows reshaped around party e's axis (`slot_rows`), and never forms the
-    tensor: e's block of x is ignored, gets exact zero gradient, and
-    `completed(x)` writes the minimizer into x. Only p = 0 is singular;
-    the module docstring gives the scale range of the factors.
+    module docstring derives: the kernel reads only the product p of the
+    other parties' raw factors, through `forward_map`, e's block of x is
+    ignored and gets exact zero gradient, and `completed(x)` writes the
+    minimizer into x. Only p = 0 is singular; the module docstring gives
+    the scale range of the factors. T and the conjugated rows are held in
+    one frame per kernel: the party order at budgets >= 2, and e's axis
+    first, then the other parties in order, at budget 1.
     `sweep(x, tol_grad)` runs the exact one-party sweeps of the module
     docstring from x until the handover rule, or on to tol_grad where that
     pays; it holds the rows reordered around every party's axis for that.
@@ -206,21 +206,20 @@ class LossKernel:
         self.rows = sub.complement_rows if self.complement else sub.basis
         self.columns = party_columns(self.dims)
         self._memo = (None, None, None)  # (key, forward pass, gradient or None)
+        conj_rows = self.rows.conj()
         if self.r > 1:
             self.eliminated = None
-            self.rows_conj = self.rows.conj()
+            self._conj_rows = conj_rows
             return
         e = self.eliminated = len(self.dims) - 1 - self.dims[::-1].index(max(self.dims))
         # conj(rows) as (m, d_q, D / d_q) for every party q: q's axis, then
         # the other parties' product in party order, so that B_q = rows_q @ p
         m = self.rows.shape[0]
-        conj_rows = self.rows.conj()
         self._party_rows = [
             conj_rows.reshape(m, math.prod(self.dims[:q]), d, -1).transpose(0, 2, 1, 3).reshape(m, d, -1)
             for q, d in enumerate(self.dims)
         ]
-        self.slot_rows = self._party_rows[e]
-        self._wide_rows = self.slot_rows.reshape(m, -1)  # a view, for sums over the rows
+        self._conj_rows = self._party_rows[e].reshape(m, -1)  # a view, in the frame c (x) p
         self._one_row = m == 1 and not self.complement
         # the float positions of the other parties' columns: gathered, they
         # are the parameters of one product state over `_other_dims`
@@ -230,28 +229,40 @@ class LossKernel:
         self._pairs = (2 * cols[:, None] + [0, 1]).ravel()
         self._free_dims = 2 * sum(d - 1 for d in self._other_dims)  # real dims of the free factors' manifold
 
-    def _forward(self, x: np.ndarray):
+    def _forward(self, x: np.ndarray) -> _Pass:
         blocks = x if self.eliminated is None else np.asarray(x, dtype=np.float64)[self._pairs]
         key = blocks.tobytes()
         if key != self._memo[0]:
-            forward = (self._tensor_pass if self.eliminated is None else self._product_pass)(blocks)
-            self._memo = (key, forward, None)
+            self._memo = (key, self._pass(blocks), None)
         return self._memo[1]
 
-    def _tensor_pass(self, x: np.ndarray):
-        fw = forward_map(x, self.dims, self.r)
-        t = fw.tensor
-        c = self.rows_conj @ t
-        nsq = float(np.real(np.vdot(t, t)))
+    def _pass(self, blocks: np.ndarray) -> _Pass:
+        """The forward pass of the blocks the loss reads: T and its
+        coefficients w on the rows, then the loss. At budgets >= 2 the
+        blocks are x and T = T(x). At budget 1 they are the gathered floats
+        of the other parties' raw factors, one product state whose tensor
+        is p, and T = c* (x) p for party e's exact best factor c*. On the
+        basis side it also returns conj(T - P_S T)."""
+        if self.eliminated is None:
+            fw = forward_map(blocks, self.dims, self.r)
+            t, best = fw.tensor, None
+            w = self._conj_rows @ t
+        else:
+            fw = forward_map(blocks, self._other_dims, 1) if self._others else None
+            p = np.ones(1, dtype=np.complex128) if fw is None else fw.tensor
+            b, best = self._solve(self.eliminated, p)
+            t = np.multiply.outer(best, p).ravel()
+            w = b @ best
+        nsq = float(np.vdot(t, t).real)
         if not math.sqrt(nsq) > 1e-300:
             raise SingularParameterError("the product sum vanished")
         if self.complement:
-            resid = None  # P_perp T = c @ rows, formed only for the gradient
-            rsq = float(np.real(np.vdot(c, c)))
+            resid = None  # conj(P_perp T) = conj(w) @ conj rows, formed only for the gradient
+            rsq = float(np.vdot(w, w).real)
         else:
-            resid = t - c @ self.rows
-            rsq = float(np.real(np.vdot(resid, resid)))
-        return fw, t, nsq, c, resid, rsq / nsq
+            resid = t.conj() - w.conj() @ self._conj_rows
+            rsq = float(np.vdot(resid, resid).real)
+        return _Pass(fw, t, best, w, resid, nsq, rsq / nsq)
 
     def _solve(self, q: int, p: np.ndarray):
         """Budget 1: B = conj(rows) contracted with the product p of the
@@ -266,44 +277,6 @@ class LossKernel:
             return b, b[0].conj() / nrm
         vecs = np.linalg.eigh(b.conj().T @ b)[1]
         return b, vecs[:, 0] if self.complement else vecs[:, -1]
-
-    def _product_pass(self, blocks: np.ndarray):
-        """Budget 1: the forward map of `blocks`, the gathered floats of the
-        other parties' raw factors, a single product state whose tensor is
-        p; then the exact best factor c* of party e and the loss of
-        c* (x) p. On the basis side it also returns conj(T - P_S T) in the
-        (d_e, P) frame of `slot_rows`."""
-        fw = forward_map(blocks, self._other_dims, 1) if self._others else None
-        p = np.ones(1, dtype=np.complex128) if fw is None else fw.tensor
-        psq = float(np.vdot(p, p).real)
-        if not math.sqrt(psq) > 1e-300:
-            raise SingularParameterError("the product sum vanished")
-        b, best = self._solve(self.eliminated, p)
-        w = b @ best  # <row_j|T>
-        csq = float(np.vdot(best, best).real)
-        nsq = psq * csq
-        if self.complement:
-            resid = None  # conj(P_perp T) = conj(w) @ rows, formed only for the gradient
-            rsq = float(np.vdot(w, w).real)
-        else:
-            resid = np.multiply.outer(best, p).conj().ravel() - w.conj() @ self._wide_rows
-            rsq = float(np.vdot(resid, resid).real)
-        return _ProductPass(fw, best, csq, w, resid, nsq, rsq / nsq)
-
-    def _product_grad(self, forward: _ProductPass) -> np.ndarray:
-        """Budget 1: the gradient in the other parties' blocks through the
-        cotangent of p; party e's block stays exactly zero."""
-        fw, best, csq, w, resid, nsq, value = forward
-        grad = np.zeros(self.n_params, dtype=np.float64)
-        if fw is None:
-            return grad
-        if resid is None:
-            resid = w.conj() @ self._wide_rows
-        # conj of the cotangent of p, N/2 times: conj(y) contracted with c*
-        # on e's axis, for y = (2/N)(P_perp T - L T) and T = c* (x) p
-        g = best @ resid.reshape(best.size, -1) - (value * csq) * fw.tensor.conj()
-        grad[self._pairs] = _cotangents((2.0 / nsq) * g, fw).conj().view(np.float64).ravel()
-        return grad
 
     def completed(self, x: np.ndarray) -> np.ndarray:
         """A copy of x whose eliminated block holds the exact best factor
@@ -371,27 +344,34 @@ class LossKernel:
     def _product(self, factors: list[np.ndarray], q: int) -> np.ndarray:
         """The product of every party's factor but q's, in party order."""
         rest = factors[:q] + factors[q + 1:]
-        if not rest:
-            return np.ones(1, dtype=np.complex128)
         return functools.reduce(lambda a, f: np.multiply.outer(a, f).ravel(), rest)
 
     def value(self, x: np.ndarray) -> float:
-        return self._forward(x)[-1]
+        return self._forward(x).value
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         forward = self._forward(x)
         key, _, grad = self._memo
         if grad is None:
-            grad = (self._tensor_grad if self.eliminated is None else self._product_grad)(forward)
+            grad = self._grad(forward)
             self._memo = (key, forward, grad)
-        return forward[-1], grad.copy()
+        return forward.value, grad.copy()
 
-    def _tensor_grad(self, forward: tuple) -> np.ndarray:
-        fw, t, nsq, c, resid, value = forward
+    def _grad(self, forward: _Pass) -> np.ndarray:
+        """The gradient of the forward pass's loss in x. At budget 1 it
+        reaches the other parties' blocks through the cotangent of p, and
+        party e's block stays exactly zero."""
+        fw, t, best, w, resid, nsq, value = forward
+        if fw is None:  # budget 1 with party e alone: every block is e's
+            return np.zeros(self.n_params, dtype=np.float64)
         if resid is None:
-            resid = c @ self.rows
-        y = (2.0 / nsq) * (resid - value * t)  # adjoint of the quotient
-        return _cotangents(y.conj(), fw).conj().view(np.float64).ravel()
+            resid = w.conj() @ self._conj_rows
+        acc = (2.0 / nsq) * (resid - value * t.conj())  # conj(y), y the adjoint of the quotient
+        if best is None:
+            return _cotangents(acc, fw).conj().view(np.float64).ravel()
+        grad = np.zeros(self.n_params, dtype=np.float64)
+        grad[self._pairs] = _cotangents(best @ acc.reshape(best.size, -1), fw).conj().view(np.float64).ravel()
+        return grad
 
 
 def _cotangents(acc: np.ndarray, fw: ForwardMap) -> np.ndarray:

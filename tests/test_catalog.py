@@ -75,6 +75,11 @@ class TestStrip:
         with pytest.raises(UsageError):
             StripParams(3, 1.0, -0.1)
 
+    @pytest.mark.parametrize("d", [3.9, 4.0, "4", None])
+    def test_non_integer_d_is_refused(self, d):
+        with pytest.raises(UsageError, match="d must be an integer"):
+            StripParams(d, 1.0)
+
 
 class TestGes:
     def test_dimension(self):
@@ -180,6 +185,12 @@ class TestDicke:
             overlap = np.vdot(dicke_closest_product(n, k).amp, dicke_state(n, k).amp)
             assert abs(overlap) ** 2 == pytest.approx(1 - dicke_e2_closed_form(n, k), abs=1e-12)
 
+    @pytest.mark.parametrize("fn", [dicke_state, dicke_e2_closed_form])
+    @pytest.mark.parametrize("n, k", [(3.0, 1), (4, 2.5), (4, "2")])
+    def test_non_integer_parameters_are_refused(self, fn, n, k):
+        with pytest.raises(UsageError, match="must be an integer"):
+            fn(n, k)
+
 
 class TestMatrixMultTensor:
     def test_n2_support(self):
@@ -228,6 +239,11 @@ class TestGhz:
         g = ghz_state(3)
         assert abs(g.amp[0] - 1 / np.sqrt(2)) < 1e-14
         assert abs(g.amp[7] - 1 / np.sqrt(2)) < 1e-14
+
+    @pytest.mark.parametrize("n, d", [(3.0, 2), (3, 2.0), (3, "2")])
+    def test_non_integer_parameters_are_refused(self, n, d):
+        with pytest.raises(UsageError, match="must be an integer"):
+            ghz_state(n, d)
 
 
 class TestCatalogGrammar:

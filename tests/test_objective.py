@@ -165,8 +165,7 @@ class TestLossValues:
 class TestLossAndGradient:
     def test_value_is_bitwise_identical_to_loss(self, rng, monkeypatch):
         passes = []  # "forward" or "backward", per pass run
-        for name, kind in [("_tensor_pass", "forward"), ("_product_pass", "forward"),
-                           ("_tensor_grad", "backward"), ("_product_grad", "backward")]:
+        for name, kind in [("_pass", "forward"), ("_grad", "backward")]:
             method = getattr(LossKernel, name)
 
             def counted(self, arg, _kind=kind, _method=method):
@@ -334,7 +333,7 @@ class TestSweepProperty:
         dense._one_row = False
         units = [haar_random_state((d,), rng).amp for d in dims]
         for q in range(len(dims)):
-            p = closed._product(units, q)
+            p = closed._product(units, q) if len(dims) > 1 else np.ones(1, dtype=np.complex128)
             c_closed, c_dense = closed._solve(q, p)[1], dense._solve(q, p)[1]
             assert abs(abs(np.vdot(c_closed, c_dense)) - 1.0) < 1e-12
         x = rng.standard_normal(closed.n_params)
@@ -410,7 +409,7 @@ class TestBudgetOneSweepMemo:
         forward pass is in the memo, so the sweeps' gradients and the
         L-BFGS start run only the backward pass."""
         calls = {"forward": 0, "backward": 0, "solve_e": 0}
-        for name, kind in [("_product_pass", "forward"), ("_product_grad", "backward")]:
+        for name, kind in [("_pass", "forward"), ("_grad", "backward")]:
             method = getattr(LossKernel, name)
 
             def counted(self, arg, _kind=kind, _method=method):

@@ -365,13 +365,13 @@ class TestSweepContinuation:
         kernel = LossKernel(sub.dims, 1, sub)
         cfg = OptimConfig()
         grads = []
-        method = LossKernel._product_grad
+        method = LossKernel._grad
 
         def counted(self, forward):
             grads.append(forward)
             return method(self, forward)
 
-        monkeypatch.setattr(LossKernel, "_product_grad", counted)
+        monkeypatch.setattr(LossKernel, "_grad", counted)
         for i in range(cfg.trials):
             x0 = trial_rng(cfg.seed, i).standard_normal(kernel.n_params)
             sweeps_off(monkeypatch)
