@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import UsageError
 from .subspace import MixedState, Subspace, _basis_dims, complement_basis
-from .tensor_core import PureState, as_dims, as_int
+from .tensor_core import PureState, as_dims, as_int, as_real
 
 
 @dataclass(frozen=True)
@@ -29,13 +29,16 @@ class StripParams:
 
     def __post_init__(self):
         d = as_int(self.d, "d")
+        theta, xi = as_real(self.theta, "theta"), as_real(self.xi, "xi")
         if d < 2:
             raise UsageError(f"d must be >= 2, got {d}")
-        if not 0.0 < self.theta < math.pi:
-            raise UsageError(f"theta must lie in (0, pi), got {self.theta}")
-        if not 0.0 <= self.xi < 2.0 * math.pi:
-            raise UsageError(f"xi must lie in [0, 2pi), got {self.xi}")
+        if not 0.0 < theta < math.pi:
+            raise UsageError(f"theta must lie in (0, pi), got {theta}")
+        if not 0.0 <= xi < 2.0 * math.pi:
+            raise UsageError(f"xi must lie in [0, 2pi), got {xi}")
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "xi", xi)
 
     @property
     def a(self) -> complex:
@@ -183,6 +186,7 @@ def max_ces_subspace(d1: int, d2: int, d3: int) -> Subspace:
 
 
 def max_ces_dimension(d1: int, d2: int, d3: int) -> int:
+    d1, d2, d3 = as_int(d1, "d1"), as_int(d2, "d2"), as_int(d3, "d3")
     return d1 * d2 * d3 - d1 - d2 - d3 + 2
 
 
@@ -214,6 +218,7 @@ def matrix_mult_tensor(n: int) -> PureState:
     """Normalized tripartite tensor sum_{ijk} |ij>|ik>|jk> over three
     parties of dimension n^2; its rank counts the multiplications needed
     for n x n matrix products."""
+    n = as_int(n, "n")
     if n < 2:
         raise UsageError(f"n must be >= 2, got {n}")
     dims = as_dims((n * n,) * 3)
@@ -236,6 +241,8 @@ class WTypeCoeffs:
     c: float
 
     def __post_init__(self):
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         s = self.a**2 + self.b**2 + self.c**2
         if abs(s - 1.0) > 1e-12:
             raise UsageError(f"coefficients must satisfy a^2+b^2+c^2 = 1, got {s!r}")

@@ -23,4 +23,10 @@ class OptimizationError(RankgaugeError):
 
 class SingularParameterError(RankgaugeError):
     """Parameter vector maps to a degenerate state (zero factor block or
-    vanishing product sum); the caller is expected to reinitialize."""
+    vanishing product sum); the caller is expected to reinitialize. An
+    evaluation of a stack of parameter vectors sets `lanes`, the boolean
+    mask of its singular ones."""
+
+    def __init__(self, message: str, lanes=None):
+        super().__init__(message)
+        self.lanes = lanes

@@ -56,13 +56,31 @@ so no run comes near those scales.
 `LossKernel.completed(x)` fills party e's block with c*, so that the
 state of the returned parameters is the witness of the value.
 
-Before L-BFGS, `LossKernel.sweep` moves each budget-1 start into a basin
-by exact one-party solves, a block-coordinate descent that for a single
+The forward pass, the exact solves and the gradient take a leading lane
+axis: a stack of L points, one per lane, is evaluated by the same numpy
+calls as one point. At budget 1 the lanes are the terms of one
+`forward_map` of the gathered blocks, whose (L, P) last prefixes are the
+lanes' products p, and `_cotangents` takes one cotangent of p per term;
+every contraction is a batched `matmul` or `matvec` over the lane axis,
+which multiplies each lane on its own and never folds lanes into one
+product, and the eigenproblems are one stacked eigh. So a lane's bits do not
+depend on how many lanes share its stack or which of them remain, as long
+as the lane's arrays keep their memory layout: slicing keeps it, while
+gathering a subset of lanes copies them into another layout and may move
+their last bits, which is why the sweeps take gradients of their whole
+stack.
+`LossKernel.value` and `value_and_grad` evaluate a batch of one.
+
+Before L-BFGS, `LossKernel.sweep` moves budget-1 starts into basins by
+exact one-party solves, a block-coordinate descent that for a single
 state is the alternating eigen-update of Streltsov, Kampermann and Bruss
-(PRA 2011). Each sweep visits the other parties in order and then party
-e: party q's factor becomes the lowest (complement side) or highest
-(basis side) eigenvector of B_q^dag B_q, where B_q contracts the rows,
-reordered around q's axis, with the product of the other factors.
+(PRA 2011). It sweeps a stack of starts in lockstep, one solve per party
+and sweep for all lanes, applies the rules below to each lane, and drops
+a lane from the stack once they stop it. Each sweep visits the other
+parties in order and then party e: party q's factor becomes the lowest
+(complement side) or highest (basis side) eigenvector of B_q^dag B_q,
+where B_q contracts the rows, reordered around q's axis, with the
+product of the other factors.
 Party e's solve is the kernel's forward pass of the swept point, which
 gives c*, and with one basis row every solve is conj(b) / ||b||. Every
 solve is an exact minimum over one factor, so no sweep raises the loss.
@@ -86,6 +104,11 @@ MAX_FINISH_SWEEPS sweeps in all. One free qubit (every 2 x d strip and
 the 2 x 3 subspaces of fig2) keeps the handover alone and takes no
 gradient in the sweeps: L-BFGS finishes those trials in about two
 iterations.
+
+The memo contract: the kernel keeps the forward pass of every point a
+sweep hands over, with its gradient where the sweeps took it, until that
+point is first evaluated. So a lane's L-BFGS start runs no forward pass,
+and no backward pass where the continuation already took its gradient.
 """
 
 from __future__ import annotations
@@ -97,7 +120,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import SingularParameterError, UsageError
-from .rank_param import ForwardMap, forward_map, params_length, party_columns
+from .rank_param import ForwardMap, _row_kron, forward_map, params_length, party_columns
 from .subspace import Subspace
 from .tensor_core import as_int
 
@@ -146,16 +169,22 @@ MAX_FINISH_SWEEPS = 40
 
 
 class _Pass(NamedTuple):
-    """Forward intermediates at every budget, in the frame of
-    `LossKernel._conj_rows`."""
+    """Forward intermediates of a stack of lanes, every array with the lane
+    axis first, in the frame of `LossKernel._conj_rows`."""
 
     fw: ForwardMap | None  # the forward map of the factors the loss reads (None: p = [1])
-    t: np.ndarray  # T
-    best: np.ndarray | None  # budget 1: c*, party e's exact best unit factor
-    w: np.ndarray  # <row_j|T>
-    resid: np.ndarray | None  # conj(T - P_S T) on the basis side
-    nsq: float  # N = <T|T>
-    value: float
+    t: np.ndarray  # T, (L, D)
+    best: np.ndarray | None  # budget 1: c*, party e's exact best unit factors, (L, d_e)
+    w: np.ndarray  # <row_j|T>, (L, m)
+    resid: np.ndarray | None  # conj(T - P_S T) on the basis side, (L, D)
+    nsq: np.ndarray  # N = <T|T>, (L,)
+    value: np.ndarray  # (L,)
+
+    def lane(self, i: int) -> _Pass:
+        """Lane i's pass, a batch of one; its arrays keep their layout, so it
+        equals the pass of that lane alone bit for bit."""
+        fw = self.fw and ForwardMap([f[i:i + 1] for f in self.fw.factors], [p[i:i + 1] for p in self.fw.prefixes])
+        return _Pass(fw, *(None if a is None else a[i:i + 1] for a in self[1:]))
 
 
 class LossKernel:
@@ -175,20 +204,29 @@ class LossKernel:
     the scale range of the factors. T and the conjugated rows are held in
     one frame per kernel: the party order at budgets >= 2, and e's axis
     first, then the other parties in order, at budget 1.
-    `sweep(x, tol_grad)` runs the exact one-party sweeps of the module
-    docstring from x until the handover rule, or on to tol_grad where that
-    pays; it holds the rows reordered around every party's axis for that.
 
-    Apart from precomputed constants the kernel holds one memo: the last
+    The forward pass, the exact solves and the gradient work on a stack of
+    lanes, one point per lane (module docstring): `value` and
+    `value_and_grad` are their batch of one, and `sweep(x, tol_grad)`
+    sweeps a stack of budget-1 starts in lockstep, each lane by the
+    handover and continuation rules of the module docstring; it holds the
+    rows reordered around every party's axis for that. A lane's bits do
+    not depend on the other lanes of its stack.
+
+    Apart from precomputed constants the kernel holds a memo: the last
     point evaluated, keyed by the bytes of the blocks the loss reads (all
     of x at budgets >= 2, the other parties' blocks at budget 1), with its
-    forward pass and, once `value_and_grad` asked for it, its gradient.
-    `value` and `value_and_grad` share the forward pass, so their values
-    agree bit for bit; `value_and_grad(x)` right after `value(x)`, or
-    after `value` of a point that differs from x in party e's block only,
-    runs only the backward pass, a repeat runs neither, and a point
-    mutated in place is evaluated afresh. Results do not depend on the
-    memo, but one kernel must not be shared between threads.
+    forward pass and, once `value_and_grad` asked for it, its gradient;
+    and the points `sweep` returned and no evaluation has read yet, with
+    the same entries, which the first evaluation of such a point takes
+    over. `value` and `value_and_grad` share the forward pass, so their
+    values agree bit for bit; `value_and_grad(x)` right after `value(x)`,
+    or after `value` of a point that differs from x in party e's block
+    only, runs only the backward pass, a repeat runs neither, and a point
+    mutated in place is evaluated afresh. A swept point's first
+    evaluation runs no forward pass, and no backward pass where the sweeps
+    took its gradient. Results do not depend on the memo, but one kernel
+    must not be shared between threads.
     """
 
     def __init__(self, dims, r: int, sub: Subspace):
@@ -206,6 +244,7 @@ class LossKernel:
         self.rows = sub.complement_rows if self.complement else sub.basis
         self.columns = party_columns(self.dims)
         self._memo = (None, None, None)  # (key, forward pass, gradient or None)
+        self._swept = {}  # key -> (forward pass, gradient or None) of swept points not yet read
         conj_rows = self.rows.conj()
         if self.r > 1:
             self.eliminated = None
@@ -230,53 +269,65 @@ class LossKernel:
         self._free_dims = 2 * sum(d - 1 for d in self._other_dims)  # real dims of the free factors' manifold
 
     def _forward(self, x: np.ndarray) -> _Pass:
+        """The forward pass of the point x, a batch of one, through the memo."""
         blocks = x if self.eliminated is None else np.asarray(x, dtype=np.float64)[self._pairs]
         key = blocks.tobytes()
         if key != self._memo[0]:
-            self._memo = (key, self._pass(blocks), None)
+            swept = self._swept.pop(key, None)
+            self._memo = (key, *swept) if swept else (key, self._pass(blocks[None]), None)
         return self._memo[1]
 
     def _pass(self, blocks: np.ndarray) -> _Pass:
-        """The forward pass of the blocks the loss reads: T and its
-        coefficients w on the rows, then the loss. At budgets >= 2 the
-        blocks are x and T = T(x). At budget 1 they are the gathered floats
-        of the other parties' raw factors, one product state whose tensor
-        is p, and T = c* (x) p for party e's exact best factor c*. On the
-        basis side it also returns conj(T - P_S T)."""
-        if self.eliminated is None:
+        """The forward pass of a stack of the blocks the loss reads, one row
+        per lane: T and its coefficients w on the rows, then the loss. At
+        budgets >= 2 the stack is one x and T = T(x). At budget 1 each row
+        holds the gathered floats of the other parties' raw factors, one
+        product state whose tensor is p; the lanes are the terms of one
+        `forward_map`, whose last prefixes are their products, and
+        T = c* (x) p for party e's exact best factor c*. On the basis side
+        it also returns conj(T - P_S T). Raises SingularParameterError,
+        with the mask of the lanes whose T vanished, before dividing."""
+        best = None
+        if self.eliminated is None:  # a batch of one
             fw = forward_map(blocks, self.dims, self.r)
-            t, best = fw.tensor, None
-            w = self._conj_rows @ t
+            t = fw.tensor[None]
+            w = (self._conj_rows @ t[0])[None]
         else:
-            fw = forward_map(blocks, self._other_dims, 1) if self._others else None
-            p = np.ones(1, dtype=np.complex128) if fw is None else fw.tensor
+            lanes = len(blocks)
+            fw = forward_map(blocks, self._other_dims, lanes) if self._others else None
+            p = np.ones((lanes, 1), dtype=np.complex128) if fw is None else fw.prefixes[-1]
             b, best = self._solve(self.eliminated, p)
-            t = np.multiply.outer(best, p).ravel()
-            w = b @ best
-        nsq = float(np.vdot(t, t).real)
-        if not math.sqrt(nsq) > 1e-300:
-            raise SingularParameterError("the product sum vanished")
+            t = (best[:, :, None] * p[:, None, :]).reshape(lanes, -1)
+            w = np.matvec(b, best)
+        nsq = np.vecdot(t, t).real
+        if not nsq.min() > 0.0:
+            raise SingularParameterError("the product sum vanished", ~(nsq > 0.0))
         if self.complement:
             resid = None  # conj(P_perp T) = conj(w) @ conj rows, formed only for the gradient
-            rsq = float(np.vdot(w, w).real)
+            rsq = np.vecdot(w, w).real
         else:
-            resid = t.conj() - w.conj() @ self._conj_rows
-            rsq = float(np.vdot(resid, resid).real)
+            resid = t.conj() - (w.conj()[:, None, :] @ self._conj_rows)[:, 0]
+            rsq = np.vecdot(resid, resid).real
         return _Pass(fw, t, best, w, resid, nsq, rsq / nsq)
 
     def _solve(self, q: int, p: np.ndarray):
-        """Budget 1: B = conj(rows) contracted with the product p of the
-        other parties' factors, shape (m, d_q), and party q's exact best
-        unit factor for p: the lowest (complement side) or highest (basis
-        side) eigenvector of B^dag B."""
-        b = self._party_rows[q] @ p
-        # one basis row, as for the span of a state: B^dag B = b^dag b has
-        # the top eigenvector conj(b), unless b vanishes
-        nrm = np.linalg.norm(b) if self._one_row else 0.0
-        if nrm > 0.0:
-            return b, b[0].conj() / nrm
-        vecs = np.linalg.eigh(b.conj().T @ b)[1]
-        return b, vecs[:, 0] if self.complement else vecs[:, -1]
+        """Budget 1, for a stack p of the other parties' products, (L, D / d_q):
+        B = conj(rows) contracted with p, (L, m, d_q), and party q's exact
+        best unit factors for p, (L, d_q): the lowest (complement side) or
+        highest (basis side) eigenvector of each lane's B^dag B."""
+        b = np.matvec(self._party_rows[q], p[:, None, :])
+        if self._one_row:
+            # one basis row, as for the span of a state: B^dag B = b^dag b
+            # has the top eigenvector conj(b). Where b vanishes every factor
+            # attains the loss; eigh of 0 would give the last unit vector
+            c = b[:, 0].conj()
+            nrm = np.sqrt(np.vecdot(c.real, c.real) + np.vecdot(c.imag, c.imag))[:, None]
+            if not nrm.all():
+                zero = nrm[:, 0] == 0.0
+                c[zero, -1], nrm[zero] = 1.0, 1.0
+            return b, c / nrm
+        vecs = np.linalg.eigh(b.conj().mT @ b)[1]
+        return b, vecs[..., 0] if self.complement else vecs[..., -1]
 
     def completed(self, x: np.ndarray) -> np.ndarray:
         """A copy of x whose eliminated block holds the exact best factor
@@ -284,101 +335,139 @@ class LossKernel:
         budgets >= 2."""
         out = np.array(x, dtype=np.float64)
         if self.eliminated is not None:
-            out.view(np.complex128)[self.columns[self.eliminated]] = self._forward(out).best
+            out.view(np.complex128)[self.columns[self.eliminated]] = self._forward(out).best[0]
         return out
 
-    def sweep(self, x: np.ndarray, tol_grad: float) -> tuple[np.ndarray, int]:
-        """Budget 1: exact one-party sweeps from x, and their count.
+    def sweep(self, x: np.ndarray, tol_grad: float) -> list[tuple[np.ndarray, int] | None]:
+        """Budget 1: exact one-party sweeps of a stack x of starts, shape
+        (lanes, n_params), in lockstep.
 
-        Works in place on `completed(x)`, one copy of x. Each sweep sets
-        every other party's factor, in party order, to its exact best for
-        the rest, then party e's to c* of the forward pass of the swept
-        point, by the handover and continuation rules of the module
-        docstring, with `tol_grad` the caller's L-BFGS tolerance. There is
-        no rollback. Returns the last swept point, which holds every
-        party's unit factor and is its own `completed`, and the number of
-        sweeps that made it; the memo holds its forward pass, and its
-        gradient where the sweeps took gradients, for the L-BFGS start. At
-        budgets >= 2, returns (x, 0). Raises SingularParameterError where
-        `value` would."""
+        Works in place on a completed copy of x. Each sweep sets every
+        lane's other factors, party by party in party order, to their exact
+        best for the rest, then party e's to c* of the forward pass of the
+        swept points. The handover and continuation rules of the module
+        docstring, with `tol_grad` the caller's L-BFGS tolerance, run per
+        lane, and a lane leaves the stack when they stop it. A sweep in
+        which some lane reads its gradient runs one backward pass of the
+        whole stack. There is no rollback. Returns, per lane, its
+        last swept point, which holds every party's unit factor and is its
+        own `completed`, and the number of sweeps that made it, or None
+        where the start is singular (where `value` would raise); the memo
+        holds each returned point's forward pass, and its gradient where
+        the sweeps took one, for the L-BFGS start. At budgets >= 2, returns
+        each start as it is, with 0 sweeps."""
+        x = np.array(x, dtype=np.float64, order="C")
         if self.eliminated is None:
-            return x, 0
-        x = self.completed(x)
-        factors = [x.view(np.complex128)[cols] for cols in self.columns]
-        value, drop = self._forward(x).value, math.inf
-        for sweeps in range(1, MAX_SWEEPS + 1):
-            swept = self._sweep_once(x, factors)
-            slow = value - swept < SLOW_GATE * value and value - swept > SLOW_RATE * drop
-            ratio = max(value - swept, 0.0) / drop
-            if swept <= ZERO_LEVEL or value - swept < SWEEP_TOL * value or slow:
-                break
-            value, drop = swept, value - swept
-        if self._free_dims <= 2 or swept <= ZERO_LEVEL:
-            return x, sweeps
-        # The loss gap falls by `ratio` per sweep and the gradient by about
-        # its square root: go on where that reaches tol_grad within as many
-        # sweeps as there are free real dimensions, about what L-BFGS takes.
-        grad_inf = self._grad_inf(x)
-        if not grad_inf * math.sqrt(ratio) ** self._free_dims < tol_grad <= grad_inf:
-            return x, sweeps
-        for sweeps in range(sweeps + 1, MAX_FINISH_SWEEPS + 1):
-            self._sweep_once(x, factors)
-            last, grad_inf = grad_inf, self._grad_inf(x)
-            if grad_inf < tol_grad or not grad_inf <= FINISH_RATE * last:
-                break
-        return x, sweeps
+            return [(row, 0) for row in x]
+        out = [None] * len(x)
+        lanes = np.arange(len(x))  # the lane of each row of x
+        try:
+            forward = self._pass(x.take(self._pairs, axis=1))
+        except SingularParameterError as err:
+            lanes = lanes[~err.lanes]
+            if not len(lanes):
+                return out
+            x = x[lanes]
+            forward = self._pass(x.take(self._pairs, axis=1))
+        x.view(np.complex128)[:, self.columns[self.eliminated]] = forward.best
+        # per row: the rules' state; grad_inf is set once the row reads gradients
+        value, drop, ratio = forward.value.tolist(), [math.inf] * len(x), [0.0] * len(x)
+        sweeps, grad_inf = [0] * len(x), [None] * len(x)
+        while len(lanes):
+            forward = self._sweep_once(x)
+            done, reads = [], []  # rows that leave the stack; rows that read their gradient
+            for i, swept in enumerate(forward.value.tolist()):
+                sweeps[i] += 1
+                if grad_inf[i] is None:
+                    gain = value[i] - swept
+                    slow = gain < SLOW_GATE * value[i] and gain > SLOW_RATE * drop[i]
+                    ratio[i] = max(gain, 0.0) / drop[i]
+                    handover = swept <= ZERO_LEVEL or gain < SWEEP_TOL * value[i] or slow
+                    if not (handover or sweeps[i] == MAX_SWEEPS):
+                        value[i], drop[i] = swept, gain
+                        continue
+                    if self._free_dims <= 2 or swept <= ZERO_LEVEL:
+                        done.append(i)
+                        continue
+                reads.append(i)
+            grads = norms = None
+            if reads:  # the whole stack: a subset of lanes would move their bits
+                grads = self._grad(forward)
+                norms = np.abs(grads).max(axis=1).tolist()
+            for i in reads:
+                last, grad_inf[i] = grad_inf[i], norms[i]
+                # At the handover the loss gap falls by `ratio` per sweep and
+                # the gradient by about its square root: go on where that
+                # reaches tol_grad within as many sweeps as there are free
+                # real dimensions, about what L-BFGS takes.
+                if last is None:
+                    go_on = grad_inf[i] * math.sqrt(ratio[i]) ** self._free_dims < tol_grad <= grad_inf[i]
+                else:
+                    go_on = tol_grad <= grad_inf[i] <= FINISH_RATE * last
+                if not go_on or sweeps[i] >= MAX_FINISH_SWEEPS:
+                    done.append(i)
+            for i in done:
+                out[lanes[i]] = (x[i].copy(), sweeps[i])
+                self._swept[x[i, self._pairs].tobytes()] = (forward.lane(i), None if grads is None else grads[i])
+            if done:
+                keep = [i for i in range(len(lanes)) if i not in done]
+                x, lanes = x[keep], lanes[keep]
+                value, drop, ratio, sweeps, grad_inf = (
+                    [state[i] for i in keep] for state in (value, drop, ratio, sweeps, grad_inf))
+        return out
 
-    def _sweep_once(self, x: np.ndarray, factors: list[np.ndarray]) -> float:
-        """One sweep over x in place, through the complex views `factors` of
-        its party blocks, party e's solve being the forward pass of the
-        swept point; returns the loss after it."""
+    def _sweep_once(self, x: np.ndarray) -> _Pass:
+        """One sweep of the stack x in place, party e's solve being the
+        forward pass of the swept points, which it returns."""
+        factors = [x.view(np.complex128)[:, cols] for cols in self.columns]
         for q in self._others:
             factors[q][:] = self._solve(q, self._product(factors, q))[1]
-        forward = self._forward(x)
+        forward = self._pass(x.take(self._pairs, axis=1))
         factors[self.eliminated][:] = forward.best
-        return forward.value
-
-    def _grad_inf(self, x: np.ndarray) -> float:
-        return float(np.max(np.abs(self.value_and_grad(x)[1])))
+        return forward
 
     def _product(self, factors: list[np.ndarray], q: int) -> np.ndarray:
-        """The product of every party's factor but q's, in party order."""
-        rest = factors[:q] + factors[q + 1:]
-        return functools.reduce(lambda a, f: np.multiply.outer(a, f).ravel(), rest)
+        """The product of every party's factor but q's, in party order, one
+        row per lane."""
+        return functools.reduce(_row_kron, factors[:q] + factors[q + 1:])
 
     def value(self, x: np.ndarray) -> float:
-        return self._forward(x).value
+        return float(self._forward(x).value[0])
 
     def value_and_grad(self, x: np.ndarray) -> tuple[float, np.ndarray]:
         forward = self._forward(x)
         key, _, grad = self._memo
         if grad is None:
-            grad = self._grad(forward)
+            grad = self._grad(forward)[0]
             self._memo = (key, forward, grad)
-        return forward.value, grad.copy()
+        return float(forward.value[0]), grad.copy()
 
     def _grad(self, forward: _Pass) -> np.ndarray:
-        """The gradient of the forward pass's loss in x. At budget 1 it
-        reaches the other parties' blocks through the cotangent of p, and
-        party e's block stays exactly zero."""
+        """The gradient of each lane's loss in its x, (L, n_params). At
+        budget 1 it reaches the other parties' blocks through the cotangent
+        of p, and party e's block stays exactly zero."""
         fw, t, best, w, resid, nsq, value = forward
         if fw is None:  # budget 1 with party e alone: every block is e's
-            return np.zeros(self.n_params, dtype=np.float64)
+            return np.zeros((len(t), self.n_params))
         if resid is None:
-            resid = w.conj() @ self._conj_rows
-        acc = (2.0 / nsq) * (resid - value * t.conj())  # conj(y), y the adjoint of the quotient
+            resid = (w.conj()[:, None, :] @ self._conj_rows)[:, 0]
+        acc = (2.0 / nsq)[:, None] * (resid - value[:, None] * t.conj())  # conj(y), y the adjoint of the quotient
         if best is None:
-            return _cotangents(acc, fw).conj().view(np.float64).ravel()
-        grad = np.zeros(self.n_params, dtype=np.float64)
-        grad[self._pairs] = _cotangents(best @ acc.reshape(best.size, -1), fw).conj().view(np.float64).ravel()
+            return _cotangents(acc, fw).conj().view(np.float64).reshape(1, -1)
+        grad = np.zeros((len(t), self.n_params))
+        cot = np.matvec(acc.reshape(best.shape + (-1,)).mT, best)  # the cotangents of p
+        grad[:, self._pairs] = _cotangents(cot, fw).conj().view(np.float64)
         return grad
 
 
 def _cotangents(acc: np.ndarray, fw: ForwardMap) -> np.ndarray:
     """The cotangents h, shape (r, sum of widths), of all factors of `fw`:
-    h[i, j] is the derivative of sum(acc * fw.tensor), holomorphic in the
-    factors, in entry j of term i's factors, so the float64 view of conj(h)
-    is the gradient of its real part in x. Sizes are read off fw's shapes.
+    h[i, j] is the derivative of sum(acc_i * term i's product), holomorphic
+    in the factors, in entry j of term i's factors, so the float64 view of
+    conj(h) is the gradient of its real part in x. acc_i is one input of
+    shape (1, D) for every term, whose products then sum to fw.tensor, or
+    row i of an (r, D) input, as for the lanes of a budget-1 stack. Sizes
+    are read off fw's shapes.
     The loop runs from the last party inwards, with the invariant: before
     party k, acc[i] holds the input summed against term i's factors after
     k, shape (left_k, d_k), and party k's h is acc[i] summed against term

@@ -1,9 +1,12 @@
 """Limited-memory BFGS with a Wolfe line search, plus the multi-trial
 driver that turns random restarts into a certified minimum.
 
-Each trial draws a random start, sweeps it with `LossKernel.sweep` (exact
-one-party solves at rank budget 1, the start as drawn at budgets >= 2)
-and runs L-BFGS from there, whose stop reason the trial reports. L-BFGS
+A certification draws each trial's start from the trial's own stream,
+sweeps all starts as one stack with `LossKernel.sweep` (exact one-party
+solves in lockstep at rank budget 1, the starts as drawn at budgets >= 2),
+and then runs L-BFGS once per trial from that trial's swept point, whose
+stop reason the trial reports. A trial whose start is singular redraws it
+from its own stream and sweeps it alone, so no other trial sees it. L-BFGS
 either finishes the trial or, where the sweeps already reached the
 gradient tolerance, certifies the swept point with `gradient-tolerance`
 after no iteration. The accepted-iterate loss sequence is strictly
@@ -23,7 +26,7 @@ from .errors import OptimizationError, SingularParameterError, UsageError
 from .objective import ZERO_LEVEL, LossKernel
 from .rank_param import RankParams, build_state, trial_rng
 from .subspace import Subspace
-from .tensor_core import PureState, as_int
+from .tensor_core import PureState, as_int, as_real
 
 # Consecutive small relative-decrease iterations required to declare a plateau.
 PLATEAU_WINDOW = 5
@@ -57,6 +60,8 @@ class OptimConfig:
     def __post_init__(self):
         for name in ("max_iters", "trials", "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
+        for name in ("tol_grad", "tol_loss_rel"):
+            object.__setattr__(self, name, as_real(getattr(self, name), name))
         if not all(math.isfinite(t) and t > 0 for t in (self.tol_grad, self.tol_loss_rel)):
             raise UsageError("tolerances must be finite and positive")
         if self.max_iters < 1 or self.trials < 1:
@@ -280,13 +285,18 @@ class OptimReport:
     per_trial: tuple[TrialDiagnostics, ...]
 
 
-def _minimize_kernel(kernel, rng, cfg: OptimConfig):
-    """One trial against a prepared kernel: draw, sweep, minimize, and
-    reinit on singular starts (at most MAX_REINITS times)."""
+def _minimize_kernel(kernel, rng, cfg: OptimConfig, start):
+    """One trial against a prepared kernel: L-BFGS from `start`, the swept
+    point and sweep count of the trial's first draw from `rng`, or None
+    where that draw was singular. A singular start is redrawn from `rng` and
+    swept alone, at most MAX_REINITS times."""
     for reinit in range(MAX_REINITS + 1):
-        x0 = rng.standard_normal(kernel.n_params)
+        if reinit:
+            (start,) = kernel.sweep(rng.standard_normal(kernel.n_params)[None], cfg.tol_grad)
+        if start is None:
+            continue
+        x0, sweeps = start
         try:
-            x0, sweeps = kernel.sweep(x0, cfg.tol_grad)
             res = lbfgs_minimize(
                 kernel.value,
                 kernel.value_and_grad,
@@ -327,7 +337,9 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     if sub.dim >= sub.dim_total:
         raise UsageError("the full space is trivially reachable; pass a proper subspace")
     kernel = LossKernel(sub.dims, r - 1, sub)
-    outcomes = [_minimize_kernel(kernel, trial_rng(cfg.seed, i), cfg) for i in range(cfg.trials)]
+    rngs = [trial_rng(cfg.seed, i) for i in range(cfg.trials)]
+    starts = kernel.sweep(np.array([rng.standard_normal(kernel.n_params) for rng in rngs]), cfg.tol_grad)
+    outcomes = [_minimize_kernel(kernel, rng, cfg, start) for rng, start in zip(rngs, starts)]
     diagnostics = tuple(d for _, d in outcomes)
     best_idx = -1
     for i, (x, d) in enumerate(outcomes):

@@ -80,7 +80,13 @@ class ForwardMap(NamedTuple):
 
     factors: list[np.ndarray]    # per party, (r, d_k) factors of all terms
     prefixes: list[np.ndarray]   # prefixes[k]: products over parties <= k, (r, prod)
-    tensor: np.ndarray           # unnormalized sum T(x), (D_total,)
+
+    @property
+    def tensor(self) -> np.ndarray:
+        """The unnormalized sum T(x), (D_total,): the last prefix of its
+        one term, or the sum of the terms' last prefixes."""
+        last = self.prefixes[-1]
+        return last[0] if len(last) == 1 else last.sum(axis=0)
 
 
 def forward_map(x: np.ndarray, dims: tuple[int, ...], r: int) -> ForwardMap:
@@ -92,7 +98,7 @@ def forward_map(x: np.ndarray, dims: tuple[int, ...], r: int) -> ForwardMap:
     prefixes = factors[:1]
     for f in factors[1:]:
         prefixes.append(_row_kron(prefixes[-1], f))
-    return ForwardMap(factors, prefixes, prefixes[-1][0] if r == 1 else prefixes[-1].sum(axis=0))
+    return ForwardMap(factors, prefixes)
 
 
 def build_state(p: RankParams) -> PureState:

@@ -9,6 +9,7 @@ every operation is a pure function.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -63,6 +64,18 @@ def as_int(value, what: str) -> int:
         return operator.index(value)
     except TypeError as exc:
         raise UsageError(f"{what} must be an integer, got {value!r}") from exc
+
+
+def as_real(value, what: str) -> float:
+    """`value` as a Python float. Python and numpy real numbers are
+    accepted; booleans, strings and other non-numbers are refused with
+    UsageError, not parsed or read as 0 and 1."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise UsageError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise UsageError(f"{what} must be finite, got {value!r}") from exc
 
 
 def peak_scaled(amp: np.ndarray) -> tuple[np.ndarray, float]:

@@ -80,6 +80,17 @@ class TestStrip:
         with pytest.raises(UsageError, match="d must be an integer"):
             StripParams(d, 1.0)
 
+    @pytest.mark.parametrize("theta, xi, name", [
+        ("1.0", 0.0, "theta"), (True, 0.0, "theta"), (None, 0.0, "theta"), (1.0, "0", "xi"), (1.0, False, "xi"),
+    ])
+    def test_non_numeric_angles_are_refused(self, theta, xi, name):
+        # refused as numbers, not parsed or read as 0 / 1
+        for build in (lambda: StripParams(3, theta, xi), lambda: ges_subspace(3, theta, xi)):
+            with pytest.raises(UsageError, match=f"{name} must be a real number"):
+                build()
+        params = StripParams(3, np.float64(1.0), 0)
+        assert (params.theta, params.xi) == (1.0, 0.0) and type(params.xi) is float
+
 
 class TestGes:
     def test_dimension(self):
@@ -160,6 +171,13 @@ class TestMaxCes:
         b = max_ces_subspace(2, 3, 4)
         np.testing.assert_array_equal(a.basis, b.basis)
 
+    @pytest.mark.parametrize("fn", [max_ces_dimension, max_ces_subspace])
+    @pytest.mark.parametrize("dims, name", [((3.0, 3, 8), "d1"), ((3, "3", 8), "d2"), ((3, 3, 8.0), "d3")])
+    def test_non_integer_dimensions_are_refused(self, fn, dims, name):
+        with pytest.raises(UsageError, match=f"{name} must be an integer"):
+            fn(*dims)
+        assert max_ces_dimension(np.int64(3), 3, 8) == 60
+
 
 class TestDicke:
     def test_w_state_amplitudes(self):
@@ -206,6 +224,11 @@ class TestMatrixMultTensor:
             lam = schmidt_coefficients(t, Bipartition.of(left, 3))
             np.testing.assert_allclose(lam, 0.5, atol=1e-12)
 
+    @pytest.mark.parametrize("n", ["2", 2.0, 2.5])
+    def test_non_integer_n_is_refused(self, n):
+        with pytest.raises(UsageError, match="n must be an integer"):
+            matrix_mult_tensor(n)
+
 
 class TestWType:
     def test_product_corner(self):
@@ -232,6 +255,11 @@ class TestWType:
     def test_sphere_constraint_enforced(self):
         with pytest.raises(UsageError):
             WTypeCoeffs(1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("coeffs, name", [(("1", 0, 0), "a"), ((0, True, 0), "b"), ((0.0, 0.0, None), "c")])
+    def test_non_numeric_coefficients_are_refused(self, coeffs, name):
+        with pytest.raises(UsageError, match=f"{name} must be a real number"):
+            WTypeCoeffs(*coeffs)
 
 
 class TestGhz:

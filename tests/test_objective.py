@@ -307,7 +307,7 @@ class TestSweepProperty:
         kernel = LossKernel(dims, budget, sub)
         x = rng.standard_normal(kernel.n_params)
         before = x.copy()
-        swept, sweeps = kernel.sweep(x, OptimConfig().tol_grad)
+        (swept, sweeps), = kernel.sweep(x[None], OptimConfig().tol_grad)
         np.testing.assert_array_equal(x, before)
         if budget > 1:
             assert sweeps == 0
@@ -331,14 +331,14 @@ class TestSweepProperty:
         closed, dense = LossKernel(dims, 1, sub), LossKernel(dims, 1, sub)
         assert closed._one_row
         dense._one_row = False
-        units = [haar_random_state((d,), rng).amp for d in dims]
+        units = [haar_random_state((d,), rng).amp[None] for d in dims]
         for q in range(len(dims)):
-            p = closed._product(units, q) if len(dims) > 1 else np.ones(1, dtype=np.complex128)
-            c_closed, c_dense = closed._solve(q, p)[1], dense._solve(q, p)[1]
+            p = closed._product(units, q) if len(dims) > 1 else np.ones((1, 1), dtype=np.complex128)
+            c_closed, c_dense = closed._solve(q, p)[1][0], dense._solve(q, p)[1][0]
             assert abs(abs(np.vdot(c_closed, c_dense)) - 1.0) < 1e-12
-        x = rng.standard_normal(closed.n_params)
+        x = rng.standard_normal((1, closed.n_params))
         tol = OptimConfig().tol_grad
-        assert abs(closed.value(closed.sweep(x, tol)[0]) - dense.value(dense.sweep(x, tol)[0])) < 1e-12
+        assert abs(closed.value(closed.sweep(x, tol)[0][0]) - dense.value(dense.sweep(x, tol)[0][0])) < 1e-12
 
 
 class TestBudgetOne:
@@ -373,10 +373,13 @@ class TestBudgetOne:
         for block in (slice(0, 4), slice(12, 18)):  # parties 1 and 3; party 2 is solved
             x = rng.standard_normal(2 * sum(dims))
             x[block] = 0.0
-            for call in (LossKernel(dims, 1, sub).value, LossKernel(dims, 1, sub).value_and_grad,
-                         lambda x: LossKernel(dims, 1, sub).sweep(x, OptimConfig().tol_grad)):
+            for call in (LossKernel(dims, 1, sub).value, LossKernel(dims, 1, sub).value_and_grad):
                 with pytest.raises(SingularParameterError, match="vanished"):
                     call(x)
+            # a stacked sweep reports the singular lane and sweeps the others
+            starts = np.stack([rng.standard_normal(x.size), x])
+            lanes = LossKernel(dims, 1, sub).sweep(starts, OptimConfig().tol_grad)
+            assert lanes[1] is None and lanes[0][1] >= 1
 
     @pytest.mark.parametrize("d_s", [2, 20])
     @pytest.mark.parametrize("scale", [1e-50, 1e50])
@@ -402,13 +405,17 @@ class TestBudgetOneSweepMemo:
     @pytest.mark.parametrize("sub", [
         strip_subspace(StripParams(4, 1.0)),  # the basis side
         max_ces_subspace(3, 3, 8),  # the complement side
-    ], ids=["strip-2x4", "ces-3x3x8"])
+        max_ces_subspace(3, 4, 7),  # where a copied gradient of a lane would move its bits
+    ], ids=["strip-2x4", "ces-3x3x8", "ces-3x4x7"])
     def test_sweep_solves_party_e_once_per_sweep(self, sub, monkeypatch):
-        """Party e is solved only in the forward pass: once for the start
-        and once per sweep. The swept point is its own completion and its
-        forward pass is in the memo, so the sweeps' gradients and the
-        L-BFGS start run only the backward pass."""
-        calls = {"forward": 0, "backward": 0, "solve_e": 0}
+        """Party e is solved only in the forward pass: once for the starts
+        and once per sweep, one stacked solve for all lanes, as is every
+        other party's, whether the starts are swept alone or as one stack.
+        Each swept point is its own completion and its forward pass is in
+        the memo, with its gradient where the sweeps took one, so the
+        L-BFGS start runs no forward pass, and no backward pass where the
+        continuation read the gradient."""
+        calls = {"forward": 0, "backward": 0, "solve_e": 0, "solve_others": 0}
         for name, kind in [("_pass", "forward"), ("_grad", "backward")]:
             method = getattr(LossKernel, name)
 
@@ -420,25 +427,35 @@ class TestBudgetOneSweepMemo:
         solve = LossKernel._solve
 
         def counted_solve(self, q, p):
-            calls["solve_e"] += q == self.eliminated
+            calls["solve_e" if q == self.eliminated else "solve_others"] += 1
             return solve(self, q, p)
 
         monkeypatch.setattr(LossKernel, "_solve", counted_solve)
         kernel = LossKernel(sub.dims, 1, sub)
-        gradients = 0
-        for i in range(3):
-            x = trial_rng(1, i).standard_normal(kernel.n_params)
+        starts = np.stack([trial_rng(1, i).standard_normal(kernel.n_params) for i in range(3)])
+        stacks = [start[None] for start in starts] + [starts]
+        # the continuation reads gradients on the 8 and 10 free real
+        # dimensions of the CES, never on the one free qubit of 2 x 4
+        read = len(sub.dims) == 3
+        for stack in stacks:
             before = dict(calls)
-            point, sweeps = kernel.sweep(x, OptimConfig().tol_grad)
-            assert calls["forward"] - before["forward"] == sweeps + 1
-            assert calls["solve_e"] - before["solve_e"] == sweeps + 1
-            gradients += calls["backward"] - before["backward"]
-            assert point.tobytes() == kernel.completed(point).tobytes()
-            kernel.value_and_grad(point)
-            assert calls["forward"] - before["forward"] == sweeps + 1
-        # the continuation takes gradients on the 8 free real dimensions of
-        # 3 x 3 x 8, never on the one free qubit of 2 x 4
-        assert (gradients > 0) == (sub.dims == (3, 3, 8))
+            swept = kernel.sweep(stack, OptimConfig().tol_grad)
+            rounds = max(sweeps for _, sweeps in swept)
+            assert calls["forward"] - before["forward"] == rounds + 1
+            assert calls["solve_e"] - before["solve_e"] == rounds + 1
+            assert calls["solve_others"] - before["solve_others"] == (len(sub.dims) - 1) * rounds
+            assert (calls["backward"] - before["backward"] > 0) == read
+            assert calls["backward"] - before["backward"] <= rounds
+            for point, _ in swept:
+                fresh = LossKernel(sub.dims, 1, sub).value_and_grad(point)
+                before = dict(calls)
+                assert point.tobytes() == kernel.completed(point).tobytes()
+                value, grad = kernel.value_and_grad(point)
+                assert calls["forward"] == before["forward"]
+                assert calls["backward"] - before["backward"] == (not read)
+                # what the memo hands over is what a fresh kernel computes
+                assert value == fresh[0]
+                np.testing.assert_array_equal(grad, fresh[1])
 
 
 class TestKernelReference:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -249,12 +250,12 @@ class FlakyKernel:
         return self.value(x), x.copy()
 
     def sweep(self, x, tol_grad):
-        return x, 0
+        return [(row, 0) for row in x]
 
 
 class FlakySweepKernel(FlakyKernel):
-    """Its sweep raises on the first `fail_times` calls; L-BFGS never
-    sees a singular start."""
+    """Its sweep reports every lane singular on the first `fail_times`
+    calls; L-BFGS never sees a singular start."""
 
     def __init__(self, fail_times):
         super().__init__(0)
@@ -263,21 +264,28 @@ class FlakySweepKernel(FlakyKernel):
     def sweep(self, x, tol_grad):
         if self.sweep_failures > 0:
             self.sweep_failures -= 1
-            raise SingularParameterError("forced")
-        return x, 1
+            return [None] * len(x)
+        return [(row, 1) for row in x]
+
+
+def one_trial(kernel, rng, cfg):
+    """A certification's trial alone: its first draw from rng, swept as a
+    stack of one, then `_minimize_kernel`."""
+    (start,) = kernel.sweep(rng.standard_normal(kernel.n_params)[None], cfg.tol_grad)
+    return opt_mod._minimize_kernel(kernel, rng, cfg, start)
 
 
 class TestTrials:
     def test_reinitialization_recovers(self):
         rng = np.random.default_rng(0)
-        x, diag = opt_mod._minimize_kernel(FlakyKernel(2), rng, OptimConfig(seed=0))
+        x, diag = one_trial(FlakyKernel(2), rng, OptimConfig(seed=0))
         assert x is not None
         assert diag.reinits == 2
         assert not diag.failed
 
     def test_trial_fails_after_reinit_budget(self):
         rng = np.random.default_rng(0)
-        x, diag = opt_mod._minimize_kernel(FlakyKernel(100), rng, OptimConfig(seed=0))
+        x, diag = one_trial(FlakyKernel(100), rng, OptimConfig(seed=0))
         assert x is None
         assert diag.failed
         assert math.isinf(diag.value)
@@ -285,14 +293,14 @@ class TestTrials:
     @pytest.mark.parametrize("fails", range(opt_mod.MAX_REINITS + 1))
     def test_singular_sweep_reinitializes(self, fails):
         rng = np.random.default_rng(0)
-        x, diag = opt_mod._minimize_kernel(FlakySweepKernel(fails), rng, OptimConfig(seed=0))
+        x, diag = one_trial(FlakySweepKernel(fails), rng, OptimConfig(seed=0))
         assert x is not None and not diag.failed
         assert (diag.reinits, diag.sweeps) == (fails, 1)
 
     def test_singular_sweeps_fail_the_trial_after_reinit_budget(self):
         rng = np.random.default_rng(0)
         kernel = FlakySweepKernel(opt_mod.MAX_REINITS + 1)
-        x, diag = opt_mod._minimize_kernel(kernel, rng, OptimConfig(seed=0))
+        x, diag = one_trial(kernel, rng, OptimConfig(seed=0))
         assert x is None and diag.failed
         assert (diag.reinits, diag.sweeps) == (opt_mod.MAX_REINITS, 0)
 
@@ -375,17 +383,17 @@ class TestSweepContinuation:
         for i in range(cfg.trials):
             x0 = trial_rng(cfg.seed, i).standard_normal(kernel.n_params)
             sweeps_off(monkeypatch)
-            handover, count = kernel.sweep(x0, cfg.tol_grad)
+            (handover, count), = kernel.sweep(x0[None], cfg.tol_grad)
             monkeypatch.setattr(objective, "MAX_FINISH_SWEEPS", count + 1)
             grads.clear()
-            cut, sweeps = kernel.sweep(x0, cfg.tol_grad)
+            (cut, sweeps), = kernel.sweep(x0[None], cfg.tol_grad)
             # the handover point's gradient, then the cut point's
             assert sweeps == count + 1 and len(grads) == 2
             kernel.value_and_grad(cut)
             assert len(grads) == 2
             assert cut.tobytes() != handover.tobytes()
             assert kernel.value(cut) <= kernel.value(handover)
-            diag = opt_mod._minimize_kernel(kernel, trial_rng(cfg.seed, i), cfg)[1]
+            diag = one_trial(kernel, trial_rng(cfg.seed, i), cfg)[1]
             assert diag.sweeps == count + 1 and not diag.failed
 
     @pytest.mark.parametrize("sub", [
@@ -398,13 +406,13 @@ class TestSweepContinuation:
         kernel = LossKernel(sub.dims, 1, sub)
         assert kernel._free_dims == 2
 
-        def no_gradient(self, x):
-            raise AssertionError("value_and_grad called inside sweep")
+        def no_gradient(self, forward):
+            raise AssertionError("gradient taken inside sweep")
 
-        monkeypatch.setattr(LossKernel, "value_and_grad", no_gradient)
+        monkeypatch.setattr(LossKernel, "_grad", no_gradient)
         for seed in range(5):
-            x = np.random.default_rng(seed).standard_normal(kernel.n_params)
-            assert kernel.sweep(x, OptimConfig().tol_grad)[1] <= objective.MAX_SWEEPS
+            x = np.random.default_rng(seed).standard_normal((3, kernel.n_params))
+            assert all(sweeps <= objective.MAX_SWEEPS for _, sweeps in kernel.sweep(x, OptimConfig().tol_grad))
 
 
 class TestOptimConfig:
@@ -418,6 +426,17 @@ class TestOptimConfig:
         with pytest.raises(UsageError, match="seed must be >= 0"):
             OptimConfig(seed=-1)
         assert OptimConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("field", ["tol_grad", "tol_loss_rel"])
+    @pytest.mark.parametrize("bad", ["1e-10", True, None])
+    def test_tolerances_must_be_real_numbers(self, field, bad):
+        # refused, not parsed or read as 1.0
+        with pytest.raises(UsageError, match=f"{field} must be a real number"):
+            OptimConfig(**{field: bad})
+        with pytest.raises(UsageError, match=f"{field} must be finite"):
+            OptimConfig(**{field: 10**400})  # beyond the float range
+        cfg = OptimConfig(**{field: np.float64(1e-9)})
+        assert getattr(cfg, field) == 1e-9 and type(getattr(cfg, field)) is float
 
     @pytest.mark.parametrize("field, bad", [("trials", 2.5), ("max_iters", 1e4), ("seed", 1.5), ("seed", "1")])
     def test_counts_must_be_integers(self, field, bad):
@@ -444,11 +463,48 @@ class TestRunCertification:
         assert [d.value for d in r1.per_trial] == [d.value for d in r2.per_trial]
 
     def test_single_trial_equals_first_substream(self):
-        sub = strip_subspace(StripParams(3, 0.7))
-        one = run_certification(sub, 2, OptimConfig(seed=17, trials=1))
-        three = run_certification(sub, 2, OptimConfig(seed=17, trials=3))
-        assert one.per_trial[0] == three.per_trial[0]
-        assert one.best_value == one.per_trial[0].value
+        # the trials are the lanes of one stack of sweeps, and a lane's bits
+        # do not depend on how many lanes share it or which of them remain:
+        # on a strip, a maximal CES, and 16 of 24 dimensions of 4 x 2 x 3 (the
+        # complement side, with the solved party first)
+        rng = np.random.default_rng(3)
+        for sub in (strip_subspace(StripParams(3, 0.7)), max_ces_subspace(3, 3, 8),
+                    from_spanning_set([haar_random_state((4, 2, 3), rng) for _ in range(16)])):
+            reports = {n: run_certification(sub, 2, OptimConfig(seed=17, trials=n)) for n in (1, 3, 5)}
+            assert reports[1].per_trial == reports[5].per_trial[:1], sub.dims
+            assert reports[3].per_trial == reports[5].per_trial[:3], sub.dims
+            assert reports[1].best_value == reports[1].per_trial[0].value
+
+    def test_singular_lane_reinitializes_alone(self, monkeypatch):
+        # trial 1's first draw zeroes party 0's block, so its lane of the
+        # stack is singular: it is redrawn from its own stream and swept
+        # alone, and the other trials run as if it were not there
+        sub = max_ces_subspace(3, 3, 8)
+        cfg = OptimConfig(seed=5)
+        reference = run_certification(sub, 2, cfg)
+        real_rng = opt_mod.trial_rng
+
+        class ZeroFirstDraw:
+            def __init__(self, rng):
+                self.rng, self.draws = rng, 0
+
+            def standard_normal(self, n):
+                x = self.rng.standard_normal(n)
+                if not self.draws:
+                    x[:6] = 0.0
+                self.draws += 1
+                return x
+
+        monkeypatch.setattr(opt_mod, "trial_rng",
+                            lambda seed, i: ZeroFirstDraw(real_rng(seed, i)) if i == 1 else real_rng(seed, i))
+        forced = run_certification(sub, 2, cfg)
+        assert forced.per_trial[::2] == reference.per_trial[::2]
+        assert (forced.per_trial[1].reinits, forced.per_trial[1].failed) == (1, False)
+        # the trial went on from its stream's second draw
+        rng = real_rng(cfg.seed, 1)
+        kernel = LossKernel(sub.dims, 1, sub)
+        rng.standard_normal(kernel.n_params)
+        assert forced.per_trial[1] == dataclasses.replace(one_trial(kernel, rng, cfg)[1], reinits=1)
 
     def test_best_is_min_over_trials(self):
         sub = strip_subspace(StripParams(5, 1.3))
@@ -541,7 +597,7 @@ class TestRunCertification:
     def test_all_trials_failed_raises(self, monkeypatch):
         sub = strip_subspace(StripParams(3, 1.0))
 
-        def always_fail(kernel, rng, cfg):
+        def always_fail(kernel, rng, cfg, start):
             return None, opt_mod.TrialDiagnostics(math.inf, 0, False, "singular-parameters", 3, True)
 
         monkeypatch.setattr(opt_mod, "_minimize_kernel", always_fail)
