@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import UsageError
-from .optimizer import OptimConfig, level_bound, run_certification
+from .optimizer import OptimConfig, as_level, level_bound, run_certification
 from .subspace import MixedState, Subspace, apply_unitary_to_subspace, span_of, support_space
 from .tensor_core import (
     Bipartition,
@@ -62,8 +62,7 @@ def er_pure(state: PureState, r: int, cfg: OptimConfig) -> float:
 def er_bipartite_pure_oracle(state: PureState, cut: Bipartition, r: int) -> float:
     """Closed form across a bipartition: 1 - sum of the top r-1 squared
     Schmidt coefficients. Independent of the optimizer."""
-    if r < 2:
-        raise UsageError(f"entanglement level r must be >= 2, got {r}")
+    r = as_level(r)
     lam = schmidt_coefficients(state, cut)
     return clamp01(1.0 - float(np.sum(lam[: r - 1] ** 2)))
 
@@ -154,13 +153,13 @@ def is_genuinely_entangled(values: dict[Bipartition, float], zero_threshold: flo
 
 def support_bound_er(rho: MixedState, r: int, cfg: OptimConfig, eig_tol: float = 1e-8) -> float:
     """E_r of the support space of rho: a lower bound on E_r of the state."""
-    if r < 2:
-        raise UsageError(f"entanglement level r must be >= 2, got {r}")
+    r = as_level(r)
     return er_subspace(support_space(rho, eig_tol), r, cfg)
 
 
 def random_hermitian_with_trace_norm(dim: int, target_norm: float, seed) -> HermitianOp:
     """Gaussian-ensemble Hermitian matrix rescaled to the exact trace norm."""
+    dim = as_int(dim, "dimension")
     if target_norm < 0:
         raise UsageError(f"target trace norm must be >= 0, got {target_norm}")
     if dim < 1:
@@ -196,6 +195,7 @@ def robustness_experiment(
     The perturbation stream depends only on (cfg.seed, grid index, sample
     index), so different subspaces see identical perturbations.
     """
+    samples = as_int(samples, "samples")
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
     grid = sorted(float(t) for t in norm_grid)

@@ -58,17 +58,19 @@ state of the returned parameters is the witness of the value.
 
 The forward pass, the exact solves and the gradient take a leading lane
 axis: a stack of L points, one per lane, is evaluated by the same numpy
-calls as one point. At budget 1 the lanes are the terms of one
-`forward_map` of the gathered blocks, whose (L, P) last prefixes are the
-lanes' products p, and `_cotangents` takes one cotangent of p per term;
-every contraction is a batched `matmul` or `matvec` over the lane axis,
-which multiplies each lane on its own and never folds lanes into one
-product, and the eigenproblems are one stacked eigh. So a lane's bits do not
-depend on how many lanes share its stack or which of them remain, as long
-as the lane's arrays keep their memory layout: slicing keeps it, while
-gathering a subset of lanes copies them into another layout and may move
-their last bits, which is why the sweeps take gradients of their whole
-stack.
+calls as one point. The lanes' terms are the terms of one `forward_map`:
+at budgets >= 2 lane l's r terms are its rows l r to l r + r - 1, summed
+per lane to T, and `_cotangents` takes lane l's conj(y) once for each of
+them; at budget 1 each lane is one term of the gathered blocks, whose
+(L, P) last prefixes are the lanes' products p, and `_cotangents` takes
+one cotangent of p per term. Every contraction is a batched `matmul` or
+`matvec` over the lane axis, which multiplies each lane on its own and
+never folds lanes into one product, and the eigenproblems are one stacked
+eigh. So a lane's bits do not depend on how many lanes share its stack or
+which of them remain, as long as the lane's arrays keep their memory
+layout: slicing keeps it, while gathering a subset of lanes copies them
+into another layout and may move their last bits, which is why the
+sweeps take gradients of their whole stack.
 `LossKernel.value` and `value_and_grad` evaluate a batch of one.
 
 Before L-BFGS, `LossKernel.sweep` moves budget-1 starts into basins by
@@ -105,10 +107,12 @@ the 2 x 3 subspaces of fig2) keeps the handover alone and takes no
 gradient in the sweeps: L-BFGS finishes those trials in about two
 iterations.
 
-The memo contract: the kernel keeps the forward pass of every point a
-sweep hands over, with its gradient where the sweeps took it, until that
-point is first evaluated. So a lane's L-BFGS start runs no forward pass,
-and no backward pass where the continuation already took its gradient.
+The handoff to L-BFGS is explicit: `LossKernel.sweep` returns each
+lane's start with its value and gradient, from the stacked passes it ran,
+and L-BFGS does not evaluate its start. At budgets >= 2 that is the
+stack's first forward pass and one backward pass; at budget 1 the
+backward pass of the sweep in which the lane left the stack. The
+singular lanes are masked in the first forward pass, at every budget.
 """
 
 from __future__ import annotations
@@ -180,12 +184,6 @@ class _Pass(NamedTuple):
     nsq: np.ndarray  # N = <T|T>, (L,)
     value: np.ndarray  # (L,)
 
-    def lane(self, i: int) -> _Pass:
-        """Lane i's pass, a batch of one; its arrays keep their layout, so it
-        equals the pass of that lane alone bit for bit."""
-        fw = self.fw and ForwardMap([f[i:i + 1] for f in self.fw.factors], [p[i:i + 1] for p in self.fw.prefixes])
-        return _Pass(fw, *(None if a is None else a[i:i + 1] for a in self[1:]))
-
 
 class LossKernel:
     """Loss/gradient evaluator bound to fixed (dims, rank budget, subspace).
@@ -208,24 +206,23 @@ class LossKernel:
     The forward pass, the exact solves and the gradient work on a stack of
     lanes, one point per lane (module docstring): `value` and
     `value_and_grad` are their batch of one, and `sweep(x, tol_grad)`
-    sweeps a stack of budget-1 starts in lockstep, each lane by the
-    handover and continuation rules of the module docstring; it holds the
-    rows reordered around every party's axis for that. A lane's bits do
-    not depend on the other lanes of its stack.
+    turns a stack of drawn points into L-BFGS starts, each with its value
+    and gradient, at every budget. At budget 1 it sweeps them in
+    lockstep, each lane by the handover and continuation rules of the
+    module docstring; the kernel holds the rows reordered around every
+    party's axis for that. A lane's bits do not depend on the other lanes
+    of its stack.
 
-    Apart from precomputed constants the kernel holds a memo: the last
+    Apart from precomputed constants the kernel holds a memo of the last
     point evaluated, keyed by the bytes of the blocks the loss reads (all
     of x at budgets >= 2, the other parties' blocks at budget 1), with its
-    forward pass and, once `value_and_grad` asked for it, its gradient;
-    and the points `sweep` returned and no evaluation has read yet, with
-    the same entries, which the first evaluation of such a point takes
-    over. `value` and `value_and_grad` share the forward pass, so their
-    values agree bit for bit; `value_and_grad(x)` right after `value(x)`,
-    or after `value` of a point that differs from x in party e's block
-    only, runs only the backward pass, a repeat runs neither, and a point
-    mutated in place is evaluated afresh. A swept point's first
-    evaluation runs no forward pass, and no backward pass where the sweeps
-    took its gradient. Results do not depend on the memo, but one kernel
+    forward pass and, once `value_and_grad` asked for it, its gradient.
+    The line search and `completed` read it. `value` and `value_and_grad`
+    share the forward pass, so their values agree bit for bit;
+    `value_and_grad(x)` right after `value(x)`, or after `value` of a
+    point that differs from x in party e's block only, runs only the
+    backward pass, a repeat runs neither, and a point mutated in place is
+    evaluated afresh. Results do not depend on the memo, but one kernel
     must not be shared between threads.
     """
 
@@ -244,7 +241,6 @@ class LossKernel:
         self.rows = sub.complement_rows if self.complement else sub.basis
         self.columns = party_columns(self.dims)
         self._memo = (None, None, None)  # (key, forward pass, gradient or None)
-        self._swept = {}  # key -> (forward pass, gradient or None) of swept points not yet read
         conj_rows = self.rows.conj()
         if self.r > 1:
             self.eliminated = None
@@ -268,32 +264,36 @@ class LossKernel:
         self._pairs = (2 * cols[:, None] + [0, 1]).ravel()
         self._free_dims = 2 * sum(d - 1 for d in self._other_dims)  # real dims of the free factors' manifold
 
+    def _blocks(self, x: np.ndarray) -> np.ndarray:
+        """The floats the loss reads of each point of a stack x: all of x at
+        budgets >= 2, the other parties' blocks at budget 1."""
+        return x if self.eliminated is None else x.take(self._pairs, axis=1)
+
     def _forward(self, x: np.ndarray) -> _Pass:
         """The forward pass of the point x, a batch of one, through the memo."""
         blocks = x if self.eliminated is None else np.asarray(x, dtype=np.float64)[self._pairs]
         key = blocks.tobytes()
         if key != self._memo[0]:
-            swept = self._swept.pop(key, None)
-            self._memo = (key, *swept) if swept else (key, self._pass(blocks[None]), None)
+            self._memo = (key, self._pass(blocks[None]), None)
         return self._memo[1]
 
     def _pass(self, blocks: np.ndarray) -> _Pass:
         """The forward pass of a stack of the blocks the loss reads, one row
-        per lane: T and its coefficients w on the rows, then the loss. At
-        budgets >= 2 the stack is one x and T = T(x). At budget 1 each row
-        holds the gathered floats of the other parties' raw factors, one
-        product state whose tensor is p; the lanes are the terms of one
-        `forward_map`, whose last prefixes are their products, and
-        T = c* (x) p for party e's exact best factor c*. On the basis side
-        it also returns conj(T - P_S T). Raises SingularParameterError,
-        with the mask of the lanes whose T vanished, before dividing."""
-        best = None
-        if self.eliminated is None:  # a batch of one
-            fw = forward_map(blocks, self.dims, self.r)
-            t = fw.tensor[None]
-            w = (self._conj_rows @ t[0])[None]
+        per lane: T and its coefficients w on the rows, then the loss. The
+        lanes' terms are the terms of one `forward_map`. At budgets >= 2
+        each row is a point x, whose r terms sum to T(x). At budget 1 each
+        row holds the gathered floats of the other parties' raw factors,
+        one product state whose tensor is p, the last prefix of its term,
+        and T = c* (x) p for party e's exact best factor c*. On the basis
+        side it also returns conj(T - P_S T). Raises
+        SingularParameterError, with the mask of the lanes whose T
+        vanished, before dividing."""
+        lanes, best = len(blocks), None
+        if self.eliminated is None:
+            fw = forward_map(blocks, self.dims, lanes * self.r)
+            t = fw.prefixes[-1].reshape(lanes, self.r, -1).sum(axis=1)
+            w = np.matvec(self._conj_rows, t)
         else:
-            lanes = len(blocks)
             fw = forward_map(blocks, self._other_dims, lanes) if self._others else None
             p = np.ones((lanes, 1), dtype=np.complex128) if fw is None else fw.prefixes[-1]
             b, best = self._solve(self.eliminated, p)
@@ -338,37 +338,40 @@ class LossKernel:
             out.view(np.complex128)[self.columns[self.eliminated]] = self._forward(out).best[0]
         return out
 
-    def sweep(self, x: np.ndarray, tol_grad: float) -> list[tuple[np.ndarray, int] | None]:
-        """Budget 1: exact one-party sweeps of a stack x of starts, shape
-        (lanes, n_params), in lockstep.
+    def sweep(self, x: np.ndarray, tol_grad: float) -> list[tuple[np.ndarray, float, np.ndarray, int] | None]:
+        """The L-BFGS starts of a stack x of drawn points, shape (lanes,
+        n_params): per lane (point, value, gradient, sweeps), or None where
+        the drawn point is singular (where `value` would raise). The value
+        and gradient are those `value_and_grad(point)` returns, bit for bit.
 
-        Works in place on a completed copy of x. Each sweep sets every
+        Works on a copy of x, whose first forward pass masks the singular
+        lanes. At budgets >= 2 each point is its draw, and one backward pass
+        of the stack gives the gradients; there are no sweeps. At budget 1
+        the draws are completed and swept in lockstep: each sweep sets every
         lane's other factors, party by party in party order, to their exact
         best for the rest, then party e's to c* of the forward pass of the
         swept points. The handover and continuation rules of the module
         docstring, with `tol_grad` the caller's L-BFGS tolerance, run per
-        lane, and a lane leaves the stack when they stop it. A sweep in
-        which some lane reads its gradient runs one backward pass of the
-        whole stack. There is no rollback. Returns, per lane, its
-        last swept point, which holds every party's unit factor and is its
-        own `completed`, and the number of sweeps that made it, or None
-        where the start is singular (where `value` would raise); the memo
-        holds each returned point's forward pass, and its gradient where
-        the sweeps took one, for the L-BFGS start. At budgets >= 2, returns
-        each start as it is, with 0 sweeps."""
+        lane, and a lane leaves the stack when they stop it, with its last
+        swept point, which holds every party's unit factor and is its own
+        `completed`, and the number of sweeps that made it. A sweep in
+        which some lane reads its gradient or leaves the stack runs one
+        backward pass of the whole stack. There is no rollback."""
         x = np.array(x, dtype=np.float64, order="C")
-        if self.eliminated is None:
-            return [(row, 0) for row in x]
         out = [None] * len(x)
         lanes = np.arange(len(x))  # the lane of each row of x
         try:
-            forward = self._pass(x.take(self._pairs, axis=1))
+            forward = self._pass(self._blocks(x))
         except SingularParameterError as err:
             lanes = lanes[~err.lanes]
             if not len(lanes):
                 return out
             x = x[lanes]
-            forward = self._pass(x.take(self._pairs, axis=1))
+            forward = self._pass(self._blocks(x))
+        if self.eliminated is None:
+            for lane, point, value, grad in zip(lanes, x, forward.value.tolist(), self._grad(forward)):
+                out[lane] = (point, value, grad, 0)
+            return out
         x.view(np.complex128)[:, self.columns[self.eliminated]] = forward.best
         # per row: the rules' state; grad_inf is set once the row reads gradients
         value, drop, ratio = forward.value.tolist(), [math.inf] * len(x), [0.0] * len(x)
@@ -390,10 +393,10 @@ class LossKernel:
                         done.append(i)
                         continue
                 reads.append(i)
-            grads = norms = None
-            if reads:  # the whole stack: a subset of lanes would move their bits
-                grads = self._grad(forward)
-                norms = np.abs(grads).max(axis=1).tolist()
+            if not (done or reads):
+                continue
+            grads = self._grad(forward)  # the whole stack: a subset of lanes would move their bits
+            norms = np.abs(grads).max(axis=1).tolist()
             for i in reads:
                 last, grad_inf[i] = grad_inf[i], norms[i]
                 # At the handover the loss gap falls by `ratio` per sweep and
@@ -407,8 +410,7 @@ class LossKernel:
                 if not go_on or sweeps[i] >= MAX_FINISH_SWEEPS:
                     done.append(i)
             for i in done:
-                out[lanes[i]] = (x[i].copy(), sweeps[i])
-                self._swept[x[i, self._pairs].tobytes()] = (forward.lane(i), None if grads is None else grads[i])
+                out[lanes[i]] = (x[i].copy(), float(forward.value[i]), grads[i], sweeps[i])
             if done:
                 keep = [i for i in range(len(lanes)) if i not in done]
                 x, lanes = x[keep], lanes[keep]
@@ -422,7 +424,7 @@ class LossKernel:
         factors = [x.view(np.complex128)[:, cols] for cols in self.columns]
         for q in self._others:
             factors[q][:] = self._solve(q, self._product(factors, q))[1]
-        forward = self._pass(x.take(self._pairs, axis=1))
+        forward = self._pass(self._blocks(x))
         factors[self.eliminated][:] = forward.best
         return forward
 
@@ -452,8 +454,8 @@ class LossKernel:
         if resid is None:
             resid = (w.conj()[:, None, :] @ self._conj_rows)[:, 0]
         acc = (2.0 / nsq)[:, None] * (resid - value[:, None] * t.conj())  # conj(y), y the adjoint of the quotient
-        if best is None:
-            return _cotangents(acc, fw).conj().view(np.float64).reshape(1, -1)
+        if best is None:  # term i of lane l is row l r + i of fw
+            return _cotangents(np.repeat(acc, self.r, axis=0), fw).conj().view(np.float64).reshape(len(t), -1)
         grad = np.zeros((len(t), self.n_params))
         cot = np.matvec(acc.reshape(best.shape + (-1,)).mT, best)  # the cotangents of p
         grad[:, self._pairs] = _cotangents(cot, fw).conj().view(np.float64)
@@ -464,18 +466,16 @@ def _cotangents(acc: np.ndarray, fw: ForwardMap) -> np.ndarray:
     """The cotangents h, shape (r, sum of widths), of all factors of `fw`:
     h[i, j] is the derivative of sum(acc_i * term i's product), holomorphic
     in the factors, in entry j of term i's factors, so the float64 view of
-    conj(h) is the gradient of its real part in x. acc_i is one input of
-    shape (1, D) for every term, whose products then sum to fw.tensor, or
-    row i of an (r, D) input, as for the lanes of a budget-1 stack. Sizes
-    are read off fw's shapes.
+    conj(h) is the gradient of its real part in x. acc_i is row i of the
+    (r, D) input, one row per term. Sizes are read off fw's shapes.
     The loop runs from the last party inwards, with the invariant: before
-    party k, acc[i] holds the input summed against term i's factors after
-    k, shape (left_k, d_k), and party k's h is acc[i] summed against term
-    i's prefix over the parties before k. The first party has no prefix:
-    its h is the final acc (the input, for every term, when it is the only
+    party k, acc[i] holds input row i summed against term i's factors
+    after k, shape (left_k, d_k), and party k's h is acc[i] summed against
+    term i's prefix over the parties before k. The first party has no
+    prefix: its h is the final acc (the input, when it is the only
     party)."""
     end = sum(f.shape[1] for f in fw.factors)
-    h = np.empty((fw.prefixes[-1].shape[0], end), dtype=np.complex128)
+    h = np.empty((len(acc), end), dtype=np.complex128)
     for k in range(len(fw.factors) - 1, 0, -1):
         prefix, factor = fw.prefixes[k - 1], fw.factors[k]
         start = end - factor.shape[1]

@@ -1,12 +1,13 @@
 """Limited-memory BFGS with a Wolfe line search, plus the multi-trial
 driver that turns random restarts into a certified minimum.
 
-A certification draws each trial's start from the trial's own stream,
-sweeps all starts as one stack with `LossKernel.sweep` (exact one-party
-solves in lockstep at rank budget 1, the starts as drawn at budgets >= 2),
-and then runs L-BFGS once per trial from that trial's swept point, whose
-stop reason the trial reports. A trial whose start is singular redraws it
-from its own stream and sweeps it alone, so no other trial sees it. L-BFGS
+A certification draws each trial's start from the trial's own stream and
+sweeps all draws as one stack with `LossKernel.sweep` (exact one-party
+solves in lockstep at rank budget 1, the draws as they are at budgets
+>= 2), which hands each trial its start with the start's value and
+gradient. L-BFGS then runs once per trial from there, and the trial
+reports its stop reason. A trial whose draw is singular redraws it from
+its own stream and sweeps it alone, so no other trial sees it. L-BFGS
 either finishes the trial or, where the sweeps already reached the
 gradient tolerance, certifies the swept point with `gradient-tolerance`
 after no iteration. The accepted-iterate loss sequence is strictly
@@ -76,9 +77,12 @@ class LbfgsResult:
     value: float
     grad_inf: float
     iterations: int
-    converged: bool
     reason: str
     values: tuple[float, ...]  # accepted-iterate loss sequence, x0 included
+
+    @property
+    def converged(self) -> bool:
+        return self.reason != "iteration-cap"
 
 
 def _wolfe_line_search(value, value_and_grad, x, f0, g0, direction, t0):
@@ -188,17 +192,20 @@ def lbfgs_minimize(
     value,
     value_and_grad,
     x0: np.ndarray,
+    f0: float,
+    g0: np.ndarray,
     *,
     tol_grad: float = OptimConfig.tol_grad,
     tol_loss_rel: float = OptimConfig.tol_loss_rel,
     max_iters: int = OptimConfig.max_iters,
     zero_level: float = 0.0,
 ) -> LbfgsResult:
-    """Minimize a smooth function given two exact oracles: `value(x)`
-    returns the loss and `value_and_grad(x)` returns (loss, gradient),
-    the same loss bit for bit. x0 gets both; each line search gets a value
-    at every new trial point and a gradient only where the Armijo test
-    passes, so a rejected point costs one value.
+    """Minimize a smooth function from x0, given its loss f0 and gradient
+    g0 there and two exact oracles: `value(x)` returns the loss and
+    `value_and_grad(x)` returns (loss, gradient), the same loss bit for
+    bit. x0 itself is not evaluated; each line search gets a value at every
+    new trial point and a gradient only where the Armijo test passes, so a
+    rejected point costs one value.
 
     Termination reasons: `gradient-tolerance` (l-inf below tol_grad),
     `zero-witness` (the loss is at or below zero_level, tested after the
@@ -210,13 +217,10 @@ def lbfgs_minimize(
     float64 floor; the last line search bisected through all
     LINE_SEARCH_STEPS trial steps, evaluating each distinct point once;
     values alone decide it, so leaving rejected points without gradients
-    does not move it), or `iteration-cap`. A SingularParameterError from
-    the initial evaluation propagates to the caller; trial points whose
-    value raises it during the line search are treated as +inf and
-    backtracked over.
+    does not move it), or `iteration-cap`. Trial points whose value raises
+    SingularParameterError are treated as +inf and backtracked over.
     """
-    x = np.array(x0, dtype=np.float64)
-    f, g = value_and_grad(x)
+    x, f, g = np.array(x0, dtype=np.float64), f0, g0
 
     def evaluate(xt):
         try:
@@ -259,19 +263,25 @@ def lbfgs_minimize(
             break
     g_inf = float(np.max(np.abs(g))) if g.size else 0.0
     # values holds x0's loss, then one per completed iteration
-    return LbfgsResult(x, float(f), g_inf, len(values) - 1, reason != "iteration-cap", reason, tuple(values))
+    return LbfgsResult(x, float(f), g_inf, len(values) - 1, reason, tuple(values))
 
 
 @dataclass(frozen=True)
 class TrialDiagnostics:
     value: float
     iterations: int
-    converged: bool
     reason: str
     reinits: int
-    failed: bool
     sweeps: int = 0  # budget-1 sweeps before L-BFGS (LossKernel.sweep)
     grad_inf: float = math.inf  # final l-inf gradient; inf for a failed trial
+
+    @property
+    def failed(self) -> bool:
+        return self.reason == "singular-parameters"
+
+    @property
+    def converged(self) -> bool:
+        return self.reason not in ("iteration-cap", "singular-parameters")
 
 
 @dataclass(frozen=True)
@@ -286,34 +296,39 @@ class OptimReport:
 
 
 def _minimize_kernel(kernel, rng, cfg: OptimConfig, start):
-    """One trial against a prepared kernel: L-BFGS from `start`, the swept
-    point and sweep count of the trial's first draw from `rng`, or None
-    where that draw was singular. A singular start is redrawn from `rng` and
-    swept alone, at most MAX_REINITS times."""
+    """One trial against a prepared kernel: L-BFGS from `start`, the
+    (point, value, gradient, sweeps) that `kernel.sweep` handed over for
+    the trial's first draw from `rng`, or None where that draw was
+    singular. A singular draw is redrawn from `rng` and swept alone, at
+    most MAX_REINITS times."""
     for reinit in range(MAX_REINITS + 1):
         if reinit:
             (start,) = kernel.sweep(rng.standard_normal(kernel.n_params)[None], cfg.tol_grad)
         if start is None:
             continue
-        x0, sweeps = start
-        try:
-            res = lbfgs_minimize(
-                kernel.value,
-                kernel.value_and_grad,
-                x0,
-                tol_grad=cfg.tol_grad,
-                tol_loss_rel=cfg.tol_loss_rel,
-                max_iters=cfg.max_iters,
-                zero_level=ZERO_LEVEL,
-            )
-        except SingularParameterError:
-            continue
-        diag = TrialDiagnostics(
-            res.value, res.iterations, res.converged, res.reason, reinit, False, sweeps, res.grad_inf
+        x0, f0, g0, sweeps = start
+        res = lbfgs_minimize(
+            kernel.value,
+            kernel.value_and_grad,
+            x0,
+            f0,
+            g0,
+            tol_grad=cfg.tol_grad,
+            tol_loss_rel=cfg.tol_loss_rel,
+            max_iters=cfg.max_iters,
+            zero_level=ZERO_LEVEL,
         )
-        return res.x, diag
-    diag = TrialDiagnostics(math.inf, 0, False, "singular-parameters", MAX_REINITS, True)
-    return None, diag
+        return res.x, TrialDiagnostics(res.value, res.iterations, res.reason, reinit, sweeps, res.grad_inf)
+    return None, TrialDiagnostics(math.inf, 0, "singular-parameters", MAX_REINITS)
+
+
+def as_level(r) -> int:
+    """The entanglement level r as a Python int; UsageError unless it is an
+    integer >= 2."""
+    r = as_int(r, "entanglement level r")
+    if r < 2:
+        raise UsageError(f"entanglement level r must be >= 2, got {r}")
+    return r
 
 
 def level_bound(dims: tuple[int, ...]) -> int:
@@ -327,9 +342,7 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     """Geometric measure of r-bounded rank of a subspace: minimum of the
     complement-overlap loss over rank budget r - 1, across cfg.trials
     independent restarts."""
-    r = as_int(r, "entanglement level r")
-    if r < 2:
-        raise UsageError(f"entanglement level r must be >= 2, got {r}")
+    r = as_level(r)
     limit = level_bound(sub.dims)
     if r > limit:  # refused before anything of size r is made
         raise UsageError(f"entanglement level r must be <= {limit}, since every state over dims "
@@ -341,14 +354,10 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     starts = kernel.sweep(np.array([rng.standard_normal(kernel.n_params) for rng in rngs]), cfg.tol_grad)
     outcomes = [_minimize_kernel(kernel, rng, cfg, start) for rng, start in zip(rngs, starts)]
     diagnostics = tuple(d for _, d in outcomes)
-    best_idx = -1
-    for i, (x, d) in enumerate(outcomes):
-        if x is None:
-            continue
-        if best_idx < 0 or d.value < diagnostics[best_idx].value:
-            best_idx = i
-    if best_idx < 0:
+    finished = [i for i, d in enumerate(diagnostics) if not d.failed]
+    if not finished:
         raise OptimizationError("all optimization trials failed")
+    best_idx = min(finished, key=lambda i: diagnostics[i].value)  # the first of equal values
     # at rank budget 1 the kernel ignores one party's block of x: fill it
     # in, so that the reported state is the one whose loss is best_value
     best_params = RankParams(sub.dims, r - 1, kernel.completed(outcomes[best_idx][0]))

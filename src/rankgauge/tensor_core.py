@@ -143,7 +143,7 @@ class PureState:
 def basis_state(dims, indices) -> PureState:
     """Computational basis state |i_1 i_2 ... i_n> for the given dims."""
     dims = as_dims(dims)
-    idx = np.ravel_multi_index(tuple(int(i) for i in indices), dims)
+    idx = np.ravel_multi_index(tuple(as_int(i, "basis index") for i in indices), dims)
     amp = np.zeros(math.prod(dims), dtype=np.complex128)
     amp[idx] = 1.0
     return PureState(dims, amp)
@@ -180,8 +180,8 @@ class Bipartition:
     right: tuple[int, ...]
 
     def __post_init__(self):
-        left = tuple(sorted(int(p) for p in self.left))
-        right = tuple(sorted(int(p) for p in self.right))
+        left = tuple(sorted(as_int(p, "party index") for p in self.left))
+        right = tuple(sorted(as_int(p, "party index") for p in self.right))
         n = len(left) + len(right)
         if not left or not right:
             raise UsageError("both sides of a bipartition must be nonempty")
@@ -194,9 +194,8 @@ class Bipartition:
 
     @classmethod
     def of(cls, left, n_parties: int) -> "Bipartition":
-        left = tuple(sorted(int(p) for p in left))
-        right = tuple(p for p in range(1, n_parties + 1) if p not in left)
-        return cls(left, right)
+        left = [as_int(p, "party index") for p in left]
+        return cls(left, [p for p in range(1, as_int(n_parties, "number of parties") + 1) if p not in left])
 
     @property
     def n_parties(self) -> int:
@@ -209,6 +208,7 @@ class Bipartition:
 def canonical_bipartitions(n_parties: int) -> list[Bipartition]:
     """All 2^(n-1) - 1 nontrivial bipartitions, canonicalized so party 1
     is on the left, in deterministic order."""
+    n_parties = as_int(n_parties, "number of parties")
     if n_parties < 2:
         raise UsageError("bipartitions require at least two parties")
     cuts = []

@@ -39,6 +39,7 @@ from rankgauge.catalog import (
     upb_3qubit_e2_closed_form,
     upb_3qubit_subspace,
 )
+from rankgauge import measures
 from rankgauge.measures import er_bipartite_pure_oracle, random_hermitian_with_trace_norm
 from conftest import random_unitary
 
@@ -60,6 +61,13 @@ class TestErBipartiteOracle:
             for r in (2, 3):
                 oracle = er_bipartite_pure_oracle(s, cut, r)
                 assert abs(er_pure(s, r, cfg) - oracle) < 1e-7
+
+
+    def test_non_integer_level_is_refused(self):
+        # r - 1 would slice the Schmidt coefficients with a float
+        bell = PureState((2, 2), np.array([1, 0, 0, 1]) / np.sqrt(2))
+        with pytest.raises(UsageError, match="entanglement level r must be an integer"):
+            er_bipartite_pure_oracle(bell, Bipartition((1,), (2,)), 2.5)
 
 
 class TestErSubspace:
@@ -170,6 +178,15 @@ class TestSupportBound:
         value = support_bound_er(tiles_bound_entangled_state(), 2, cfg)
         assert value == pytest.approx(0.0284, abs=1e-3)
 
+    def test_non_integer_level_is_refused_before_the_support(self, monkeypatch, cfg):
+        def no_support(*args):
+            raise AssertionError("support space computed")
+
+        monkeypatch.setattr(measures, "support_space", no_support)
+        for r in (2.5, "3"):
+            with pytest.raises(UsageError, match="entanglement level r must be an integer"):
+                support_bound_er(tiles_bound_entangled_state(), r, cfg)
+
 
 class TestRandomHermitian:
     def test_zero_target(self):
@@ -189,6 +206,11 @@ class TestRandomHermitian:
         with pytest.raises(UsageError):
             random_hermitian_with_trace_norm(3, -0.1, seed=0)
 
+    @pytest.mark.parametrize("target", [0.0, 0.5])
+    def test_non_integer_dimension_is_refused(self, target):
+        with pytest.raises(UsageError, match="dimension must be an integer"):
+            random_hermitian_with_trace_norm(2.0, target, seed=0)
+
 
 class TestRobustness:
     def test_zero_norm_matches_unperturbed(self, cfg):
@@ -201,6 +223,11 @@ class TestRobustness:
         sub = strip_subspace(StripParams(3, math.pi / 2))
         res = robustness_experiment(sub, 2, [0.3], samples=10, cfg=cfg)
         assert res.min_values[0] > 1e-6
+
+    def test_non_integer_samples_are_refused(self, cfg):
+        sub = strip_subspace(StripParams(3, math.pi / 2))
+        with pytest.raises(UsageError, match="samples must be an integer"):
+            robustness_experiment(sub, 2, [0.1], samples=1.5, cfg=cfg)
 
     def test_grid_sorted(self, cfg):
         sub = strip_subspace(StripParams(3, math.pi / 2))

@@ -307,7 +307,7 @@ class TestSweepProperty:
         kernel = LossKernel(dims, budget, sub)
         x = rng.standard_normal(kernel.n_params)
         before = x.copy()
-        (swept, sweeps), = kernel.sweep(x[None], OptimConfig().tol_grad)
+        (swept, _, _, sweeps), = kernel.sweep(x[None], OptimConfig().tol_grad)
         np.testing.assert_array_equal(x, before)
         if budget > 1:
             assert sweeps == 0
@@ -379,7 +379,7 @@ class TestBudgetOne:
             # a stacked sweep reports the singular lane and sweeps the others
             starts = np.stack([rng.standard_normal(x.size), x])
             lanes = LossKernel(dims, 1, sub).sweep(starts, OptimConfig().tol_grad)
-            assert lanes[1] is None and lanes[0][1] >= 1
+            assert lanes[1] is None and lanes[0][3] >= 1
 
     @pytest.mark.parametrize("d_s", [2, 20])
     @pytest.mark.parametrize("scale", [1e-50, 1e50])
@@ -401,6 +401,37 @@ class TestBudgetOne:
             np.testing.assert_allclose(scaled_grad, grad, rtol=0, atol=1e-13 * np.max(np.abs(grad)))
 
 
+def counting_passes(monkeypatch):
+    """Count LossKernel's forward passes, backward passes and exact solves of
+    party e and of the other parties, in the returned dict."""
+    calls = {"forward": 0, "backward": 0, "solve_e": 0, "solve_others": 0}
+    for name, kind in [("_pass", "forward"), ("_grad", "backward")]:
+        method = getattr(LossKernel, name)
+
+        def counted(self, arg, _kind=kind, _method=method):
+            calls[_kind] += 1
+            return _method(self, arg)
+
+        monkeypatch.setattr(LossKernel, name, counted)
+    solve = LossKernel._solve
+
+    def counted_solve(self, q, p):
+        calls["solve_e" if q == self.eliminated else "solve_others"] += 1
+        return solve(self, q, p)
+
+    monkeypatch.setattr(LossKernel, "_solve", counted_solve)
+    return calls
+
+
+def assert_handed_over_fresh(sub, budget, swept):
+    """Each lane's value and gradient are what a fresh kernel's
+    value_and_grad of its point returns, bit for bit."""
+    for point, value, grad, _ in swept:
+        fresh = LossKernel(sub.dims, budget, sub).value_and_grad(point)
+        assert value == fresh[0]
+        np.testing.assert_array_equal(grad, fresh[1])
+
+
 class TestBudgetOneSweepMemo:
     @pytest.mark.parametrize("sub", [
         strip_subspace(StripParams(4, 1.0)),  # the basis side
@@ -411,51 +442,50 @@ class TestBudgetOneSweepMemo:
         """Party e is solved only in the forward pass: once for the starts
         and once per sweep, one stacked solve for all lanes, as is every
         other party's, whether the starts are swept alone or as one stack.
-        Each swept point is its own completion and its forward pass is in
-        the memo, with its gradient where the sweeps took one, so the
-        L-BFGS start runs no forward pass, and no backward pass where the
-        continuation read the gradient."""
-        calls = {"forward": 0, "backward": 0, "solve_e": 0, "solve_others": 0}
-        for name, kind in [("_pass", "forward"), ("_grad", "backward")]:
-            method = getattr(LossKernel, name)
-
-            def counted(self, arg, _kind=kind, _method=method):
-                calls[_kind] += 1
-                return _method(self, arg)
-
-            monkeypatch.setattr(LossKernel, name, counted)
-        solve = LossKernel._solve
-
-        def counted_solve(self, q, p):
-            calls["solve_e" if q == self.eliminated else "solve_others"] += 1
-            return solve(self, q, p)
-
-        monkeypatch.setattr(LossKernel, "_solve", counted_solve)
+        A sweep runs one backward pass of the stack where some lane reads
+        its gradient or leaves. Each swept point is its own completion and
+        comes with a fresh kernel's value and gradient."""
+        calls = counting_passes(monkeypatch)
         kernel = LossKernel(sub.dims, 1, sub)
         starts = np.stack([trial_rng(1, i).standard_normal(kernel.n_params) for i in range(3)])
         stacks = [start[None] for start in starts] + [starts]
-        # the continuation reads gradients on the 8 and 10 free real
-        # dimensions of the CES, never on the one free qubit of 2 x 4
-        read = len(sub.dims) == 3
         for stack in stacks:
             before = dict(calls)
             swept = kernel.sweep(stack, OptimConfig().tol_grad)
-            rounds = max(sweeps for _, sweeps in swept)
+            rounds = max(sweeps for *_, sweeps in swept)
+            leaving = len({sweeps for *_, sweeps in swept})  # the sweeps in which lanes leave
             assert calls["forward"] - before["forward"] == rounds + 1
             assert calls["solve_e"] - before["solve_e"] == rounds + 1
             assert calls["solve_others"] - before["solve_others"] == (len(sub.dims) - 1) * rounds
-            assert (calls["backward"] - before["backward"] > 0) == read
-            assert calls["backward"] - before["backward"] <= rounds
-            for point, _ in swept:
-                fresh = LossKernel(sub.dims, 1, sub).value_and_grad(point)
-                before = dict(calls)
+            backward = calls["backward"] - before["backward"]
+            # the continuation reads gradients on the 8 and 10 free real
+            # dimensions of the CES, never on the one free qubit of 2 x 4
+            assert leaving <= backward <= rounds
+            assert (backward > leaving) == (len(sub.dims) == 3)
+            for point, *_ in swept:
                 assert point.tobytes() == kernel.completed(point).tobytes()
-                value, grad = kernel.value_and_grad(point)
-                assert calls["forward"] == before["forward"]
-                assert calls["backward"] - before["backward"] == (not read)
-                # what the memo hands over is what a fresh kernel computes
-                assert value == fresh[0]
-                np.testing.assert_array_equal(grad, fresh[1])
+            assert_handed_over_fresh(sub, 1, swept)
+
+    @pytest.mark.parametrize("budget", [2, 3])
+    @pytest.mark.parametrize("sub", [
+        strip_subspace(StripParams(4, 1.0)),  # the basis side
+        max_ces_subspace(2, 2, 3),  # the complement side
+    ], ids=["strip-2x4", "ces-2x2x3"])
+    def test_sweep_at_budgets_two_and_three_is_one_stacked_pass(self, sub, budget, monkeypatch):
+        """Above budget 1 the sweep hands over the draws as they are, from
+        one forward and one backward pass of the stack, whether they are
+        swept alone or as one stack."""
+        calls = counting_passes(monkeypatch)
+        kernel = LossKernel(sub.dims, budget, sub)
+        starts = np.stack([trial_rng(1, i).standard_normal(kernel.n_params) for i in range(3)])
+        for stack in [start[None] for start in starts] + [starts]:
+            before = dict(calls)
+            swept = kernel.sweep(stack, OptimConfig().tol_grad)
+            assert (calls["forward"] - before["forward"], calls["backward"] - before["backward"]) == (1, 1)
+            for (point, *_, sweeps), start in zip(swept, stack):
+                np.testing.assert_array_equal(point, start)
+                assert sweeps == 0
+            assert_handed_over_fresh(sub, budget, swept)
 
 
 class TestKernelReference:

@@ -33,9 +33,10 @@ from rankgauge.catalog import (
 from test_objective import party_slot
 
 
-def oracles(value_and_grad):
-    """The (value, value_and_grad) pair of a function given by the latter."""
-    return (lambda x: value_and_grad(x)[0]), value_and_grad
+def minimize(value_and_grad, x0, **kwargs):
+    """L-BFGS on a function given by its `value_and_grad`, from x0 with the
+    value and gradient there."""
+    return lbfgs_minimize(lambda x: value_and_grad(x)[0], value_and_grad, x0, *value_and_grad(x0), **kwargs)
 
 
 def quadratic(center):
@@ -45,7 +46,7 @@ def quadratic(center):
         d = x - center
         return 0.5 * float(d @ d), d
 
-    return oracles(value_and_grad)
+    return value_and_grad
 
 
 def classic_two_loop(grad, pairs):
@@ -104,7 +105,7 @@ class TestLbfgs:
         for dim in (2, 5, 9):
             center = np.linspace(-0.2, 0.2, dim)
             x0 = np.zeros(dim)  # ||x0 - center|| < 1
-            res = lbfgs_minimize(*quadratic(center), x0, max_iters=100)
+            res = minimize(quadratic(center), x0, max_iters=100)
             assert res.iterations <= dim
             assert res.value < 1e-20
             np.testing.assert_allclose(res.x, center, atol=1e-10)
@@ -117,7 +118,7 @@ class TestLbfgs:
             d = x - center
             return 0.5 * float(d @ q @ d), q @ d
 
-        res = lbfgs_minimize(*oracles(f), np.zeros(3), max_iters=200)
+        res = minimize(f, np.zeros(3), max_iters=200)
         assert res.converged
         np.testing.assert_allclose(res.x, center, atol=1e-8)
 
@@ -135,7 +136,7 @@ class TestLbfgs:
             ad = a @ (x - center)
             return 0.5 * float((x - center) @ ad), ad
 
-        res = lbfgs_minimize(*oracles(f), np.zeros(n))
+        res = minimize(f, np.zeros(n))
         assert res.reason == "gradient-tolerance"
         assert res.iterations <= 500
         np.testing.assert_allclose(res.x, center, atol=1e-9)
@@ -150,29 +151,22 @@ class TestLbfgs:
             ])
             return f, g
 
-        res = lbfgs_minimize(*oracles(rosenbrock), np.array([-1.2, 1.0]), max_iters=500)
+        res = minimize(rosenbrock, np.array([-1.2, 1.0]), max_iters=500)
         assert res.value < 1e-12
         diffs = np.diff(res.values)
         assert np.all(diffs <= 0.0)
 
     def test_iteration_cap(self):
-        res = lbfgs_minimize(*quadratic([10.0] * 4), np.zeros(4), max_iters=1)
+        res = minimize(quadratic([10.0] * 4), np.zeros(4), max_iters=1)
         assert res.iterations == 1
         assert res.reason == "iteration-cap"
         assert not res.converged
 
     def test_gradient_tolerance_at_start(self):
-        res = lbfgs_minimize(*quadratic([0.0, 0.0]), np.zeros(2), tol_grad=1e-10)
+        res = minimize(quadratic([0.0, 0.0]), np.zeros(2), tol_grad=1e-10)
         assert res.iterations == 0
         assert res.reason == "gradient-tolerance"
         assert res.converged
-
-    def test_singular_initial_point_propagates(self):
-        def bad(x):
-            raise SingularParameterError("test")
-
-        with pytest.raises(SingularParameterError):
-            lbfgs_minimize(bad, bad, np.zeros(2))
 
     def test_no_point_is_evaluated_twice(self, monkeypatch):
         # Floor searches bisect until distinct steps round to the same
@@ -183,8 +177,9 @@ class TestLbfgs:
         # starts, with one party solved exactly, no longer reach
         sub = span_of(ghz_state(2, 3))
         kernel = LossKernel(sub.dims, 2, sub)
-        starts = [trial_rng(seed).standard_normal(kernel.n_params) for seed in range(1, 7)]
-        direct = [lbfgs_minimize(kernel.value, kernel.value_and_grad, x0) for x0 in starts]
+        starts = kernel.sweep(np.array([trial_rng(seed).standard_normal(kernel.n_params) for seed in range(1, 7)]),
+                              OptimConfig().tol_grad)
+        direct = [lbfgs_minimize(kernel.value, kernel.value_and_grad, *start[:3]) for start in starts]
 
         forward = []
         real_forward = objective.forward_map
@@ -211,18 +206,20 @@ class TestLbfgs:
         monkeypatch.setattr(opt_mod, "_wolfe_line_search", recording_search)
         reasons = []
         gradients = forwards = 0
-        for x0, ref in zip(starts, direct):
+        for start, ref in zip(starts, direct):
             forward.clear()
             searches.clear()
-            res = lbfgs_minimize(kernel.value, kernel.value_and_grad, x0)
+            res = lbfgs_minimize(kernel.value, kernel.value_and_grad, *start[:3])
             assert len(set(forward)) == len(forward)
             # Armijo with a descent direction implies f_t <= f0
             assert all(ft <= f0 for f0, graded in searches for ft in graded)
-            # x0 takes one gradient outside the searches; a start whose
-            # searches accept every trial point grades all the others
+            # x0 comes with its value and gradient and takes no pass; a
+            # start whose searches accept every trial point grades all the
+            # others
             n_graded = sum(len(graded) for _, graded in searches)
-            assert n_graded <= len(forward) - 1
-            gradients += n_graded + 1
+            assert start[0].tobytes() not in forward
+            assert n_graded <= len(forward)
+            gradients += n_graded
             forwards += len(forward)
             assert (res.values, res.reason, res.iterations) == (ref.values, ref.reason, ref.iterations)
             np.testing.assert_array_equal(res.x, ref.x)
@@ -231,41 +228,26 @@ class TestLbfgs:
         assert "loss-floor" in reasons
 
 
-class FlakyKernel:
-    """Raises on the first `fail_times` initial evaluations, then behaves
-    like a smooth quadratic."""
+class FlakySweepKernel:
+    """A smooth quadratic whose sweep reports every lane singular on the
+    first `fail_times` calls; L-BFGS never sees a singular start."""
 
     n_params = 4
 
     def __init__(self, fail_times):
-        self.remaining = fail_times
+        self.sweep_failures = fail_times
 
     def value(self, x):
         return 0.5 * float(x @ x)
 
     def value_and_grad(self, x):
-        if self.remaining > 0:
-            self.remaining -= 1
-            raise SingularParameterError("forced")
         return self.value(x), x.copy()
-
-    def sweep(self, x, tol_grad):
-        return [(row, 0) for row in x]
-
-
-class FlakySweepKernel(FlakyKernel):
-    """Its sweep reports every lane singular on the first `fail_times`
-    calls; L-BFGS never sees a singular start."""
-
-    def __init__(self, fail_times):
-        super().__init__(0)
-        self.sweep_failures = fail_times
 
     def sweep(self, x, tol_grad):
         if self.sweep_failures > 0:
             self.sweep_failures -= 1
             return [None] * len(x)
-        return [(row, 1) for row in x]
+        return [(row, *self.value_and_grad(row), 1) for row in x]
 
 
 def one_trial(kernel, rng, cfg):
@@ -276,20 +258,6 @@ def one_trial(kernel, rng, cfg):
 
 
 class TestTrials:
-    def test_reinitialization_recovers(self):
-        rng = np.random.default_rng(0)
-        x, diag = one_trial(FlakyKernel(2), rng, OptimConfig(seed=0))
-        assert x is not None
-        assert diag.reinits == 2
-        assert not diag.failed
-
-    def test_trial_fails_after_reinit_budget(self):
-        rng = np.random.default_rng(0)
-        x, diag = one_trial(FlakyKernel(100), rng, OptimConfig(seed=0))
-        assert x is None
-        assert diag.failed
-        assert math.isinf(diag.value)
-
     @pytest.mark.parametrize("fails", range(opt_mod.MAX_REINITS + 1))
     def test_singular_sweep_reinitializes(self, fails):
         rng = np.random.default_rng(0)
@@ -301,8 +269,40 @@ class TestTrials:
         rng = np.random.default_rng(0)
         kernel = FlakySweepKernel(opt_mod.MAX_REINITS + 1)
         x, diag = one_trial(kernel, rng, OptimConfig(seed=0))
-        assert x is None and diag.failed
+        assert x is None and diag.failed and not diag.converged
         assert (diag.reinits, diag.sweeps) == (opt_mod.MAX_REINITS, 0)
+        assert math.isinf(diag.value)
+
+    def test_zero_draw_at_budget_two_is_singular_in_the_sweep(self):
+        # T vanishes at a zero draw of every budget. The sweep's first pass
+        # masks its lane and hands the other lanes their value and
+        # gradient; the trial redraws from its own stream
+        sub = span_of(ghz_state(3, 2))
+        kernel = LossKernel(sub.dims, 2, sub)
+        draw = trial_rng(4).standard_normal(kernel.n_params)
+        zero = np.zeros(kernel.n_params)
+        with pytest.raises(SingularParameterError, match="vanished"):
+            kernel.value(zero)
+        lanes = kernel.sweep(np.stack([zero, draw]), OptimConfig().tol_grad)
+        assert lanes[0] is None
+        point, value, grad, sweeps = lanes[1]
+        fresh = LossKernel(sub.dims, 2, sub).value_and_grad(draw)
+        np.testing.assert_array_equal(point, draw)
+        assert (value, sweeps) == (fresh[0], 0)
+        np.testing.assert_array_equal(grad, fresh[1])
+        x, diag = opt_mod._minimize_kernel(kernel, trial_rng(4), OptimConfig(), None)
+        assert x is not None and (diag.reinits, diag.failed) == (1, False)
+
+    @pytest.mark.parametrize("reason, converged", [
+        ("gradient-tolerance", True), ("zero-witness", True), ("loss-plateau", True),
+        ("loss-floor", True), ("iteration-cap", False), ("singular-parameters", False),
+    ])
+    def test_converged_and_failed_follow_the_reason(self, reason, converged):
+        diag = opt_mod.TrialDiagnostics(0.5, 3, reason, 0)
+        assert (diag.converged, diag.failed) == (converged, reason == "singular-parameters")
+        if reason != "singular-parameters":
+            res = opt_mod.LbfgsResult(np.zeros(1), 0.5, 0.0, 3, reason, (0.5,))
+            assert res.converged == converged
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_sweeps_run_at_budget_one_only(self, r):
@@ -367,8 +367,8 @@ class TestSweepContinuation:
 
     def test_cut_continuation_hands_on_its_last_point(self, monkeypatch):
         # a continuation cut one sweep after the handover returns that later
-        # point and count, no higher than the handover point, and leaves its
-        # gradient in the memo for the L-BFGS start
+        # point and count, no higher than the handover point, with the
+        # gradient it read there
         sub = max_ces_subspace(3, 4, 7)
         kernel = LossKernel(sub.dims, 1, sub)
         cfg = OptimConfig()
@@ -383,14 +383,15 @@ class TestSweepContinuation:
         for i in range(cfg.trials):
             x0 = trial_rng(cfg.seed, i).standard_normal(kernel.n_params)
             sweeps_off(monkeypatch)
-            (handover, count), = kernel.sweep(x0[None], cfg.tol_grad)
+            (handover, _, _, count), = kernel.sweep(x0[None], cfg.tol_grad)
             monkeypatch.setattr(objective, "MAX_FINISH_SWEEPS", count + 1)
             grads.clear()
-            (cut, sweeps), = kernel.sweep(x0[None], cfg.tol_grad)
+            (cut, value, grad, sweeps), = kernel.sweep(x0[None], cfg.tol_grad)
             # the handover point's gradient, then the cut point's
             assert sweeps == count + 1 and len(grads) == 2
-            kernel.value_and_grad(cut)
-            assert len(grads) == 2
+            fresh = LossKernel(sub.dims, 1, sub).value_and_grad(cut)
+            assert value == fresh[0]
+            np.testing.assert_array_equal(grad, fresh[1])
             assert cut.tobytes() != handover.tobytes()
             assert kernel.value(cut) <= kernel.value(handover)
             diag = one_trial(kernel, trial_rng(cfg.seed, i), cfg)[1]
@@ -402,17 +403,35 @@ class TestSweepContinuation:
     ], ids=["strip-2x4", "random-2x3"])
     def test_one_free_qubit_sweeps_without_gradients(self, monkeypatch, sub):
         # two free real dimensions: L-BFGS finishes such trials in about two
-        # iterations, so the sweeps hand over as before and take no gradient
+        # iterations, so the sweeps hand over as before and run no
+        # continuation: the only gradients they take are those of the
+        # sweeps in which lanes leave the stack, to hand over
         kernel = LossKernel(sub.dims, 1, sub)
         assert kernel._free_dims == 2
+        stacks = []  # the lanes of each backward pass
+        method = LossKernel._grad
 
-        def no_gradient(self, forward):
-            raise AssertionError("gradient taken inside sweep")
+        def counted(self, forward):
+            stacks.append(len(forward.t))
+            return method(self, forward)
 
-        monkeypatch.setattr(LossKernel, "_grad", no_gradient)
+        monkeypatch.setattr(LossKernel, "_grad", counted)
         for seed in range(5):
             x = np.random.default_rng(seed).standard_normal((3, kernel.n_params))
-            assert all(sweeps <= objective.MAX_SWEEPS for _, sweeps in kernel.sweep(x, OptimConfig().tol_grad))
+            stacks.clear()
+            swept = kernel.sweep(x, OptimConfig().tol_grad)
+            sweeps = [lane[3] for lane in swept]
+            assert all(n <= objective.MAX_SWEEPS for n in sweeps)
+            # one gradient per sweep in which lanes leave, each of the
+            # stack that sweep held
+            leaving = sorted(set(sweeps))
+            assert stacks == [sum(n >= k for n in sweeps) for k in leaving]
+            # every lane leaves at its handover point
+            with monkeypatch.context() as m:
+                sweeps_off(m)
+                handed = kernel.sweep(x, OptimConfig().tol_grad)
+            for (point, *_, n), (ref, *_, n_ref) in zip(swept, handed):
+                assert n == n_ref and point.tobytes() == ref.tobytes()
 
 
 class TestOptimConfig:
@@ -598,7 +617,7 @@ class TestRunCertification:
         sub = strip_subspace(StripParams(3, 1.0))
 
         def always_fail(kernel, rng, cfg, start):
-            return None, opt_mod.TrialDiagnostics(math.inf, 0, False, "singular-parameters", 3, True)
+            return None, opt_mod.TrialDiagnostics(math.inf, 0, "singular-parameters", 3)
 
         monkeypatch.setattr(opt_mod, "_minimize_kernel", always_fail)
         with pytest.raises(OptimizationError):

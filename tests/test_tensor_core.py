@@ -125,6 +125,26 @@ class TestBipartition:
             assert all(c.left[0] == 1 for c in cuts)
             assert len(set(cuts)) == len(cuts)
 
+    @pytest.mark.parametrize("make", [
+        lambda: Bipartition((1.7,), (2,)),
+        lambda: Bipartition((1,), ("2",)),
+        lambda: Bipartition.of([1.0], 3),
+        lambda: Bipartition.of([1], 3.0),
+        lambda: canonical_bipartitions(3.0),
+        lambda: basis_state((2, 2), (1.9, 0)),
+        lambda: basis_state((2, 2), ("1", 0)),
+    ], ids=["float-party", "str-party", "float-left", "float-count", "float-parties", "float-index",
+            "str-index"])
+    def test_non_integer_indices_are_refused(self, make):
+        # refused, not truncated to another party or basis vector
+        with pytest.raises(UsageError, match="must be an integer"):
+            make()
+
+    def test_numpy_integer_indices_are_accepted(self):
+        assert Bipartition.of([np.int64(2)], np.int64(3)) == Bipartition((2,), (1, 3))
+        assert canonical_bipartitions(np.int64(3)) == canonical_bipartitions(3)
+        assert basis_state((2, 2), (np.int64(1), 0)).amp[2] == 1.0
+
 
 class TestReshapeBipartite:
     def test_bell(self):

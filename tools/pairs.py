@@ -13,11 +13,13 @@ side won (ties count for neither) and a verdict:
 
 - `gain`: the change won at least 9 of every 10 pairs and its median is
   better than the parent's by more than the parent's interquartile range;
+- `better`: not a gain, but every run of the change is better than every
+  run of the parent, however widely the runs spread;
 - `worse`: the change's median is worse than the parent's by more than
   the metric's bound, relative to the parent's median;
-- `unresolved`: neither, and the parent's interquartile range exceeds the
-  bound, so the runs spread too widely to tell;
-- `within bound`: neither, and the runs resolve the bound.
+- `unresolved`: none of these, and the parent's interquartile range
+  exceeds the bound, so the runs spread too widely to tell;
+- `within bound`: none of these, and the runs resolve the bound.
 
 Both checkouts should be in the same state: where only one holds
 compiled bytecode under src/, its imports skip compilation and setup_s
@@ -64,6 +66,8 @@ def summarize(metric: dict, parent: list[float], change: list[float]) -> dict:
     gain = sign * (med_p - med_c)
     if 10 * wins >= 9 * len(parent) and gain > iqr:
         verdict = "gain"
+    elif all(sign * (p - c) > 0 for p in parent for c in change):
+        verdict = "better"
     elif -gain > metric["bound"] * abs(med_p):
         verdict = "worse"
     elif iqr > metric["bound"] * abs(med_p):
