@@ -69,9 +69,6 @@ from .subspace import (
 )
 from .tensor_core import PureState
 
-SEED_ENV_VAR = "RANKGAUGE_SEED"
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); route through our codes
         raise UsageError(message)
@@ -300,8 +297,7 @@ def _build_parser() -> _Parser:
                            help="catalog entry, e.g. strip:d=3,theta=pi/2 (see --list-examples)")
         p.add_argument("--trials", type=int, default=OptimConfig.trials,
                        help="independent restarts (default %(default)s)")
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"base RNG seed (default: ${SEED_ENV_VAR} or 0)")
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed (default %(default)s)")
         p.add_argument("--tol-grad", type=_positive_float, default=OptimConfig.tol_grad,
                        help="l-inf gradient tolerance")
         p.add_argument("--tol-loss", type=_positive_float, default=OptimConfig.tol_loss_rel,
@@ -338,18 +334,6 @@ def _build_parser() -> _Parser:
     p_rep.add_argument("--full", action="store_true",
                        help="include the large optional rows/cases")
     return parser
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return int(args.seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise UsageError(f"${SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-    return 0
 
 
 def _load_input(args):
@@ -407,7 +391,7 @@ def _write_lines(path: Path, lines: list[str]) -> None:
 
 
 def main(argv=None) -> int:
-    """The one pipeline every subcommand shares: parse -> seed -> config ->
+    """The one pipeline every subcommand shares: parse -> config ->
     output paths -> input -> timed body -> print -> CSV + manifest."""
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
@@ -416,7 +400,7 @@ def main(argv=None) -> int:
             print(catalog_help())
             return 0
         cfg = OptimConfig(tol_grad=args.tol_grad, tol_loss_rel=args.tol_loss, max_iters=args.max_iters,
-                          trials=args.trials, seed=_resolve_seed(args))
+                          trials=args.trials, seed=args.seed)
         for path in _output_files(args):
             _check_writable(path)
         obj, input_hash, source = _load_input(args)

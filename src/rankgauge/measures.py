@@ -22,6 +22,7 @@ from .tensor_core import (
     HermitianOp,
     PureState,
     as_int,
+    as_real,
     canonical_bipartitions,
     schmidt_coefficients,
     unitary_from_hamiltonian,
@@ -157,11 +158,18 @@ def support_bound_er(rho: MixedState, r: int, cfg: OptimConfig, eig_tol: float =
     return er_subspace(support_space(rho, eig_tol), r, cfg)
 
 
+def _trace_norm(value) -> float:
+    """A trace norm as a float; UsageError unless it is a finite real >= 0."""
+    t = as_real(value, "trace norm")
+    if not 0.0 <= t < math.inf:
+        raise UsageError(f"trace norm must be finite and >= 0, got {value!r}")
+    return t
+
+
 def random_hermitian_with_trace_norm(dim: int, target_norm: float, seed) -> HermitianOp:
     """Gaussian-ensemble Hermitian matrix rescaled to the exact trace norm."""
     dim = as_int(dim, "dimension")
-    if target_norm < 0:
-        raise UsageError(f"target trace norm must be >= 0, got {target_norm}")
+    target_norm = _trace_norm(target_norm)
     if dim < 1:
         raise UsageError(f"dimension must be >= 1, got {dim}")
     if target_norm == 0.0:
@@ -198,9 +206,9 @@ def robustness_experiment(
     samples = as_int(samples, "samples")
     if samples < 1:
         raise UsageError(f"samples must be >= 1, got {samples}")
-    grid = sorted(float(t) for t in norm_grid)
-    if not grid or grid[0] < 0:
-        raise UsageError("norm_grid must be nonempty with nonnegative entries")
+    grid = sorted(_trace_norm(t) for t in norm_grid)
+    if not grid:
+        raise UsageError("norm_grid must be nonempty")
     d = sub.dim_total
     mins = []
     for gi, t in enumerate(grid):

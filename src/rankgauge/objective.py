@@ -29,10 +29,12 @@ radial component to project out. No clamping happens here; [0, 1]
 clamping is reporting-level only.
 
 At rank budget 1 the candidate is one product state, and the factor of
-party e, the largest party (the last of them on ties), is solved exactly.
-The kernel gathers only the other parties' raw factors, the parameters of
-one product state over their dimensions, and `forward_map` of them gives
-their product p, of size P = D / d_e (p = [1] when e is the only party).
+party e, the largest party (the last of them on ties), is solved exactly,
+the variable projection of Golub and Pereyra (SIAM J. Numer. Anal. 1973).
+So x holds only the other parties' raw factors, 2 sum_{q != e} d_q
+floats: the parameters of one product state over their dimensions, in
+party order, whose `forward_map` gives their product p, of size
+P = D / d_e (p = [1] and x is empty when e is the only party).
 It works in the frame with e's axis first: the rows reordered as R, of
 shape (m, d_e, P), B = conj(R) p of shape (m, d_e), and T = c (x) p,
 whose coefficients are w = B c. The minimizer c* of the loss over c is
@@ -42,8 +44,7 @@ basis row b, as for the span of a state, it is conj(b) / ||b|| without an
 eigenproblem. From T = c* (x) p and w = B c* on, the loss, N and y are
 those above, in this frame, so the value is the exact loss of a product
 state and a true upper bound, and N = ||p||^2 ||c*||^2 divides out the
-scale of every factor. Party e's block of x is ignored, and its gradient
-entries are exactly zero. c* is stationary on the unit sphere, so by the
+scale of every factor. c* is stationary on the unit sphere, so by the
 envelope theorem the gradient in the other factors is taken at fixed c*:
 since dT = c* (x) dp, conj(y) contracted with c* on e's axis is the
 cotangent of p, and the same loop as at budgets >= 2 contracts it with
@@ -53,20 +54,20 @@ the float range: two blocks scaled by 1e-100 raise, and two scaled by
 1e100 overflow. Starts are standard normal, the sweeps hand over unit
 factors, and L-BFGS steps are orthogonal to each block to first order,
 so no run comes near those scales.
-`LossKernel.completed(x)` fills party e's block with c*, so that the
-state of the returned parameters is the witness of the value.
+c* lives only in a forward pass: `LossKernel.completed(x)` inserts it at
+party e's columns, which gives the full-length parameters, of
+`params_length(dims, 1)` floats, whose state is the witness of the value.
 
 The forward pass, the exact solves and the gradient take a leading lane
 axis: a stack of L points, one per lane, is evaluated by the same numpy
 calls as one point. The lanes' terms are the terms of one `forward_map`:
 at budgets >= 2 lane l's r terms are its rows l r to l r + r - 1, summed
 per lane to T, and `_cotangents` takes lane l's conj(y) once for each of
-them; at budget 1 each lane is one term of the gathered blocks, whose
-(L, P) last prefixes are the lanes' products p, and `_cotangents` takes
-one cotangent of p per term. Every contraction is a batched `matmul` or
-`matvec` over the lane axis, which multiplies each lane on its own and
-never folds lanes into one product, and the eigenproblems are one stacked
-eigh. So a lane's bits do not depend on how many lanes share its stack or
+them; at budget 1 each lane is one term, whose (L, P) last prefixes are
+the lanes' products p, and `_cotangents` takes one cotangent of p per
+term. Every contraction is a batched `matmul` or `matvec` over the lane
+axis, which multiplies each lane on its own and never folds lanes into
+one product, and the eigenproblems are one stacked eigh. So a lane's bits do not depend on how many lanes share its stack or
 which of them remain, as long as the lane's arrays keep their memory
 layout: slicing keeps it, while gathering a subset of lanes copies them
 into another layout and may move their last bits, which is why the
@@ -84,7 +85,9 @@ parties in order and then party e: party q's factor becomes the lowest
 where B_q contracts the rows, reordered around q's axis, with the
 product of the other factors.
 Party e's solve is the kernel's forward pass of the swept point, which
-gives c*, and with one basis row every solve is conj(b) / ||b||. Every
+gives c*; the sweep keeps the lanes' c* as a stack next to x, for the
+other parties' solves of the next sweep. With one basis row every solve
+is conj(b) / ||b||. Every
 solve is an exact minimum over one factor, so no sweep raises the loss.
 The sweeps hand over to L-BFGS after a sweep that lowers the
 residual-form loss by less than SWEEP_TOL of its value, or by less than
@@ -195,11 +198,13 @@ class LossKernel:
     otherwise; a full space has no complement and raises UsageError.
     At rank budget 1 the factor of party `eliminated` (the last of the
     largest parties) is the exact minimizer for the other factors, as the
-    module docstring derives: the kernel reads only the product p of the
-    other parties' raw factors, through `forward_map`, e's block of x is
-    ignored and gets exact zero gradient, and `completed(x)` writes the
-    minimizer into x. Only p = 0 is singular; the module docstring gives
-    the scale range of the factors. T and the conjugated rows are held in
+    module docstring derives: x holds only the other parties' raw factors,
+    `n_params` = 2 sum_{q != e} d_q floats, the kernel reads their product
+    p through `forward_map`, and `completed(x)` inserts the minimizer at
+    e's columns, which gives the full-length parameters. Only p = 0 is
+    singular; the module docstring gives the scale range of the factors.
+    Every entry point refuses a point whose length is not `n_params`
+    with UsageError. T and the conjugated rows are held in
     one frame per kernel: the party order at budgets >= 2, and e's axis
     first, then the other parties in order, at budget 1.
 
@@ -214,16 +219,13 @@ class LossKernel:
     of its stack.
 
     Apart from precomputed constants the kernel holds a memo of the last
-    point evaluated, keyed by the bytes of the blocks the loss reads (all
-    of x at budgets >= 2, the other parties' blocks at budget 1), with its
-    forward pass and, once `value_and_grad` asked for it, its gradient.
-    The line search and `completed` read it. `value` and `value_and_grad`
-    share the forward pass, so their values agree bit for bit;
-    `value_and_grad(x)` right after `value(x)`, or after `value` of a
-    point that differs from x in party e's block only, runs only the
-    backward pass, a repeat runs neither, and a point mutated in place is
-    evaluated afresh. Results do not depend on the memo, but one kernel
-    must not be shared between threads.
+    point evaluated, keyed by the bytes of x, with its forward pass and,
+    once `value_and_grad` asked for it, its gradient. The line search and
+    `completed` read it. `value` and `value_and_grad` share the forward
+    pass, so their values agree bit for bit; `value_and_grad(x)` right
+    after `value(x)` runs only the backward pass, a repeat runs neither,
+    and a point mutated in place is evaluated afresh. Results do not
+    depend on the memo, but one kernel must not be shared between threads.
     """
 
     def __init__(self, dims, r: int, sub: Subspace):
@@ -233,17 +235,16 @@ class LossKernel:
         self.r = as_int(r, "rank budget")
         if self.r < 1:
             raise UsageError(f"rank budget must be >= 1, got {r}")
-        self.n_params = params_length(self.dims, self.r)
         self.basis = sub.basis
         # rows spanning the complement (True) or the subspace (False); a
         # full space takes the complement side, whose rows raise UsageError
         self.complement = 2 * sub.dim > sub.dim_total
         self.rows = sub.complement_rows if self.complement else sub.basis
-        self.columns = party_columns(self.dims)
         self._memo = (None, None, None)  # (key, forward pass, gradient or None)
         conj_rows = self.rows.conj()
         if self.r > 1:
             self.eliminated = None
+            self.n_params = params_length(self.dims, self.r)
             self._conj_rows = conj_rows
             return
         e = self.eliminated = len(self.dims) - 1 - self.dims[::-1].index(max(self.dims))
@@ -256,45 +257,42 @@ class LossKernel:
         ]
         self._conj_rows = self._party_rows[e].reshape(m, -1)  # a view, in the frame c (x) p
         self._one_row = m == 1 and not self.complement
-        # the float positions of the other parties' columns: gathered, they
-        # are the parameters of one product state over `_other_dims`
+        # x holds the other parties' factors only: one product state over
+        # `_other_dims`
         self._others = [k for k in range(len(self.dims)) if k != e]
         self._other_dims = tuple(self.dims[k] for k in self._others)
-        cols = np.delete(np.arange(sum(self.dims)), self.columns[e])
-        self._pairs = (2 * cols[:, None] + [0, 1]).ravel()
+        self.n_params = 2 * sum(self._other_dims)
         self._free_dims = 2 * sum(d - 1 for d in self._other_dims)  # real dims of the free factors' manifold
-
-    def _blocks(self, x: np.ndarray) -> np.ndarray:
-        """The floats the loss reads of each point of a stack x: all of x at
-        budgets >= 2, the other parties' blocks at budget 1."""
-        return x if self.eliminated is None else x.take(self._pairs, axis=1)
 
     def _forward(self, x: np.ndarray) -> _Pass:
         """The forward pass of the point x, a batch of one, through the memo."""
-        blocks = x if self.eliminated is None else np.asarray(x, dtype=np.float64)[self._pairs]
-        key = blocks.tobytes()
+        x = np.asarray(x, dtype=np.float64)
+        key = x.tobytes()
         if key != self._memo[0]:
-            self._memo = (key, self._pass(blocks[None]), None)
+            self._memo = (key, self._pass(x[None]), None)
         return self._memo[1]
 
-    def _pass(self, blocks: np.ndarray) -> _Pass:
-        """The forward pass of a stack of the blocks the loss reads, one row
-        per lane: T and its coefficients w on the rows, then the loss. The
-        lanes' terms are the terms of one `forward_map`. At budgets >= 2
-        each row is a point x, whose r terms sum to T(x). At budget 1 each
-        row holds the gathered floats of the other parties' raw factors,
-        one product state whose tensor is p, the last prefix of its term,
-        and T = c* (x) p for party e's exact best factor c*. On the basis
-        side it also returns conj(T - P_S T). Raises
+    def _pass(self, x: np.ndarray) -> _Pass:
+        """The forward pass of a stack x of points, one row per lane: T and
+        its coefficients w on the rows, then the loss. The lanes' terms are
+        the terms of one `forward_map`. At budgets >= 2 each row's r terms
+        sum to T(x). At budget 1 each row holds the other parties' raw
+        factors, one product state whose tensor is p, the last prefix of
+        its term, and T = c* (x) p for party e's exact best factor c*. On
+        the basis side it also returns conj(T - P_S T). Raises
         SingularParameterError, with the mask of the lanes whose T
-        vanished, before dividing."""
-        lanes, best = len(blocks), None
+        vanished, before dividing, and UsageError unless x has two axes,
+        the last of length n_params."""
+        if x.shape[1:] != (self.n_params,):
+            raise UsageError(f"expected points of {self.n_params} parameters for dims {self.dims} "
+                             f"and rank budget {self.r}, got points of shape {x.shape[1:]}")
+        lanes, best = len(x), None
         if self.eliminated is None:
-            fw = forward_map(blocks, self.dims, lanes * self.r)
+            fw = forward_map(x, self.dims, lanes * self.r)
             t = fw.prefixes[-1].reshape(lanes, self.r, -1).sum(axis=1)
             w = np.matvec(self._conj_rows, t)
         else:
-            fw = forward_map(blocks, self._other_dims, lanes) if self._others else None
+            fw = forward_map(x, self._other_dims, lanes) if self._others else None
             p = np.ones((lanes, 1), dtype=np.complex128) if fw is None else fw.prefixes[-1]
             b, best = self._solve(self.eliminated, p)
             t = (best[:, :, None] * p[:, None, :]).reshape(lanes, -1)
@@ -330,13 +328,15 @@ class LossKernel:
         return b, vecs[..., 0] if self.complement else vecs[..., -1]
 
     def completed(self, x: np.ndarray) -> np.ndarray:
-        """A copy of x whose eliminated block holds the exact best factor
-        c*, so that its state attains `value(x)`; a plain copy of x at
-        budgets >= 2."""
-        out = np.array(x, dtype=np.float64)
-        if self.eliminated is not None:
-            out.view(np.complex128)[self.columns[self.eliminated]] = self._forward(out).best[0]
-        return out
+        """The full-length parameters of x's state, of length
+        `params_length(dims, r)`, which attains `value(x)`: at budget 1 x
+        with party e's exact best factor c* inserted at e's columns, at
+        budgets >= 2 a copy of x."""
+        best = self._forward(x).best
+        x = np.array(x, dtype=np.float64)
+        if best is None:
+            return x
+        return np.insert(x.view(np.complex128), sum(self.dims[:self.eliminated]), best[0]).view(np.float64)
 
     def sweep(self, x: np.ndarray, tol_grad: float) -> list[tuple[np.ndarray, float, np.ndarray, int] | None]:
         """The L-BFGS starts of a stack x of drawn points, shape (lanes,
@@ -347,37 +347,39 @@ class LossKernel:
         Works on a copy of x, whose first forward pass masks the singular
         lanes. At budgets >= 2 each point is its draw, and one backward pass
         of the stack gives the gradients; there are no sweeps. At budget 1
-        the draws are completed and swept in lockstep: each sweep sets every
+        the draws are swept in lockstep from the c* of that first pass,
+        which the sweep keeps as a stack next to x: each sweep sets every
         lane's other factors, party by party in party order, to their exact
         best for the rest, then party e's to c* of the forward pass of the
         swept points. The handover and continuation rules of the module
         docstring, with `tol_grad` the caller's L-BFGS tolerance, run per
         lane, and a lane leaves the stack when they stop it, with its last
-        swept point, which holds every party's unit factor and is its own
-        `completed`, and the number of sweeps that made it. A sweep in
-        which some lane reads its gradient or leaves the stack runs one
-        backward pass of the whole stack. There is no rollback."""
+        swept point, whose factors are unit vectors, and the number of
+        sweeps that made it; x and the c* stack are compacted together. A
+        sweep in which some lane reads its gradient or leaves the stack
+        runs one backward pass of the whole stack. There is no rollback."""
         x = np.array(x, dtype=np.float64, order="C")
         out = [None] * len(x)
         lanes = np.arange(len(x))  # the lane of each row of x
         try:
-            forward = self._pass(self._blocks(x))
+            forward = self._pass(x)
         except SingularParameterError as err:
             lanes = lanes[~err.lanes]
             if not len(lanes):
                 return out
             x = x[lanes]
-            forward = self._pass(self._blocks(x))
+            forward = self._pass(x)
         if self.eliminated is None:
             for lane, point, value, grad in zip(lanes, x, forward.value.tolist(), self._grad(forward)):
                 out[lane] = (point, value, grad, 0)
             return out
-        x.view(np.complex128)[:, self.columns[self.eliminated]] = forward.best
+        best = forward.best  # party e's factor of each row, c* of its last pass
         # per row: the rules' state; grad_inf is set once the row reads gradients
         value, drop, ratio = forward.value.tolist(), [math.inf] * len(x), [0.0] * len(x)
         sweeps, grad_inf = [0] * len(x), [None] * len(x)
         while len(lanes):
-            forward = self._sweep_once(x)
+            forward = self._sweep_once(x, best)
+            best = forward.best
             done, reads = [], []  # rows that leave the stack; rows that read their gradient
             for i, swept in enumerate(forward.value.tolist()):
                 sweeps[i] += 1
@@ -396,7 +398,7 @@ class LossKernel:
             if not (done or reads):
                 continue
             grads = self._grad(forward)  # the whole stack: a subset of lanes would move their bits
-            norms = np.abs(grads).max(axis=1).tolist()
+            norms = np.abs(grads).max(axis=1, initial=0.0).tolist()  # x is empty where e is the only party
             for i in reads:
                 last, grad_inf[i] = grad_inf[i], norms[i]
                 # At the handover the loss gap falls by `ratio` per sweep and
@@ -413,20 +415,20 @@ class LossKernel:
                 out[lanes[i]] = (x[i].copy(), float(forward.value[i]), grads[i], sweeps[i])
             if done:
                 keep = [i for i in range(len(lanes)) if i not in done]
-                x, lanes = x[keep], lanes[keep]
+                x, best, lanes = x[keep], best[keep], lanes[keep]
                 value, drop, ratio, sweeps, grad_inf = (
                     [state[i] for i in keep] for state in (value, drop, ratio, sweeps, grad_inf))
         return out
 
-    def _sweep_once(self, x: np.ndarray) -> _Pass:
-        """One sweep of the stack x in place, party e's solve being the
-        forward pass of the swept points, which it returns."""
-        factors = [x.view(np.complex128)[:, cols] for cols in self.columns]
+    def _sweep_once(self, x: np.ndarray, best: np.ndarray) -> _Pass:
+        """One sweep of the stack x in place, from party e's factors `best`:
+        every other party's solve, then party e's, which is the forward
+        pass of the swept points and is returned."""
+        factors = [x.view(np.complex128)[:, cols] for cols in party_columns(self._other_dims)]
+        factors.insert(self.eliminated, best)
         for q in self._others:
             factors[q][:] = self._solve(q, self._product(factors, q))[1]
-        forward = self._pass(self._blocks(x))
-        factors[self.eliminated][:] = forward.best
-        return forward
+        return self._pass(x)
 
     def _product(self, factors: list[np.ndarray], q: int) -> np.ndarray:
         """The product of every party's factor but q's, in party order, one
@@ -446,20 +448,19 @@ class LossKernel:
 
     def _grad(self, forward: _Pass) -> np.ndarray:
         """The gradient of each lane's loss in its x, (L, n_params). At
-        budget 1 it reaches the other parties' blocks through the cotangent
-        of p, and party e's block stays exactly zero."""
+        budget 1 it reaches the other parties' factors through the
+        cotangent of p."""
         fw, t, best, w, resid, nsq, value = forward
-        if fw is None:  # budget 1 with party e alone: every block is e's
-            return np.zeros((len(t), self.n_params))
+        if fw is None:  # budget 1 with party e alone: x is empty
+            return np.zeros((len(t), 0))
         if resid is None:
             resid = (w.conj()[:, None, :] @ self._conj_rows)[:, 0]
         acc = (2.0 / nsq)[:, None] * (resid - value[:, None] * t.conj())  # conj(y), y the adjoint of the quotient
         if best is None:  # term i of lane l is row l r + i of fw
-            return _cotangents(np.repeat(acc, self.r, axis=0), fw).conj().view(np.float64).reshape(len(t), -1)
-        grad = np.zeros((len(t), self.n_params))
-        cot = np.matvec(acc.reshape(best.shape + (-1,)).mT, best)  # the cotangents of p
-        grad[:, self._pairs] = _cotangents(cot, fw).conj().view(np.float64)
-        return grad
+            acc = np.repeat(acc, self.r, axis=0)
+        else:  # the cotangents of p
+            acc = np.matvec(acc.reshape(best.shape + (-1,)).mT, best)
+        return _cotangents(acc, fw).conj().view(np.float64).reshape(len(t), -1)
 
 
 def _cotangents(acc: np.ndarray, fw: ForwardMap) -> np.ndarray:

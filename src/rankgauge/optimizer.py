@@ -358,8 +358,8 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     if not finished:
         raise OptimizationError("all optimization trials failed")
     best_idx = min(finished, key=lambda i: diagnostics[i].value)  # the first of equal values
-    # at rank budget 1 the kernel ignores one party's block of x: fill it
-    # in, so that the reported state is the one whose loss is best_value
+    # at rank budget 1 x holds all factors but the solved party's: insert
+    # it, so that the reported state is the one whose loss is best_value
     best_params = RankParams(sub.dims, r - 1, kernel.completed(outcomes[best_idx][0]))
     return OptimReport(
         best_value=diagnostics[best_idx].value,

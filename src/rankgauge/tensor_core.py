@@ -141,9 +141,16 @@ class PureState:
 
 
 def basis_state(dims, indices) -> PureState:
-    """Computational basis state |i_1 i_2 ... i_n> for the given dims."""
+    """Computational basis state |i_1 i_2 ... i_n> for the given dims: one
+    integer index per party, 0 <= i_k < d_k, else UsageError."""
     dims = as_dims(dims)
-    idx = np.ravel_multi_index(tuple(as_int(i, "basis index") for i in indices), dims)
+    indices = tuple(as_int(i, "basis index") for i in indices)
+    if len(indices) != len(dims):
+        raise UsageError(f"expected {len(dims)} basis indices for dims {dims}, got {len(indices)}")
+    for k, (i, d) in enumerate(zip(indices, dims)):
+        if not 0 <= i < d:
+            raise UsageError(f"basis index of party {k + 1} must be in 0..{d - 1}, got {i}")
+    idx = np.ravel_multi_index(indices, dims)
     amp = np.zeros(math.prod(dims), dtype=np.complex128)
     amp[idx] = 1.0
     return PureState(dims, amp)

@@ -140,6 +140,22 @@ class TestManifest:
         assert set(manifest["config"]) == set(cfg) | extra | {"zero_threshold"}
         assert {k: manifest["config"][k] for k in cfg} == cfg
 
+    def test_replay_does_not_read_the_environment(self, capsys, tmp_path, monkeypatch):
+        """The argv is the whole input of a run: one made with RANKGAUGE_SEED
+        set (a variable the seed was once read from when --seed was
+        missing) replays byte for byte from its manifest in a clean
+        environment."""
+        out_dir = tmp_path / "first"
+        monkeypatch.setenv("RANKGAUGE_SEED", "5")
+        assert run_cli(capsys, "compute", "--example", "strip:d=4,theta=1.0", "--out", str(out_dir))[0] == 0
+        monkeypatch.delenv("RANKGAUGE_SEED")
+        manifest = json.loads((out_dir / "compute.manifest.json").read_text())
+        replay_dir = tmp_path / "replay"
+        assert main([a if a != str(out_dir) else str(replay_dir) for a in manifest["argv"]]) == 0
+        capsys.readouterr()
+        assert (out_dir / "compute.csv").read_bytes() == (replay_dir / "compute.csv").read_bytes()
+        assert manifest["seed"] == 0
+
     def test_input_hash_is_sha256_of_file(self, capsys, tmp_path, rng):
         sub = from_spanning_set([haar_random_state((2, 2), rng) for _ in range(2)])
         path = tmp_path / "sub.json"
@@ -388,29 +404,9 @@ class TestErrorsAndExitCodes:
         assert code == 2
         assert "UTF-8" in err
 
-    def test_seed_env_fallback(self, capsys, monkeypatch, tmp_path):
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        monkeypatch.setenv("RANKGAUGE_SEED", "77")
-        assert run_cli(capsys, "compute", "--example", "strip:d=3,theta=1.0", "--out", str(out_a))[0] == 0
-        monkeypatch.delenv("RANKGAUGE_SEED")
-        assert run_cli(
-            capsys, "compute", "--example", "strip:d=3,theta=1.0", "--seed", "77", "--out", str(out_b)
-        )[0] == 0
-        assert (out_a / "compute.csv").read_text() == (out_b / "compute.csv").read_text()
-
-    def test_bad_env_seed(self, capsys, monkeypatch):
-        monkeypatch.setenv("RANKGAUGE_SEED", "abc")
-        code, _, err = run_cli(capsys, "compute", "--example", "ghz", "--r", "2")
-        assert code == 4
-
-    def test_negative_seed_rejected_before_input(self, capsys, monkeypatch):
+    def test_negative_seed_rejected_before_input(self, capsys):
         # a missing input file would exit 2: the seed is checked first
         code, out, err = run_cli(capsys, "compute", "/nonexistent/file.json", "--seed", "-1")
-        assert (code, out) == (4, "")
-        assert "seed must be >= 0" in err
-        monkeypatch.setenv("RANKGAUGE_SEED", "-1")
-        code, out, err = run_cli(capsys, "compute", "/nonexistent/file.json")
         assert (code, out) == (4, "")
         assert "seed must be >= 0" in err
 

@@ -27,6 +27,7 @@ from rankgauge import (
     span_of,
     support_bound_er,
 )
+from rankgauge import measures
 from rankgauge.catalog import (
     StripParams,
     dicke_state,
@@ -206,6 +207,12 @@ class TestRandomHermitian:
         with pytest.raises(UsageError):
             random_hermitian_with_trace_norm(3, -0.1, seed=0)
 
+    @pytest.mark.parametrize("target", ["0.1", True, None, math.nan, math.inf, -math.inf, 10**400],
+                             ids=["str", "bool", "none", "nan", "inf", "-inf", "huge-int"])
+    def test_target_that_is_not_a_finite_real_is_refused(self, target):
+        with pytest.raises(UsageError, match="trace norm must be"):
+            random_hermitian_with_trace_norm(2, target, seed=0)
+
     @pytest.mark.parametrize("target", [0.0, 0.5])
     def test_non_integer_dimension_is_refused(self, target):
         with pytest.raises(UsageError, match="dimension must be an integer"):
@@ -228,6 +235,19 @@ class TestRobustness:
         sub = strip_subspace(StripParams(3, math.pi / 2))
         with pytest.raises(UsageError, match="samples must be an integer"):
             robustness_experiment(sub, 2, [0.1], samples=1.5, cfg=cfg)
+
+    @pytest.mark.parametrize("entry", ["0.1", True, math.nan, math.inf, -0.1])
+    def test_grid_entry_that_is_not_a_finite_real_at_least_zero_is_refused(self, cfg, entry, monkeypatch):
+        # refused before any perturbation is drawn
+        monkeypatch.setattr(measures, "random_hermitian_with_trace_norm", None)
+        sub = strip_subspace(StripParams(3, math.pi / 2))
+        with pytest.raises(UsageError, match="trace norm must be"):
+            robustness_experiment(sub, 2, [0.0, entry], samples=1, cfg=cfg)
+
+    def test_empty_grid_is_refused(self, cfg):
+        sub = strip_subspace(StripParams(3, math.pi / 2))
+        with pytest.raises(UsageError, match="nonempty"):
+            robustness_experiment(sub, 2, [], samples=1, cfg=cfg)
 
     def test_grid_sorted(self, cfg):
         sub = strip_subspace(StripParams(3, math.pi / 2))

@@ -18,7 +18,7 @@ from rankgauge import (
 )
 from rankgauge import objective
 from rankgauge.objective import LossKernel
-from rankgauge.rank_param import RankParams, build_state, trial_rng
+from rankgauge.rank_param import RankParams, build_state, params_length, trial_rng
 from rankgauge.catalog import StripParams, max_ces_subspace, strip_subspace
 
 from test_rank_param import make_params, random_params
@@ -62,23 +62,44 @@ def dense_tensor(x, dims, r):
     return t
 
 
+def solved_party(dims):
+    """Budget 1: the party whose factor is solved exactly, the last of the
+    largest parties."""
+    return len(dims) - 1 - dims[::-1].index(max(dims))
+
+
+def free_floats(x, dims, r):
+    """The floats of a full-length x (one block of 2 d_k floats per party
+    and term) that the kernel takes: all of x at budgets >= 2, all but the
+    solved party's block at budget 1."""
+    if r > 1:
+        return x
+    e = solved_party(dims)
+    start = 2 * sum(dims[:e])
+    return np.delete(x, np.s_[start:start + 2 * dims[e]])
+
+
 def party_slot(x, dims):
     """Budget 1: the D x d_e matrix (other parties' unit factors) (x) I,
-    with the identity in the slot of the last of the largest parties,
-    built with np.kron from the factors in x."""
-    e = len(dims) - 1 - dims[::-1].index(max(dims))
+    with the identity in the slot of the solved party, built with np.kron
+    from the factors in x, which holds the other parties' blocks only."""
+    e = solved_party(dims)
     a = np.ones((1, 1), dtype=complex)
     off = 0
     for k, d in enumerate(dims):
+        if k == e:
+            a = np.kron(a, np.eye(d))
+            continue
         v = x[off:off + 2 * d:2] + 1j * x[off + 1:off + 2 * d:2]
-        a = np.kron(a, np.eye(d) if k == e else (v / np.linalg.norm(v))[:, None])
+        a = np.kron(a, (v / np.linalg.norm(v))[:, None])
         off += 2 * d
     return a
 
 
 def eliminated_loss(x, dims, sub):
-    """Reference budget-1 loss: the least loss over that party's factor,
-    sigma_min(P_perp A)^2 with a dense projector and A = party_slot."""
+    """Reference budget-1 loss of the other parties' blocks x: the least
+    loss over the solved party's factor, sigma_min(P_perp A)^2 with a
+    dense projector and A = party_slot."""
     a = party_slot(x, dims)
     p_perp = np.eye(a.shape[0]) - sub.basis.T @ sub.basis.conj()
     return np.linalg.svd(p_perp @ a, compute_uv=False)[-1] ** 2
@@ -88,15 +109,15 @@ def assert_gradient_matches_fd(kernel, x):
     """The kernel's gradient at x against central differences of its value,
     to 1e-5 relative. At budget 1, one party alone, or a solved party with
     more dimensions than the complement has rows, always has a factor of
-    zero loss; value and gradient then vanish identically, and an absolute
-    bound applies instead."""
+    zero loss; value and gradient then vanish identically (one party alone
+    leaves x empty), and an absolute bound applies instead."""
     _, grad = kernel.value_and_grad(x)
     fd = central_difference(kernel.value, x, 1e-5)
     flat = kernel.r == 1 and (
         len(kernel.dims) == 1 or (kernel.complement and kernel.rows.shape[0] < max(kernel.dims))
     )
     if flat:
-        assert max(np.max(np.abs(grad)), np.max(np.abs(fd))) < 1e-10
+        assert max(np.max(np.abs(grad), initial=0.0), np.max(np.abs(fd), initial=0.0)) < 1e-10
     else:
         assert rel_linf(grad, fd) < 1e-5
 
@@ -117,12 +138,12 @@ class TestLossValues:
     def test_orthogonal_state_gives_one(self):
         sub = span_of(basis_state((2, 2), (0, 0)))
         p = make_params((2, 2), 1, [[([0, 1], [0, 0]), ([0, 1], [0, 0])]])
-        assert LossKernel(p.dims, p.r, sub).value(p.x) == pytest.approx(1.0, abs=1e-14)
+        assert LossKernel(p.dims, p.r, sub).value(free_floats(p.x, p.dims, p.r)) == pytest.approx(1.0, abs=1e-14)
 
     def test_member_state_gives_zero(self):
         sub = span_of(basis_state((2, 2), (0, 0)))
         p = make_params((2, 2), 1, [[([1, 0], [0, 0]), ([1, 0], [0, 0])]])
-        assert LossKernel(p.dims, p.r, sub).value(p.x) == pytest.approx(0.0, abs=1e-14)
+        assert LossKernel(p.dims, p.r, sub).value(free_floats(p.x, p.dims, p.r)) == pytest.approx(0.0, abs=1e-14)
 
     def test_matches_explicit_projector(self, rng):
         sub = random_subspace((2, 3), 2, rng)
@@ -191,19 +212,14 @@ class TestLossAndGradient:
             sub = random_subspace((2, 2, 2), d_s, rng)
             kernel = LossKernel((2, 2, 2), budget, sub)
             for seed in range(20):
-                x = random_params((2, 2, 2), budget, seed).x.copy()
+                x = free_floats(random_params((2, 2, 2), budget, seed).x, (2, 2, 2), budget).copy()
                 # value_and_grad right after value runs only the backward
-                # pass, and a repeat runs neither. At budget 1 the memo is
-                # keyed on the blocks the loss reads: value of a point that
-                # differs from x in the solved party's block only will do,
-                # and completing that point runs no pass
-                y = x.copy()
-                if budget == 1:
-                    y.view(np.complex128)[kernel.columns[kernel.eliminated]] += 1.0
-                kernel.value(y)
+                # pass, a repeat runs neither, and completing the point
+                # runs no pass
+                kernel.value(x)
                 check(kernel, sub, x, ["backward"])
                 check(kernel, sub, x, [])
-                kernel.completed(y)
+                kernel.completed(x)
                 assert passes == []
                 # a point mutated in place after value_and_grad or after
                 # value is evaluated afresh; every coordinate moves, so a
@@ -223,7 +239,7 @@ class TestLossAndGradient:
                 sub = random_subspace(dims, d_s, rng)
                 kernel = LossKernel(dims, budget, sub)
                 for seed in range(3):
-                    assert_gradient_matches_fd(kernel, random_params(dims, budget, seed).x)
+                    assert_gradient_matches_fd(kernel, free_floats(random_params(dims, budget, seed).x, dims, budget))
 
     def test_gradient_finite(self, rng):
         sub = random_subspace((2, 2), 2, rng)
@@ -237,21 +253,22 @@ class TestLossAndGradient:
         sub = span_of(basis_state((2, 2), (0, 0)))
         p = make_params((2, 2), 1, [[([0, 1], [0, 0]), ([0, 1], [0, 0])]])
         kernel = LossKernel((2, 2), 1, sub)
-        _, grad = kernel.value_and_grad(p.x)
+        x = free_floats(p.x, p.dims, p.r)  # party 1's block; party 2 is solved
+        _, grad = kernel.value_and_grad(x)
         assert np.max(np.abs(grad)) < 1e-12
         # directional finite differences along flat directions: scaling party
-        # 1's block, and rotating |1> toward |0> on party 1 or on party 2,
-        # all keep the state in S_perp
-        for direction in np.eye(8)[[1, 0, 4]]:
+        # 1's block, and rotating its |1> toward |0> or toward i|0>, leave
+        # the loss flat to first order
+        for direction in np.eye(4)[[2, 0, 1]]:
             h = 1e-5
-            der = (kernel.value(p.x + h * direction) - kernel.value(p.x - h * direction)) / (2 * h)
+            der = (kernel.value(x + h * direction) - kernel.value(x - h * direction)) / (2 * h)
             assert abs(der) < 1e-9
 
     def test_gradient_small_at_converged_minimum(self):
         params = StripParams(3, np.pi / 2)
         sub = strip_subspace(params)
         report = run_certification(sub, 2, OptimConfig(seed=3))
-        _, grad = LossKernel(sub.dims, 1, sub).value_and_grad(report.best_params.x)
+        _, grad = LossKernel(sub.dims, 1, sub).value_and_grad(free_floats(report.best_params.x, sub.dims, 1))
         assert np.linalg.norm(grad) < 1e-8
 
 
@@ -298,9 +315,9 @@ class TestSweepProperty:
     @example(((3, 2, 3), 1, 10, 0))  # a tie
     @example(((2,), 1, 1, 0))  # one party
     def test_sweep_lowers_the_loss_and_writes_unit_factors(self, case):
-        """At budget 1 the swept point's loss is at most the completed
-        start's and its factor blocks are unit vectors; at budgets >= 2 the
-        sweep is the identity."""
+        """At budget 1 the swept point's loss is at most the start's and
+        every factor block of its completion is a unit vector; at budgets
+        >= 2 the sweep is the identity."""
         dims, budget, d_s, seed = case
         rng = np.random.default_rng(seed)
         sub = random_subspace(dims, d_s, rng)
@@ -314,11 +331,11 @@ class TestSweepProperty:
             np.testing.assert_array_equal(swept, before)
             return
         assert 1 <= sweeps <= objective.MAX_FINISH_SWEEPS
-        start = kernel.value(kernel.completed(x))
+        start = kernel.value(x)
         # 1e-30 allows for rounding at an exact zero, whose residual of
         # size eps squares to about 1e-32 (2 x 3 with four basis rows)
         assert kernel.value(swept) <= start * (1.0 + 1e-13) + 1e-30
-        np.testing.assert_allclose(block_norms(swept, dims), 1.0, atol=1e-12)
+        np.testing.assert_allclose(block_norms(kernel.completed(swept), dims), 1.0, atol=1e-12)
 
     @given(kernel_shapes())
     @example(((2, 3, 4), 1, 1, 0))
@@ -342,36 +359,88 @@ class TestSweepProperty:
 
 
 class TestBudgetOne:
-    @pytest.mark.parametrize("d_s", [2, 20])  # the basis side and the complement side of 2 x 4 x 3
-    def test_ignored_coordinates_and_completed_state(self, d_s):
-        dims = (2, 4, 3)
+    @pytest.mark.parametrize("dims", [(2,), (4, 2, 2), (2, 4, 3), (2, 3, 4), (3, 2, 3)],
+                             ids=["alone", "first", "middle", "last", "tie"])
+    def test_parameters_are_the_other_parties_factors(self, dims):
+        """At budget 1 x holds the factors of every party but the solved
+        one, 2 sum_{q != e} d_q floats; at budgets >= 2 all factors, and
+        completing x copies it."""
+        rng = np.random.default_rng(0)
+        sub = random_subspace(dims, 1, rng)
+        kernel = LossKernel(dims, 1, sub)
+        assert kernel.eliminated == solved_party(dims)
+        assert kernel.n_params == 2 * (sum(dims) - max(dims))
+        for budget in (2, 3):
+            kernel = LossKernel(dims, budget, sub)
+            assert kernel.n_params == params_length(dims, budget)
+            x = rng.standard_normal(kernel.n_params)
+            np.testing.assert_array_equal(kernel.completed(x), x)
+
+    @pytest.mark.parametrize("dims, d_s", [
+        ((2, 4, 3), 2), ((2, 4, 3), 20),  # the basis side and the complement side
+        ((4, 2, 2), 3), ((2, 3, 4), 20), ((3, 2, 3), 10), ((2,), 1),
+    ], ids=["middle-basis", "middle-complement", "first", "last", "tie", "alone"])
+    def test_completed_state_attains_the_value(self, dims, d_s):
+        """completed(x) is x with a unit factor of the solved party inserted
+        at its columns, and the dense state of those full-length parameters
+        attains value(x)."""
         rng = np.random.default_rng(d_s)
         sub = random_subspace(dims, d_s, rng)
         kernel = LossKernel(dims, 1, sub)
-        assert kernel.complement == (d_s == 20) and kernel.eliminated == 1
-        start = 2 * sum(dims[:kernel.eliminated])
-        ignored = np.arange(start, start + 2 * dims[kernel.eliminated])
         x = rng.standard_normal(kernel.n_params)
-        value, grad = kernel.value_and_grad(x)
-        assert np.all(grad[ignored] == 0.0)
-        # the solved party's block changes nothing, bit for bit
-        for _ in range(3):
-            y = x.copy()
-            y[ignored] = rng.standard_normal(ignored.size)
-            assert kernel.value(y) == value
-            np.testing.assert_array_equal(kernel.value_and_grad(y)[1], grad)
-        # the dense state of the completed parameters attains the value
-        t = dense_tensor(kernel.completed(x), dims, 1)
+        value = kernel.value(x)
+        full = kernel.completed(x)
+        assert full.shape == (params_length(dims, 1),)
+        np.testing.assert_array_equal(free_floats(full, dims, 1), x)
+        e = solved_party(dims)
+        assert abs(np.linalg.norm(full[2 * sum(dims[:e]):2 * sum(dims[:e + 1])]) - 1.0) < 1e-14
+        t = dense_tensor(full, dims, 1)
         p_perp = np.eye(t.size) - sub.basis.T @ sub.basis.conj()
         assert abs(np.vdot(t, p_perp @ t).real / np.vdot(t, t).real - value) < 1e-12
+
+    def test_points_of_another_length_are_refused(self):
+        """A full-length x would be misread with the solved party first, so
+        every entry point refuses a point whose length is not n_params, at
+        every budget."""
+        dims = (4, 2, 3)
+        sub = random_subspace(dims, 3, np.random.default_rng(1))
+        draw = np.random.default_rng(2).standard_normal(params_length(dims, 2) + 1)
+        tol = OptimConfig().tol_grad
+        for budget in (1, 2):
+            kernel = LossKernel(dims, budget, sub)
+            # budget 1: the full length; budget 2: one float too many; both: one too few
+            long, short = draw[:params_length(dims, budget) + budget - 1], draw[:kernel.n_params - 1]
+            for call in (kernel.value, kernel.value_and_grad, kernel.completed):
+                for x in (long, short):
+                    with pytest.raises(UsageError, match="parameters"):
+                        call(x)
+            for x in (long[None], short[None], draw[:kernel.n_params]):  # the last is a bare point, not a stack
+                with pytest.raises(UsageError, match="parameters"):
+                    kernel.sweep(x, tol)
+
+    @pytest.mark.parametrize("sub", [
+        *(strip_subspace(StripParams(d, 1.0)) for d in (3, 4, 5, 6)),
+        *(max_ces_subspace(*dims) for dims in ((3, 3, 8), (3, 4, 7), (4, 4, 7), (4, 5, 8))),
+    ], ids=["strip-2x3", "strip-2x4", "strip-2x5", "strip-2x6", "ces-3x3x8", "ces-3x4x7", "ces-4x4x7", "ces-4x5x8"])
+    def test_draws_are_the_free_floats_of_full_draws(self, sub):
+        """On the benchmark's shapes the solved party is the last, so a draw
+        of n_params normals is the other parties' floats of a full-length
+        draw from the same stream: the starts are those of full-length
+        draws whose solved block is ignored."""
+        kernel = LossKernel(sub.dims, 1, sub)
+        assert kernel.eliminated == len(sub.dims) - 1
+        for i in range(3):
+            full = trial_rng(1, i).standard_normal(params_length(sub.dims, 1))
+            np.testing.assert_array_equal(trial_rng(1, i).standard_normal(kernel.n_params),
+                                          free_floats(full, sub.dims, 1))
 
     @pytest.mark.parametrize("d_s", [2, 20])
     def test_zero_block_of_a_free_party_is_singular(self, d_s):
         dims = (2, 4, 3)
         rng = np.random.default_rng(d_s)
         sub = random_subspace(dims, d_s, rng)
-        for block in (slice(0, 4), slice(12, 18)):  # parties 1 and 3; party 2 is solved
-            x = rng.standard_normal(2 * sum(dims))
+        for block in (slice(0, 4), slice(4, 10)):  # parties 1 and 3; party 2 is solved
+            x = rng.standard_normal(2 * (sum(dims) - 4))
             x[block] = 0.0
             for call in (LossKernel(dims, 1, sub).value, LossKernel(dims, 1, sub).value_and_grad):
                 with pytest.raises(SingularParameterError, match="vanished"):
@@ -392,7 +461,7 @@ class TestBudgetOne:
         kernel = LossKernel(dims, 1, sub)
         x = rng.standard_normal(kernel.n_params)
         value, grad = kernel.value_and_grad(x)
-        for block in (slice(0, 4), slice(12, 18)):
+        for block in (slice(0, 4), slice(4, 10)):  # parties 1 and 3; party 2 is solved
             y = x.copy()
             y[block] *= scale
             scaled_value, scaled_grad = kernel.value_and_grad(y)
@@ -443,8 +512,9 @@ class TestBudgetOneSweepMemo:
         and once per sweep, one stacked solve for all lanes, as is every
         other party's, whether the starts are swept alone or as one stack.
         A sweep runs one backward pass of the stack where some lane reads
-        its gradient or leaves. Each swept point is its own completion and
-        comes with a fresh kernel's value and gradient."""
+        its gradient or leaves. Each swept point comes with a fresh
+        kernel's value and gradient, and its completion holds c* of its
+        forward pass."""
         calls = counting_passes(monkeypatch)
         kernel = LossKernel(sub.dims, 1, sub)
         starts = np.stack([trial_rng(1, i).standard_normal(kernel.n_params) for i in range(3)])
@@ -462,8 +532,13 @@ class TestBudgetOneSweepMemo:
             # dimensions of the CES, never on the one free qubit of 2 x 4
             assert leaving <= backward <= rounds
             assert (backward > leaving) == (len(sub.dims) == 3)
+            # completing a swept point inserts c* of its own forward pass
+            e = sum(sub.dims[:kernel.eliminated])
             for point, *_ in swept:
-                assert point.tobytes() == kernel.completed(point).tobytes()
+                full = kernel.completed(point)
+                np.testing.assert_array_equal(free_floats(full, sub.dims, 1), point)
+                best = LossKernel(sub.dims, 1, sub)._pass(point[None]).best[0]
+                np.testing.assert_array_equal(full.view(np.complex128)[e:e + sub.dims[kernel.eliminated]], best)
             assert_handed_over_fresh(sub, 1, swept)
 
     @pytest.mark.parametrize("budget", [2, 3])
@@ -494,7 +569,7 @@ class TestKernelReference:
             sub = random_subspace(dims, int(rng.integers(1, np.prod(dims))), rng)
             kernel = LossKernel(dims, r, sub)
             for seed in range(3):
-                x = random_params(dims, r, seed).x
+                x = free_floats(random_params(dims, r, seed).x, dims, r)
                 if r == 1:
                     expected = eliminated_loss(x, dims, sub)
                 else:
@@ -515,8 +590,9 @@ class TestKernelReference:
         sides = set()
         for dims, r in [((2, 3), 2), ((3, 4), 1), ((2, 3, 4), 2), ((2, 3, 4), 1)]:
             d_total = int(np.prod(dims))
-            x = random_params(dims, r, 1).x
-            t = dense_tensor(x, dims, r)
+            full = random_params(dims, r, 1).x
+            x = free_floats(full, dims, r)
+            t = dense_tensor(full, dims, r)
             fixed = [t] + (list(party_slot(x, dims).T[:-1]) if r == 1 else [])
             for d_s in (1, d_total // 2, d_total // 2 + 1, d_total - len(fixed)):
                 noise = rng.standard_normal((d_total, d_s)) + 1j * rng.standard_normal((d_total, d_s))

@@ -30,7 +30,7 @@ from rankgauge.catalog import (
     strip_subspace,
 )
 
-from test_objective import party_slot
+from test_objective import free_floats, party_slot, solved_party
 
 
 def minimize(value_and_grad, x0, **kwargs):
@@ -567,8 +567,8 @@ class TestRunCertification:
                 # the solved party's block holds the least right singular
                 # vector of P_perp (others x I), up to phase and scale
                 x = report.best_params.x
-                vh = np.linalg.svd(p_perp @ party_slot(x, sub.dims))[2]
-                e = len(sub.dims) - 1 - sub.dims[::-1].index(max(sub.dims))
+                vh = np.linalg.svd(p_perp @ party_slot(free_floats(x, sub.dims, 1), sub.dims))[2]
+                e = solved_party(sub.dims)
                 off = 2 * sum(sub.dims[:e])
                 block = x[off:off + 2 * sub.dims[e]:2] + 1j * x[off + 1:off + 2 * sub.dims[e]:2]
                 overlap = abs(np.vdot(vh[-1].conj(), block)) / np.linalg.norm(block)

@@ -140,6 +140,12 @@ class TestBipartition:
         with pytest.raises(UsageError, match="must be an integer"):
             make()
 
+    @pytest.mark.parametrize("indices", [(2, 0), (0, 2), (-1, 0), (0,), (0, 0, 0)],
+                             ids=["too-large", "too-large-last", "negative", "too-few", "too-many"])
+    def test_basis_indices_outside_the_dims_are_refused(self, indices):
+        with pytest.raises(UsageError, match="basis ind"):
+            basis_state((2, 2), indices)
+
     def test_numpy_integer_indices_are_accepted(self):
         assert Bipartition.of([np.int64(2)], np.int64(3)) == Bipartition((2,), (1, 3))
         assert canonical_bipartitions(np.int64(3)) == canonical_bipartitions(3)
