@@ -18,6 +18,7 @@ driver's min-reduction is order independent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ from .errors import OptimizationError, SingularParameterError, UsageError
 from .objective import ZERO_LEVEL, LossKernel
 from .rank_param import RankParams, build_state, trial_rng
 from .subspace import Subspace
-from .tensor_core import PureState, as_int, as_real
+from .tensor_core import MAX_AMPLITUDES, PureState, as_int, as_real
 
 # Consecutive small relative-decrease iterations required to declare a plateau.
 PLATEAU_WINDOW = 5
@@ -137,9 +138,15 @@ class _History:
 
     Pairs sit in a ring of MEMORY slots. An empty slot has zero rows
     everywhere, R^-1 included, so every product runs over all slots and
-    the empty ones add nothing. R^-1 is triangular in time order, so the
-    column of the oldest pair holds only its diagonal entry: zeroing that
-    pair's row drops it and leaves the inverse of the remaining R.
+    the empty ones add nothing; with no pair at all the direction is
+    -grad, which `_two_loop` returns without a product. R^-1 is triangular
+    in time order, so the column of the oldest pair holds only its
+    diagonal entry: zeroing that pair's row drops it and leaves the
+    inverse of the remaining R.
+
+    `lbfgs_minimize` pushes an accepted step's pair just before the next
+    direction, the first thing that reads it, so a run that stops after
+    its last step never pays for that step's push.
 
     Slots may outnumber the n parameters. Pairs beyond n are then linearly
     dependent, but R stays triangular with the positive diagonal
@@ -181,8 +188,11 @@ def _two_loop(grad, hist: _History):
 
     with D = diag(d). It equals the classic two-loop recursion in exact
     arithmetic, in seven matrix-vector products with MEMORY rows each,
-    whether MEMORY is below or above the number of parameters.
+    whether MEMORY is below or above the number of parameters. An empty
+    history gives -grad, the steepest descent the products would give.
     """
+    if not hist.count:
+        return -grad
     u = hist.rinv @ (hist.s @ grad)
     p = (hist.d * u + hist.gamma * (hist.yy @ u - hist.y @ grad)) @ hist.rinv
     return hist.gamma * (u @ hist.y - grad) - p @ hist.s
@@ -205,7 +215,10 @@ def lbfgs_minimize(
     `value_and_grad(x)` returns (loss, gradient), the same loss bit for
     bit. x0 itself is not evaluated; each line search gets a value at every
     new trial point and a gradient only where the Armijo test passes, so a
-    rejected point costs one value.
+    rejected point costs one value. An accepted step's curvature pair
+    enters the history only after the stop tests at its point, when the
+    next direction needs it, and the l-inf gradient norm is taken once per
+    accepted point, for the stop test and the result.
 
     Termination reasons: `gradient-tolerance` (l-inf below tol_grad),
     `zero-witness` (the loss is at or below zero_level, tested after the
@@ -229,17 +242,20 @@ def lbfgs_minimize(
             return math.inf
 
     hist = _History(x.size)
+    pair = None  # the last accepted step's (s, y), pushed once the next direction needs it
     values = [float(f)]
+    g_inf = float(np.abs(g).max(initial=0.0))
     plateau = 0
     reason = "iteration-cap"
     for _ in range(max_iters):
-        g_inf = float(np.max(np.abs(g))) if g.size else 0.0
         if g_inf < tol_grad:
             reason = "gradient-tolerance"
             break
         if f <= zero_level:
             reason = "zero-witness"
             break
+        if pair is not None:
+            hist.push(*pair)
         d = _two_loop(g, hist)
         slope = float(np.dot(d, g))
         # a non-finite entry of d makes the slope non-finite too
@@ -247,21 +263,21 @@ def lbfgs_minimize(
             # fall back to steepest descent when the model direction degrades
             d = -g
             slope = -float(np.dot(g, g))
-        t0 = 1.0 if hist.count else min(1.0, 1.0 / max(1e-12, float(np.linalg.norm(g))))
+        t0 = 1.0 if hist.count else min(1.0, 1.0 / max(1e-12, math.sqrt(g @ g)))
         hit = _wolfe_line_search(evaluate, value_and_grad, x, f, g, d, t0)
         if hit is None:
             reason = "loss-floor"
             break
         _, xt, ft, gt = hit
-        hist.push(xt - x, gt - g)
+        pair = (xt - x, gt - g)
         rel = (f - ft) / max(abs(f), abs(ft), 1e-300)
         plateau = plateau + 1 if rel < tol_loss_rel else 0
         x, f, g = xt, ft, gt
+        g_inf = float(np.abs(g).max(initial=0.0))
         values.append(float(f))
         if plateau >= PLATEAU_WINDOW:
             reason = "loss-plateau"
             break
-    g_inf = float(np.max(np.abs(g))) if g.size else 0.0
     # values holds x0's loss, then one per completed iteration
     return LbfgsResult(x, float(f), g_inf, len(values) - 1, reason, tuple(values))
 
@@ -286,13 +302,17 @@ class TrialDiagnostics:
 
 @dataclass(frozen=True)
 class OptimReport:
-    """Best trial of a certification run plus per-trial diagnostics."""
+    """Best trial of a certification run plus per-trial diagnostics. The
+    best state is built from best_params on first read of `best_state`."""
 
     best_value: float
     best_params: RankParams
-    best_state: PureState
     best_trial: int
     per_trial: tuple[TrialDiagnostics, ...]
+
+    @functools.cached_property
+    def best_state(self) -> PureState:
+        return build_state(self.best_params)
 
 
 def _minimize_kernel(kernel, rng, cfg: OptimConfig, start):
@@ -341,7 +361,10 @@ def level_bound(dims: tuple[int, ...]) -> int:
 def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     """Geometric measure of r-bounded rank of a subspace: minimum of the
     complement-overlap loss over rank budget r - 1, across cfg.trials
-    independent restarts."""
+    independent restarts. Refuses with UsageError, before any draw, a level
+    above `level_bound(sub.dims)`, a full space, and trials whose stacked
+    states, cfg.trials * (r - 1) of them, hold more than MAX_AMPLITUDES
+    amplitudes."""
     r = as_level(r)
     limit = level_bound(sub.dims)
     if r > limit:  # refused before anything of size r is made
@@ -349,6 +372,10 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
                          f"{sub.dims} has tensor rank <= {limit - 1}; got {r}")
     if sub.dim >= sub.dim_total:
         raise UsageError("the full space is trivially reachable; pass a proper subspace")
+    stacked = cfg.trials * (r - 1) * sub.dim_total
+    if stacked > MAX_AMPLITUDES:
+        raise UsageError(f"{cfg.trials} trials at rank budget {r - 1} stack {stacked} amplitudes over dims "
+                         f"{sub.dims}, over the budget of {MAX_AMPLITUDES}")
     kernel = LossKernel(sub.dims, r - 1, sub)
     rngs = [trial_rng(cfg.seed, i) for i in range(cfg.trials)]
     starts = kernel.sweep(np.array([rng.standard_normal(kernel.n_params) for rng in rngs]), cfg.tol_grad)
@@ -364,7 +391,6 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     return OptimReport(
         best_value=diagnostics[best_idx].value,
         best_params=best_params,
-        best_state=build_state(best_params),
         best_trial=best_idx,
         per_trial=diagnostics,
     )

@@ -16,6 +16,7 @@ zero factor only drops its term; only T = 0 itself is singular.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -64,10 +65,11 @@ def trial_rng(seed: int, trial_index: int = 0) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def party_columns(dims) -> list[slice]:
+@functools.cache
+def party_columns(dims: tuple[int, ...]) -> tuple[slice, ...]:
     """Party k's columns of the (r, sum(dims)) complex factors."""
     ends = itertools.accumulate(dims)
-    return [slice(end - d, end) for d, end in zip(dims, ends)]
+    return tuple(slice(end - d, end) for d, end in zip(dims, ends))
 
 
 def _row_kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:

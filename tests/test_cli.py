@@ -288,6 +288,14 @@ class TestErrorsAndExitCodes:
         assert "usage error" in proc.stderr and "tensor rank" in proc.stderr
         assert not list(tmp_path.iterdir())
 
+    def test_oversized_trials_rejected_before_allocation(self, tmp_path):
+        # 1e8 trials stack 6e8 amplitudes over 2 x 3: refused before the
+        # trials' streams and draws fill the cap
+        proc = run_capped(tmp_path, "compute", "--example", "strip:d=3,theta=1", "--trials", "100000000")
+        assert proc.returncode == 4, proc.stderr
+        assert "usage error" in proc.stderr and "budget" in proc.stderr
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("vectors", [
         [[[1e200, 0], [1e200, 0], [0, 0], [0, 0]]],  # |0>|+>, whose squared norm overflows
         [[[3e-320, 0], [3e-320, 0], [0, 0], [0, 0]]],  # and underflows

@@ -162,6 +162,22 @@ class TestLbfgs:
         assert res.reason == "iteration-cap"
         assert not res.converged
 
+    def test_converged_run_skips_its_last_push(self, monkeypatch):
+        # an accepted step's curvature pair is pushed only when the next
+        # direction needs it, so a run that stops after its last step
+        # never pushes that step's pair
+        pushed = []
+        real_push = opt_mod._History.push
+        monkeypatch.setattr(opt_mod._History, "push", lambda hist, s, y: pushed.append(s) or real_push(hist, s, y))
+        q = np.diag([1.0, 4.0, 25.0])
+
+        def f(x):
+            return 0.5 * float(x @ q @ x), q @ x
+
+        res = minimize(f, np.ones(3), max_iters=100)
+        assert res.reason == "gradient-tolerance" and res.iterations >= 3
+        assert len(pushed) == res.iterations - 1
+
     def test_gradient_tolerance_at_start(self):
         res = minimize(quadratic([0.0, 0.0]), np.zeros(2), tol_grad=1e-10)
         assert res.iterations == 0
@@ -573,6 +589,32 @@ class TestRunCertification:
                 block = x[off:off + 2 * sub.dims[e]:2] + 1j * x[off + 1:off + 2 * sub.dims[e]:2]
                 overlap = abs(np.vdot(vh[-1].conj(), block)) / np.linalg.norm(block)
                 assert overlap == pytest.approx(1.0, abs=1e-9), sub.dims
+
+    def test_best_state_is_built_on_first_read(self, monkeypatch):
+        built = []
+        real_build = opt_mod.build_state
+        monkeypatch.setattr(opt_mod, "build_state", lambda params: built.append(params) or real_build(params))
+        report = run_certification(strip_subspace(StripParams(4, 1.0)), 2, OptimConfig(seed=2))
+        assert built == []
+        state = report.best_state
+        assert len(built) == 1 and built[0] is report.best_params
+        np.testing.assert_array_equal(state.amp, real_build(report.best_params).amp)
+        assert report.best_state is state
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("r", [2, 3])
+    def test_oversized_trials_are_refused_before_any_draw(self, monkeypatch, r):
+        # trials * (r - 1) * D amplitudes of stacked states over 2 x 3
+        def no_draw(*args):
+            raise AssertionError("drawn")
+
+        monkeypatch.setattr(opt_mod, "trial_rng", no_draw)
+        sub = strip_subspace(StripParams(3, 1.0))
+        most = opt_mod.MAX_AMPLITUDES // ((r - 1) * sub.dim_total)
+        with pytest.raises(UsageError, match="over the budget"):
+            run_certification(sub, r, OptimConfig(seed=1, trials=most + 1))
+        with pytest.raises(AssertionError, match="drawn"):
+            run_certification(sub, r, OptimConfig(seed=1, trials=most))
 
     def test_requires_r_at_least_two(self):
         sub = span_of(basis_state((2, 2), (0, 0)))
