@@ -47,6 +47,10 @@ MAX_REINITS = 3
 # parameters) took 10040/6635/4006/3735/3827 iterations and their wall
 # time stopped falling at 40.
 MEMORY = 40
+# Amplitudes each trial is charged for its own records, whatever the dims:
+# its random stream, start, L-BFGS result and diagnostics take about 3 KB
+# over 2 x 3, and 2**10 complex amplitudes are 16 KiB.
+TRIAL_AMPLITUDES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -362,9 +366,9 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     """Geometric measure of r-bounded rank of a subspace: minimum of the
     complement-overlap loss over rank budget r - 1, across cfg.trials
     independent restarts. Refuses with UsageError, before any draw, a level
-    above `level_bound(sub.dims)`, a full space, and trials whose stacked
-    states, cfg.trials * (r - 1) of them, hold more than MAX_AMPLITUDES
-    amplitudes."""
+    above `level_bound(sub.dims)`, a full space, and trials charged more
+    than MAX_AMPLITUDES amplitudes: each trial's r - 1 stacked states plus
+    TRIAL_AMPLITUDES for its records."""
     r = as_level(r)
     limit = level_bound(sub.dims)
     if r > limit:  # refused before anything of size r is made
@@ -372,10 +376,10 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
                          f"{sub.dims} has tensor rank <= {limit - 1}; got {r}")
     if sub.dim >= sub.dim_total:
         raise UsageError("the full space is trivially reachable; pass a proper subspace")
-    stacked = cfg.trials * (r - 1) * sub.dim_total
-    if stacked > MAX_AMPLITUDES:
-        raise UsageError(f"{cfg.trials} trials at rank budget {r - 1} stack {stacked} amplitudes over dims "
-                         f"{sub.dims}, over the budget of {MAX_AMPLITUDES}")
+    charged = cfg.trials * ((r - 1) * sub.dim_total + TRIAL_AMPLITUDES)
+    if charged > MAX_AMPLITUDES:
+        raise UsageError(f"{cfg.trials} trials at rank budget {r - 1} over dims {sub.dims} are charged "
+                         f"{charged} amplitudes, over the budget of {MAX_AMPLITUDES}")
     kernel = LossKernel(sub.dims, r - 1, sub)
     rngs = [trial_rng(cfg.seed, i) for i in range(cfg.trials)]
     starts = kernel.sweep(np.array([rng.standard_normal(kernel.n_params) for rng in rngs]), cfg.tol_grad)

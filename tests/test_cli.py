@@ -15,6 +15,8 @@ import rankgauge
 from rankgauge import OptimConfig, haar_random_state, subspace_to_dict, from_spanning_set
 from rankgauge.catalog import build_example, dicke_state
 from rankgauge.cli import main
+from rankgauge.optimizer import TRIAL_AMPLITUDES
+from rankgauge.tensor_core import MAX_AMPLITUDES
 
 
 def run_cli(capsys, *argv):
@@ -288,13 +290,24 @@ class TestErrorsAndExitCodes:
         assert "usage error" in proc.stderr and "tensor rank" in proc.stderr
         assert not list(tmp_path.iterdir())
 
-    def test_oversized_trials_rejected_before_allocation(self, tmp_path):
-        # 1e8 trials stack 6e8 amplitudes over 2 x 3: refused before the
-        # trials' streams and draws fill the cap
-        proc = run_capped(tmp_path, "compute", "--example", "strip:d=3,theta=1", "--trials", "100000000")
+    @pytest.mark.parametrize("extra", [1, 100000000])
+    def test_oversized_trials_rejected_before_allocation(self, tmp_path, extra):
+        # over 2 x 3 each trial is charged 6 amplitudes of state plus
+        # TRIAL_AMPLITUDES for its records: one trial past the budget, or
+        # 1e8 past it, is refused before the trials' streams and draws
+        # fill the cap
+        most = MAX_AMPLITUDES // (6 + TRIAL_AMPLITUDES)
+        proc = run_capped(tmp_path, "compute", "--example", "strip:d=3,theta=1", "--trials", str(most + extra))
         assert proc.returncode == 4, proc.stderr
         assert "usage error" in proc.stderr and "budget" in proc.stderr
         assert not list(tmp_path.iterdir())
+
+    def test_most_trials_the_budget_admits_fit_the_cap(self, tmp_path):
+        most = MAX_AMPLITUDES // (6 + TRIAL_AMPLITUDES)
+        proc = run_capped(tmp_path, "compute", "--example", "strip:d=3,theta=1", "--trials", str(most))
+        assert proc.returncode == 0, proc.stderr
+        rows = (tmp_path / "compute.csv").read_text().splitlines()
+        assert len(rows) == most + 2  # header, one row per trial, best
 
     @pytest.mark.parametrize("vectors", [
         [[[1e200, 0], [1e200, 0], [0, 0], [0, 0]]],  # |0>|+>, whose squared norm overflows

@@ -1,14 +1,9 @@
-"""Replay of committed outputs: every CSV under tests/golden is
-regenerated from the arguments recorded in golden.json, and every
-certification in trials.json from its recorded case. Where numpy's
-version and the platform are those recorded, the bytes must match;
-elsewhere floating-point results may move in their last bits, so every
-number must match to 1e-12 and every other cell exactly.
-
-    PYTHONPATH=src python tests/test_golden.py
-
-rewrites trials.json from the package on the path, for a change of
-results that comes with a new results version."""
+"""Replay of committed `reproduce` and `compute` outputs: every CSV under
+tests/golden is regenerated from the arguments recorded in golden.json
+(`compute` writes compute.csv, recorded under a name of its own). Where
+numpy's version and the platform are those recorded, the bytes must
+match; elsewhere floating-point results may move in their last bits, so
+every number must match to 1e-12 and every other cell exactly."""
 
 import json
 import math
@@ -19,53 +14,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rankgauge import OptimConfig, __version__, cli, run_certification
-from rankgauge.catalog import StripParams, max_ces_subspace, strip_subspace
+from rankgauge import __version__, cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RECORD = json.loads((GOLDEN / "golden.json").read_text())
-TRIALS = json.loads((GOLDEN / "trials.json").read_text())
 TOLERANCE = 1e-12
-# Benchmark-shaped certifications: two strips per d of fig1's 3-6 at
-# seeded angles, and the maximal CES of the ces-tripartite dims, each at a
-# seed derived from TRIALS_SEED and its index as the benchmark derives its
-# op seeds.
-TRIALS_SEED = 24
-STRIP_DIMS = (3, 4, 5, 6)
-CES_DIMS = ((3, 3, 8), (3, 4, 7), (4, 4, 7), (4, 5, 8))
 
 
-def environment() -> dict:
-    return {"numpy": np.__version__, "platform": f"{platform.system()}-{platform.machine()}"}
-
-
-def same_environment(record=RECORD) -> bool:
-    return (record["numpy"], record["platform"]) == tuple(environment().values())
-
-
-def derived_seed(*key: int) -> int:
-    ss = np.random.SeedSequence(entropy=TRIALS_SEED, spawn_key=key)
-    return int(ss.generate_state(1)[0])
-
-
-def trial_cases() -> list[dict]:
-    angles = np.random.default_rng(derived_seed(0)).uniform(0.1, math.pi - 0.1, size=(len(STRIP_DIMS), 2))
-    strips = [(d, theta) for d, row in zip(STRIP_DIMS, angles) for theta in row]
-    return ([{"strip": [d, float(theta).hex()], "seed": derived_seed(1, 0, j)} for j, (d, theta) in enumerate(strips)]
-            + [{"ces": list(dims), "seed": derived_seed(2, 0, j)} for j, dims in enumerate(CES_DIMS)])
-
-
-def trial_records(case: dict) -> list[dict]:
-    """Per trial of the case's E_2 certification: value and final l-inf
-    gradient as float hex, iterations, stop reason, sweeps and reinits."""
-    if "strip" in case:
-        d, theta = case["strip"]
-        sub = strip_subspace(StripParams(d, float.fromhex(theta)))
-    else:
-        sub = max_ces_subspace(*case["ces"])
-    report = run_certification(sub, 2, OptimConfig(seed=case["seed"]))
-    return [{"value": t.value.hex(), "grad_inf": t.grad_inf.hex(), "iterations": t.iterations,
-             "reason": t.reason, "sweeps": t.sweeps, "reinits": t.reinits} for t in report.per_trial]
+def same_environment() -> bool:
+    return (RECORD["numpy"], RECORD["platform"]) == (np.__version__, f"{platform.system()}-{platform.machine()}")
 
 
 def number(cell: str):
@@ -99,51 +56,12 @@ def test_golden_data_match_the_results_version():
 def test_reproduce_replays_golden_csv(name, tmp_path, capsys):
     assert cli.main(RECORD["csv"][name] + ["--out", str(tmp_path)]) == 0
     capsys.readouterr()
-    got, want = (tmp_path / name).read_bytes(), (GOLDEN / name).read_bytes()
+    (written,) = tmp_path.glob("*.csv")
+    got, want = written.read_bytes(), (GOLDEN / name).read_bytes()
     if same_environment():
         assert got == want
     else:
         assert_values_match(got.decode(), want.decode())
-
-
-def test_trial_cases_are_the_recorded_ones():
-    assert [{k: v for k, v in c.items() if k != "trials"} for c in TRIALS["certifications"]] == trial_cases()
-    assert TRIALS["results_version"] == __version__
-
-
-def assert_trials_match(got: list[dict], want: list[dict]) -> None:
-    """The same trials, value and grad_inf within TOLERANCE (absolute and
-    relative), every other field equal."""
-    assert len(got) == len(want)
-    for g, w in zip(got, want):
-        exact = ("iterations", "reason", "sweeps", "reinits")
-        assert [g[k] for k in exact] == [w[k] for k in exact], (g, w)
-        for k in ("value", "grad_inf"):
-            assert math.isclose(float.fromhex(g[k]), float.fromhex(w[k]), rel_tol=TOLERANCE, abs_tol=TOLERANCE), (k, g, w)
-
-
-@pytest.mark.parametrize("case", TRIALS["certifications"], ids=lambda c: f"{next(iter(c))}-{c['seed']}")
-def test_certification_replays_golden_trials(case):
-    got, want = trial_records(case), case["trials"]
-    if same_environment(TRIALS):
-        assert got == want
-    else:
-        assert_trials_match(got, want)
-
-
-def test_trial_comparison_allows_only_the_tolerance():
-    want = TRIALS["certifications"][0]["trials"]
-    value = float.fromhex(want[0]["value"])
-    for delta, ok in [(0.0, True), (4 * sys.float_info.epsilon * value, True), (1e-9 * value, False)]:
-        moved = [dict(want[0], value=(value + delta).hex())] + want[1:]
-        if ok:
-            assert_trials_match(moved, want)
-        else:
-            with pytest.raises(AssertionError):
-                assert_trials_match(moved, want)
-    for moved in ([dict(want[0], reason="loss-floor")] + want[1:], want[1:]):
-        with pytest.raises(AssertionError):
-            assert_trials_match(moved, want)
 
 
 def test_value_comparison_allows_only_the_tolerance():
@@ -162,10 +80,3 @@ def test_value_comparison_allows_only_the_tolerance():
     for moved in (examples.replace("wstate", "w_state"), examples + "extra,row\n"):
         with pytest.raises(AssertionError):
             assert_values_match(moved, examples)
-
-
-if __name__ == "__main__":
-    cases = [dict(case, trials=trial_records(case)) for case in trial_cases()]
-    record = {"about": "per-trial records of E_2 certifications; tests/test_golden.py regenerates them",
-              "results_version": __version__, **environment(), "certifications": cases}
-    (GOLDEN / "trials.json").write_text(json.dumps(record, indent=1) + "\n")

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -604,17 +605,32 @@ class TestRunCertification:
 
     @pytest.mark.parametrize("r", [2, 3])
     def test_oversized_trials_are_refused_before_any_draw(self, monkeypatch, r):
-        # trials * (r - 1) * D amplitudes of stacked states over 2 x 3
+        # each trial is charged its r - 1 stacked states over 2 x 3 plus
+        # TRIAL_AMPLITUDES for its records
         def no_draw(*args):
             raise AssertionError("drawn")
 
         monkeypatch.setattr(opt_mod, "trial_rng", no_draw)
         sub = strip_subspace(StripParams(3, 1.0))
-        most = opt_mod.MAX_AMPLITUDES // ((r - 1) * sub.dim_total)
+        most = opt_mod.MAX_AMPLITUDES // ((r - 1) * sub.dim_total + opt_mod.TRIAL_AMPLITUDES)
         with pytest.raises(UsageError, match="over the budget"):
             run_certification(sub, r, OptimConfig(seed=1, trials=most + 1))
         with pytest.raises(AssertionError, match="drawn"):
             run_certification(sub, r, OptimConfig(seed=1, trials=most))
+
+    def test_trial_records_fit_their_charge(self):
+        # over 2 x 3 a trial's records, not its states, fill its memory:
+        # they stay within the TRIAL_AMPLITUDES complex amplitudes it is charged
+        sub = strip_subspace(StripParams(3, 1.0))
+        trials = 1000
+        tracemalloc.start()
+        try:
+            report = run_certification(sub, 2, OptimConfig(seed=1, trials=trials))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.per_trial) == trials
+        assert peak < trials * 16 * opt_mod.TRIAL_AMPLITUDES
 
     def test_requires_r_at_least_two(self):
         sub = span_of(basis_state((2, 2), (0, 0)))

@@ -1,6 +1,6 @@
 """Interleaved in-process timing of one benchmark workload on two checkouts.
 
-    python3 tools/interleave.py DIR_A DIR_B --workload W --rounds N --seed S [--ops K]
+    python3 tools/interleave.py DIR_A DIR_B --workload W --rounds N --seed S
 
 Both checkouts' rankgauge packages are loaded into this one process, each
 with its own `bench/workloads.py` loaded under a distinct module name, so
@@ -9,8 +9,7 @@ both sides back to back, the side that goes first alternating from op to
 op, so drift of the machine's speed reaches both sides alike: timing
 pairs this way resolves differences of about 1%, where separate
 benchmark processes on a shared machine spread by tens of percent. The
-seed and the round index give the ops' inputs, as in `bench/worker.py`;
---ops keeps the first K ops of each round.
+seed and the round index give the ops' inputs, as in `bench/worker.py`.
 
 Prints each side's p50 and p90 op latency and their B / A ratios, the
 median of the per-op ratios, the ops in which B was faster, and the ops
@@ -70,7 +69,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--rounds", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--ops", type=int)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
@@ -79,7 +77,7 @@ def main(argv=None) -> int:
     inputs = [w.build(args.seed) for w in workloads]
     lat, same = ([], []), 0
     for k in range(args.rounds):
-        rounds = [w.ops(x, args.seed, k)[:args.ops] for w, x in zip(workloads, inputs)]
+        rounds = [w.ops(x, args.seed, k) for w, x in zip(workloads, inputs)]
         for j, pair in enumerate(zip(*rounds)):
             order = (0, 1) if (k + j) % 2 == 0 else (1, 0)
             out = [None, None]
