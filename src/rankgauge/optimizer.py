@@ -367,8 +367,12 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     complement-overlap loss over rank budget r - 1, across cfg.trials
     independent restarts. Refuses with UsageError, before any draw, a level
     above `level_bound(sub.dims)`, a full space, and trials charged more
-    than MAX_AMPLITUDES amplitudes: each trial's r - 1 stacked states plus
-    TRIAL_AMPLITUDES for its records."""
+    than MAX_AMPLITUDES amplitudes: each trial's lane of the kernel's
+    stacks plus TRIAL_AMPLITUDES for its records. A lane holds r - 1
+    states at budgets >= 2. At budget 1 it holds the largest of a state,
+    the sweep's min(k, D - k) rows contracted with the other parties'
+    product, d_max amplitudes each, and their d_max x d_max Gram matrix
+    (not formed for a subspace of one vector)."""
     r = as_level(r)
     limit = level_bound(sub.dims)
     if r > limit:  # refused before anything of size r is made
@@ -376,10 +380,11 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
                          f"{sub.dims} has tensor rank <= {limit - 1}; got {r}")
     if sub.dim >= sub.dim_total:
         raise UsageError("the full space is trivially reachable; pass a proper subspace")
-    charged = cfg.trials * ((r - 1) * sub.dim_total + TRIAL_AMPLITUDES)
-    if charged > MAX_AMPLITUDES:
-        raise UsageError(f"{cfg.trials} trials at rank budget {r - 1} over dims {sub.dims} are charged "
-                         f"{charged} amplitudes, over the budget of {MAX_AMPLITUDES}")
+    rows, d_max = min(sub.dim, sub.dim_total - sub.dim), max(sub.dims)
+    lane = max(sub.dim_total, rows * d_max, d_max * d_max * (sub.dim > 1)) if r == 2 else (r - 1) * sub.dim_total
+    if cfg.trials * (lane + TRIAL_AMPLITUDES) > MAX_AMPLITUDES:
+        raise UsageError(f"{cfg.trials} trials at rank budget {r - 1} over dims {sub.dims}, charged "
+                         f"{lane + TRIAL_AMPLITUDES} amplitudes each, exceed the budget of {MAX_AMPLITUDES}")
     kernel = LossKernel(sub.dims, r - 1, sub)
     rngs = [trial_rng(cfg.seed, i) for i in range(cfg.trials)]
     starts = kernel.sweep(np.array([rng.standard_normal(kernel.n_params) for rng in rngs]), cfg.tol_grad)

@@ -290,20 +290,20 @@ class TestErrorsAndExitCodes:
         assert "usage error" in proc.stderr and "tensor rank" in proc.stderr
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("extra", [1, 100000000])
-    def test_oversized_trials_rejected_before_allocation(self, tmp_path, extra):
-        # over 2 x 3 each trial is charged 6 amplitudes of state plus
-        # TRIAL_AMPLITUDES for its records: one trial past the budget, or
-        # 1e8 past it, is refused before the trials' streams and draws
-        # fill the cap
-        most = MAX_AMPLITUDES // (6 + TRIAL_AMPLITUDES)
-        proc = run_capped(tmp_path, "compute", "--example", "strip:d=3,theta=1", "--trials", str(most + extra))
+    @pytest.mark.parametrize("example, trials", [
+        ("strip:d=3,theta=1", "100000000"),  # their streams and draws would fill the cap
+        ("strip:d=1000,theta=1", "300"),  # so would the sweep's 300 lanes of 999 x 1000 rows
+    ])
+    def test_oversized_trials_rejected_before_allocation(self, tmp_path, example, trials):
+        proc = run_capped(tmp_path, "compute", "--example", example, "--trials", trials)
         assert proc.returncode == 4, proc.stderr
         assert "usage error" in proc.stderr and "budget" in proc.stderr
         assert not list(tmp_path.iterdir())
 
     def test_most_trials_the_budget_admits_fit_the_cap(self, tmp_path):
-        most = MAX_AMPLITUDES // (6 + TRIAL_AMPLITUDES)
+        # over 2 x 3 each trial is charged its 3 x 3 Gram matrix plus
+        # TRIAL_AMPLITUDES for its records
+        most = MAX_AMPLITUDES // (9 + TRIAL_AMPLITUDES)
         proc = run_capped(tmp_path, "compute", "--example", "strip:d=3,theta=1", "--trials", str(most))
         assert proc.returncode == 0, proc.stderr
         rows = (tmp_path / "compute.csv").read_text().splitlines()

@@ -11,6 +11,7 @@ from rankgauge import (
     SingularParameterError,
     UsageError,
     basis_state,
+    complement_basis,
     from_spanning_set,
     haar_random_state,
     minimal_rank_scan,
@@ -603,17 +604,25 @@ class TestRunCertification:
         assert report.best_state is state
         assert len(built) == 1
 
-    @pytest.mark.parametrize("r", [2, 3])
-    def test_oversized_trials_are_refused_before_any_draw(self, monkeypatch, r):
-        # each trial is charged its r - 1 stacked states over 2 x 3 plus
+    @pytest.mark.parametrize("make_sub, r, lane", [
+        # 2 x 3: the Gram matrix of party 1's 3 amplitudes, then r - 1 states
+        (lambda: strip_subspace(StripParams(3, 1.0)), 2, 9),
+        (lambda: strip_subspace(StripParams(3, 1.0)), 3, 12),
+        # the sweep's 999 rows of party 1's 1000 amplitudes
+        (lambda: strip_subspace(StripParams(1000, 1.0)), 2, 999 * 1000),
+        # one complement row, but the Gram matrix of party 1's 300 amplitudes
+        (lambda: complement_basis(span_of(basis_state((2, 300), (0, 0)))), 2, 300 * 300),
+    ], ids=["strip3-r2", "strip3-r3", "strip1000-rows", "complement-gram"])
+    def test_oversized_trials_are_refused_before_any_draw(self, monkeypatch, make_sub, r, lane):
+        # each trial is charged its lane of the kernel's stacks plus
         # TRIAL_AMPLITUDES for its records
         def no_draw(*args):
             raise AssertionError("drawn")
 
         monkeypatch.setattr(opt_mod, "trial_rng", no_draw)
-        sub = strip_subspace(StripParams(3, 1.0))
-        most = opt_mod.MAX_AMPLITUDES // ((r - 1) * sub.dim_total + opt_mod.TRIAL_AMPLITUDES)
-        with pytest.raises(UsageError, match="over the budget"):
+        sub = make_sub()
+        most = opt_mod.MAX_AMPLITUDES // (lane + opt_mod.TRIAL_AMPLITUDES)
+        with pytest.raises(UsageError, match="exceed the budget"):
             run_certification(sub, r, OptimConfig(seed=1, trials=most + 1))
         with pytest.raises(AssertionError, match="drawn"):
             run_certification(sub, r, OptimConfig(seed=1, trials=most))
