@@ -94,7 +94,7 @@ def _int_at_least(low: int):
 
 
 def _positive_float(text: str) -> float:
-    """argparse type: a finite float > 0, so a bad tolerance fails before any input is read."""
+    """argparse type: a finite float > 0, so a bad threshold fails before any input is read."""
     try:
         value = float(text)
     except ValueError:
@@ -174,8 +174,6 @@ def _ges(args, cfg: OptimConfig, obj) -> _Outcome:
         sub = obj
     else:
         raise UsageError("ges requires a subspace or pure state input")
-    if len(sub.dims) < 3:
-        raise UsageError("ges requires at least three parties")
     values = genuine_entanglement_scan(sub, cfg)
     verdict = is_genuinely_entangled(values, args.zero_threshold)
     lines = ["bipartition,value"]
@@ -298,10 +296,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--trials", type=int, default=OptimConfig.trials,
                        help="independent restarts (default %(default)s)")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed (default %(default)s)")
-        p.add_argument("--tol-grad", type=_positive_float, default=OptimConfig.tol_grad,
-                       help="l-inf gradient tolerance")
-        p.add_argument("--tol-loss", type=_positive_float, default=OptimConfig.tol_loss_rel,
-                       help="relative loss-change tolerance")
         p.add_argument("--max-iters", type=int, default=OptimConfig.max_iters, help="iteration cap per trial")
         p.add_argument("--zero-threshold", type=_positive_float, default=ZERO_THRESHOLD,
                        help="values below this certify as zero")
@@ -399,8 +393,7 @@ def main(argv=None) -> int:
         if getattr(args, "list_examples", False):
             print(catalog_help())
             return 0
-        cfg = OptimConfig(tol_grad=args.tol_grad, tol_loss_rel=args.tol_loss, max_iters=args.max_iters,
-                          trials=args.trials, seed=args.seed)
+        cfg = OptimConfig(max_iters=args.max_iters, trials=args.trials, seed=args.seed)
         for path in _output_files(args):
             _check_writable(path)
         obj, input_hash, source = _load_input(args)

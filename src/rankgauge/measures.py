@@ -19,7 +19,6 @@ from .optimizer import OptimConfig, as_level, level_bound, run_certification
 from .subspace import MixedState, Subspace, apply_unitary_to_subspace, span_of, support_space
 from .tensor_core import (
     Bipartition,
-    HermitianOp,
     PureState,
     as_int,
     as_real,
@@ -166,19 +165,19 @@ def _trace_norm(value) -> float:
     return t
 
 
-def random_hermitian_with_trace_norm(dim: int, target_norm: float, seed) -> HermitianOp:
+def random_hermitian_with_trace_norm(dim: int, target_norm: float, seed) -> np.ndarray:
     """Gaussian-ensemble Hermitian matrix rescaled to the exact trace norm."""
     dim = as_int(dim, "dimension")
     target_norm = _trace_norm(target_norm)
     if dim < 1:
         raise UsageError(f"dimension must be >= 1, got {dim}")
     if target_norm == 0.0:
-        return HermitianOp(np.zeros((dim, dim), dtype=np.complex128))
+        return np.zeros((dim, dim), dtype=np.complex128)
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h = (g + g.conj().T) / 2.0
     tn = float(np.sum(np.abs(np.linalg.eigvalsh(h))))
-    return HermitianOp(h * (target_norm / tn))
+    return h * (target_norm / tn)
 
 
 @dataclass(frozen=True)

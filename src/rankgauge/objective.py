@@ -101,9 +101,9 @@ Where the free factors span more than two real dimensions, n_free =
 ZERO_LEVEL. Near a minimum they converge linearly: per sweep the loss gap
 falls by the ratio of the last two drops and the gradient by about its
 square root. So they go on iff the l-inf gradient g at the handover point
-has g sqrt(ratio)^n_free < tol_grad <= g, n_free sweeps being about what
+has g sqrt(ratio)^n_free < TOL_GRAD <= g, n_free sweeps being about what
 L-BFGS needs to build its model. They stop at the first point whose
-gradient is below tol_grad, which L-BFGS then only certifies, or at a
+gradient is below TOL_GRAD, which L-BFGS then only certifies, or at a
 stall: a sweep that shrinks the gradient by less than FINISH_RATE, or
 MAX_FINISH_SWEEPS sweeps in all. One free qubit (every 2 x d strip and
 the 2 x 3 subspaces of fig2) keeps the handover alone and takes no
@@ -137,6 +137,9 @@ from .tensor_core import as_int
 # 4 x 5 x 10); without the stop a non-attained zero, such as the W state at
 # r = 3, is chased down towards 1e-15 for no change of verdict.
 ZERO_LEVEL = 1e-12
+# The l-inf gradient norm below which a point is stationary: L-BFGS stops
+# there with `gradient-tolerance`, and the sweeps' continuation aims at it.
+TOL_GRAD = 1e-10
 # Handover from the budget-1 sweeps to L-BFGS (BENCH_11.json, measured
 # with no continuation): after a sweep that lowers the loss by less than
 # SWEEP_TOL of its value, or after MAX_SWEEPS sweeps. SWEEP_TOL = 1e-4 /
@@ -146,7 +149,7 @@ ZERO_LEVEL = 1e-12
 # `loss-floor`, and sweeps run to convergence leave L-BFGS no superlinear
 # finish at all. ces-tripartite trials take a median of 11 sweeps, and a
 # cap of 6 cost it a quarter of its gain; the cap of 12 stops 13 of 36 of
-# them (seed 1) 5-8 sweeps short of tol_grad, which the continuation then
+# them (seed 1) 5-8 sweeps short of TOL_GRAD, which the continuation then
 # covers. The sweeps also stop once a sweep lowers the loss by less than
 # SLOW_GATE of its value but by more than SLOW_RATE times the sweep
 # before: at so slow a linear rate SWEEP_TOL lies many sweeps away. The
@@ -210,7 +213,7 @@ class LossKernel:
 
     The forward pass, the exact solves and the gradient work on a stack of
     lanes, one point per lane (module docstring): `value` and
-    `value_and_grad` are their batch of one, and `sweep(x, tol_grad)`
+    `value_and_grad` are their batch of one, and `sweep(x)`
     turns a stack of drawn points into L-BFGS starts, each with its value
     and gradient, at every budget. At budget 1 it sweeps them in
     lockstep, each lane by the handover and continuation rules of the
@@ -338,7 +341,7 @@ class LossKernel:
             return x
         return np.insert(x.view(np.complex128), sum(self.dims[:self.eliminated]), best[0]).view(np.float64)
 
-    def sweep(self, x: np.ndarray, tol_grad: float) -> list[tuple[np.ndarray, float, np.ndarray, int] | None]:
+    def sweep(self, x: np.ndarray) -> list[tuple[np.ndarray, float, np.ndarray, int] | None]:
         """The L-BFGS starts of a stack x of drawn points, shape (lanes,
         n_params): per lane (point, value, gradient, sweeps), or None where
         the drawn point is singular (where `value` would raise). The value
@@ -352,12 +355,12 @@ class LossKernel:
         lane's other factors, party by party in party order, to their exact
         best for the rest, then party e's to c* of the forward pass of the
         swept points. The handover and continuation rules of the module
-        docstring, with `tol_grad` the caller's L-BFGS tolerance, run per
-        lane, and a lane leaves the stack when they stop it, with its last
-        swept point, whose factors are unit vectors, and the number of
-        sweeps that made it; x and the c* stack are compacted together. A
-        sweep in which some lane reads its gradient or leaves the stack
-        runs one backward pass of the whole stack. There is no rollback."""
+        docstring run per lane, and a lane leaves the stack when they stop
+        it, with its last swept point, whose factors are unit vectors, and
+        the number of sweeps that made it; x and the c* stack are compacted
+        together. A sweep in which some lane reads its gradient or leaves
+        the stack runs one backward pass of the whole stack. There is no
+        rollback."""
         x = np.array(x, dtype=np.float64, order="C")
         out = [None] * len(x)
         lanes = np.arange(len(x))  # the lane of each row of x
@@ -380,7 +383,7 @@ class LossKernel:
         while len(lanes):
             forward = self._sweep_once(x, best)
             best = forward.best
-            done, reads = [], []  # rows that leave the stack; rows that read their gradient
+            done, reads = set(), []  # rows that leave the stack; rows that read their gradient
             for i, swept in enumerate(forward.value.tolist()):
                 sweeps[i] += 1
                 if grad_inf[i] is None:
@@ -392,7 +395,7 @@ class LossKernel:
                         value[i], drop[i] = swept, gain
                         continue
                     if self._free_dims <= 2 or swept <= ZERO_LEVEL:
-                        done.append(i)
+                        done.add(i)
                         continue
                 reads.append(i)
             if not (done or reads):
@@ -403,14 +406,14 @@ class LossKernel:
                 last, grad_inf[i] = grad_inf[i], norms[i]
                 # At the handover the loss gap falls by `ratio` per sweep and
                 # the gradient by about its square root: go on where that
-                # reaches tol_grad within as many sweeps as there are free
+                # reaches TOL_GRAD within as many sweeps as there are free
                 # real dimensions, about what L-BFGS takes.
                 if last is None:
-                    go_on = grad_inf[i] * math.sqrt(ratio[i]) ** self._free_dims < tol_grad <= grad_inf[i]
+                    go_on = grad_inf[i] * math.sqrt(ratio[i]) ** self._free_dims < TOL_GRAD <= grad_inf[i]
                 else:
-                    go_on = tol_grad <= grad_inf[i] <= FINISH_RATE * last
+                    go_on = TOL_GRAD <= grad_inf[i] <= FINISH_RATE * last
                 if not go_on or sweeps[i] >= MAX_FINISH_SWEEPS:
-                    done.append(i)
+                    done.add(i)
             for i in done:
                 out[lanes[i]] = (x[i].copy(), float(forward.value[i]), grads[i], sweeps[i])
             if done:

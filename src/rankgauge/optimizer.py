@@ -25,13 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import OptimizationError, SingularParameterError, UsageError
-from .objective import ZERO_LEVEL, LossKernel
+from .objective import TOL_GRAD, ZERO_LEVEL, LossKernel
 from .rank_param import RankParams, build_state, trial_rng
 from .subspace import Subspace
-from .tensor_core import MAX_AMPLITUDES, PureState, as_int, as_real
+from .tensor_core import MAX_AMPLITUDES, PureState, as_int
 
-# Consecutive small relative-decrease iterations required to declare a plateau.
+# A plateau: PLATEAU_WINDOW consecutive iterations that each lower the loss
+# by less than TOL_LOSS_REL of its value.
 PLATEAU_WINDOW = 5
+TOL_LOSS_REL = 1e-14
 # Armijo and curvature constants of the line search.
 ARMIJO_C1 = 1e-4
 CURVATURE_C2 = 0.9
@@ -57,8 +59,6 @@ TRIAL_AMPLITUDES = 1 << 10
 class OptimConfig:
     """Knobs of one certification run (defaults suit desk-scale problems)."""
 
-    tol_grad: float = 1e-10       # l-infinity gradient norm
-    tol_loss_rel: float = 1e-14   # relative loss decrease per iteration
     max_iters: int = 10000
     trials: int = 3
     seed: int = 0
@@ -66,10 +66,6 @@ class OptimConfig:
     def __post_init__(self):
         for name in ("max_iters", "trials", "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        for name in ("tol_grad", "tol_loss_rel"):
-            object.__setattr__(self, name, as_real(getattr(self, name), name))
-        if not all(math.isfinite(t) and t > 0 for t in (self.tol_grad, self.tol_loss_rel)):
-            raise UsageError("tolerances must be finite and positive")
         if self.max_iters < 1 or self.trials < 1:
             raise UsageError("max_iters and trials must be >= 1")
         if self.seed < 0:
@@ -209,8 +205,6 @@ def lbfgs_minimize(
     f0: float,
     g0: np.ndarray,
     *,
-    tol_grad: float = OptimConfig.tol_grad,
-    tol_loss_rel: float = OptimConfig.tol_loss_rel,
     max_iters: int = OptimConfig.max_iters,
     zero_level: float = 0.0,
 ) -> LbfgsResult:
@@ -222,13 +216,15 @@ def lbfgs_minimize(
     rejected point costs one value. An accepted step's curvature pair
     enters the history only after the stop tests at its point, when the
     next direction needs it, and the l-inf gradient norm is taken once per
-    accepted point, for the stop test and the result.
+    accepted point, for the stop test and the result. The gradient and
+    zero-level tests run at x0 and at every accepted point, the one after
+    the last allowed iteration included.
 
-    Termination reasons: `gradient-tolerance` (l-inf below tol_grad),
+    Termination reasons: `gradient-tolerance` (l-inf below TOL_GRAD),
     `zero-witness` (the loss is at or below zero_level, tested after the
     gradient; meant for losses bounded below by 0, where the default 0.0
     stops only at an exact zero), `loss-plateau` (relative decrease
-    below tol_loss_rel for PLATEAU_WINDOW consecutive accepted steps),
+    below TOL_LOSS_REL for PLATEAU_WINDOW consecutive accepted steps),
     `loss-floor` (no representable decrease exists along the model
     direction, i.e. the relative-decrease criterion holds vacuously at the
     float64 floor; the last line search bisected through all
@@ -251,12 +247,14 @@ def lbfgs_minimize(
     g_inf = float(np.abs(g).max(initial=0.0))
     plateau = 0
     reason = "iteration-cap"
-    for _ in range(max_iters):
-        if g_inf < tol_grad:
+    for it in range(max_iters + 1):
+        if g_inf < TOL_GRAD:
             reason = "gradient-tolerance"
             break
         if f <= zero_level:
             reason = "zero-witness"
+            break
+        if it == max_iters:
             break
         if pair is not None:
             hist.push(*pair)
@@ -275,7 +273,7 @@ def lbfgs_minimize(
         _, xt, ft, gt = hit
         pair = (xt - x, gt - g)
         rel = (f - ft) / max(abs(f), abs(ft), 1e-300)
-        plateau = plateau + 1 if rel < tol_loss_rel else 0
+        plateau = plateau + 1 if rel < TOL_LOSS_REL else 0
         x, f, g = xt, ft, gt
         g_inf = float(np.abs(g).max(initial=0.0))
         values.append(float(f))
@@ -327,21 +325,12 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig, start):
     most MAX_REINITS times."""
     for reinit in range(MAX_REINITS + 1):
         if reinit:
-            (start,) = kernel.sweep(rng.standard_normal(kernel.n_params)[None], cfg.tol_grad)
+            (start,) = kernel.sweep(rng.standard_normal(kernel.n_params)[None])
         if start is None:
             continue
         x0, f0, g0, sweeps = start
-        res = lbfgs_minimize(
-            kernel.value,
-            kernel.value_and_grad,
-            x0,
-            f0,
-            g0,
-            tol_grad=cfg.tol_grad,
-            tol_loss_rel=cfg.tol_loss_rel,
-            max_iters=cfg.max_iters,
-            zero_level=ZERO_LEVEL,
-        )
+        res = lbfgs_minimize(kernel.value, kernel.value_and_grad, x0, f0, g0, max_iters=cfg.max_iters,
+                             zero_level=ZERO_LEVEL)
         return res.x, TrialDiagnostics(res.value, res.iterations, res.reason, reinit, sweeps, res.grad_inf)
     return None, TrialDiagnostics(math.inf, 0, "singular-parameters", MAX_REINITS)
 
@@ -387,7 +376,7 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
                          f"{lane + TRIAL_AMPLITUDES} amplitudes each, exceed the budget of {MAX_AMPLITUDES}")
     kernel = LossKernel(sub.dims, r - 1, sub)
     rngs = [trial_rng(cfg.seed, i) for i in range(cfg.trials)]
-    starts = kernel.sweep(np.array([rng.standard_normal(kernel.n_params) for rng in rngs]), cfg.tol_grad)
+    starts = kernel.sweep(np.array([rng.standard_normal(kernel.n_params) for rng in rngs]))
     outcomes = [_minimize_kernel(kernel, rng, cfg, start) for rng, start in zip(rngs, starts)]
     diagnostics = tuple(d for _, d in outcomes)
     finished = [i for i, d in enumerate(diagnostics) if not d.failed]

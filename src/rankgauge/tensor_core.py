@@ -252,35 +252,18 @@ def schmidt_coefficients(s: PureState, cut: Bipartition) -> np.ndarray:
     return np.linalg.svd(reshape_bipartite(s, cut), compute_uv=False)
 
 
-@dataclass(frozen=True)
-class HermitianOp:
-    """A Hermitian operator; the stored matrix is the exact Hermitian part
-    of the input, which must be Hermitian within HERMITIAN_ATOL."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise UsageError("HermitianOp requires a square matrix")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise UsageError("HermitianOp requires finite entries")
-        asym = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
-        if asym > HERMITIAN_ATOL:
-            raise UsageError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
-        m = (m + m.conj().T) / 2.0
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def unitary_from_hamiltonian(h) -> np.ndarray:
-    """U = exp(-iH) via the eigendecomposition of H (a HermitianOp or a
-    matrix that is Hermitian within HERMITIAN_ATOL), eigenpairs descending."""
-    m = h.matrix if isinstance(h, HermitianOp) else HermitianOp(h).matrix
-    w, v = np.linalg.eigh(m)
+    """U = exp(-iH) via the eigendecomposition of the Hermitian part of H,
+    eigenpairs descending. UsageError unless H is a square, finite matrix
+    that is Hermitian within HERMITIAN_ATOL."""
+    m = np.array(h, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise UsageError("a Hamiltonian must be a square matrix")
+    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+        raise UsageError("a Hamiltonian must have finite entries")
+    asym = np.max(np.abs(m - m.conj().T)) if m.size else 0.0
+    if asym > HERMITIAN_ATOL:
+        raise UsageError(f"matrix is not Hermitian (asymmetry {asym:.3e})")
+    w, v = np.linalg.eigh((m + m.conj().T) / 2.0)
     w, v = w[::-1].copy(), v[:, ::-1].copy()
     return (v * np.exp(-1j * w)) @ v.conj().T

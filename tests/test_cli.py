@@ -218,6 +218,14 @@ class TestGes:
         assert code == 0
         assert "genuinely_entangled,false" in out
 
+    @pytest.mark.parametrize("example", ["strip:d=3,theta=1", "ghz:n=2"])
+    def test_two_parties_rejected_before_work(self, capsys, tmp_path, example):
+        code, out, err = run_cli(capsys, "ges", "--example", example, "--out", str(tmp_path))
+        assert code == 4
+        assert "at least three parties" in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+
 
 class TestReproduce:
     def test_fig3_small(self, capsys, tmp_path):
@@ -261,7 +269,7 @@ class TestErrorsAndExitCodes:
         assert code == 4
         assert "usage error" in err
 
-    @pytest.mark.parametrize("flag", ["--tol-grad", "--tol-loss", "--zero-threshold"])
+    @pytest.mark.parametrize("flag", ["--zero-threshold"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
     def test_bad_tolerance_rejected_before_work(self, capsys, tmp_path, flag, value):
         code, out, err = run_cli(capsys, "compute", "--example", "strip:d=3,theta=pi/2", flag, value,
@@ -270,6 +278,23 @@ class TestErrorsAndExitCodes:
         assert flag in err
         assert out == ""
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flag", ["--tol-grad", "--tol-loss"])
+    @pytest.mark.parametrize("command", [
+        ["compute", "--example", "strip:d=3,theta=pi/2"], ["border-rank", "--example", "dicke:n=3,k=1"],
+        ["ges", "--example", "ghz:n=3"], ["reproduce", "fig1"],
+    ], ids=lambda command: command[0])
+    def test_stop_tolerance_flag_is_unknown(self, capsys, tmp_path, command, flag):
+        # the stop tolerances are constants, not options: a run recorded
+        # with either flag is refused before any work, and help omits them
+        code, out, err = run_cli(capsys, *command, flag, "1e-9", "--out", str(tmp_path))
+        assert code == 4
+        assert "unrecognized arguments" in err and flag in err
+        assert out == ""
+        assert not list(tmp_path.iterdir())
+        with pytest.raises(SystemExit):
+            main([command[0], "--help"])
+        assert flag not in capsys.readouterr().out
 
     @pytest.mark.parametrize("example", [
         "maxces:d1=nan,d2=2,d3=2", "maxces:d1=inf,d2=2,d3=2", "dicke:n=3,k=1e400",

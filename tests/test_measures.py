@@ -192,16 +192,16 @@ class TestSupportBound:
 class TestRandomHermitian:
     def test_zero_target(self):
         h = random_hermitian_with_trace_norm(4, 0.0, seed=1)
-        assert np.all(h.matrix == 0)
+        assert np.all(h == 0) and h.shape == (4, 4)
 
     def test_trace_norm_hits_target(self):
         for seed in range(5):
             h = random_hermitian_with_trace_norm(6, 0.45, seed=seed)
-            assert np.sum(np.abs(np.linalg.eigvalsh(h.matrix))) == pytest.approx(0.45, abs=1e-12)
+            assert np.sum(np.abs(np.linalg.eigvalsh(h))) == pytest.approx(0.45, abs=1e-12)
 
     def test_hermiticity(self):
         h = random_hermitian_with_trace_norm(5, 1.0, seed=3)
-        assert np.max(np.abs(h.matrix - h.matrix.conj().T)) < 1e-14
+        assert np.max(np.abs(h - h.conj().T)) < 1e-14
 
     def test_negative_target_rejected(self):
         with pytest.raises(UsageError):

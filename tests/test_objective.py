@@ -324,7 +324,7 @@ class TestSweepProperty:
         kernel = LossKernel(dims, budget, sub)
         x = rng.standard_normal(kernel.n_params)
         before = x.copy()
-        (swept, _, _, sweeps), = kernel.sweep(x[None], OptimConfig().tol_grad)
+        (swept, _, _, sweeps), = kernel.sweep(x[None])
         np.testing.assert_array_equal(x, before)
         if budget > 1:
             assert sweeps == 0
@@ -354,8 +354,7 @@ class TestSweepProperty:
             c_closed, c_dense = closed._solve(q, p)[1][0], dense._solve(q, p)[1][0]
             assert abs(abs(np.vdot(c_closed, c_dense)) - 1.0) < 1e-12
         x = rng.standard_normal((1, closed.n_params))
-        tol = OptimConfig().tol_grad
-        assert abs(closed.value(closed.sweep(x, tol)[0][0]) - dense.value(dense.sweep(x, tol)[0][0])) < 1e-12
+        assert abs(closed.value(closed.sweep(x)[0][0]) - dense.value(dense.sweep(x)[0][0])) < 1e-12
 
 
 class TestBudgetOne:
@@ -405,7 +404,6 @@ class TestBudgetOne:
         dims = (4, 2, 3)
         sub = random_subspace(dims, 3, np.random.default_rng(1))
         draw = np.random.default_rng(2).standard_normal(params_length(dims, 2) + 1)
-        tol = OptimConfig().tol_grad
         for budget in (1, 2):
             kernel = LossKernel(dims, budget, sub)
             # budget 1: the full length; budget 2: one float too many; both: one too few
@@ -416,7 +414,7 @@ class TestBudgetOne:
                         call(x)
             for x in (long[None], short[None], draw[:kernel.n_params]):  # the last is a bare point, not a stack
                 with pytest.raises(UsageError, match="parameters"):
-                    kernel.sweep(x, tol)
+                    kernel.sweep(x)
 
     @pytest.mark.parametrize("sub", [
         *(strip_subspace(StripParams(d, 1.0)) for d in (3, 4, 5, 6)),
@@ -447,7 +445,7 @@ class TestBudgetOne:
                     call(x)
             # a stacked sweep reports the singular lane and sweeps the others
             starts = np.stack([rng.standard_normal(x.size), x])
-            lanes = LossKernel(dims, 1, sub).sweep(starts, OptimConfig().tol_grad)
+            lanes = LossKernel(dims, 1, sub).sweep(starts)
             assert lanes[1] is None and lanes[0][3] >= 1
 
     @pytest.mark.parametrize("d_s", [2, 20])
@@ -521,7 +519,7 @@ class TestBudgetOneSweepMemo:
         stacks = [start[None] for start in starts] + [starts]
         for stack in stacks:
             before = dict(calls)
-            swept = kernel.sweep(stack, OptimConfig().tol_grad)
+            swept = kernel.sweep(stack)
             rounds = max(sweeps for *_, sweeps in swept)
             leaving = len({sweeps for *_, sweeps in swept})  # the sweeps in which lanes leave
             assert calls["forward"] - before["forward"] == rounds + 1
@@ -555,7 +553,7 @@ class TestBudgetOneSweepMemo:
         starts = np.stack([trial_rng(1, i).standard_normal(kernel.n_params) for i in range(3)])
         for stack in [start[None] for start in starts] + [starts]:
             before = dict(calls)
-            swept = kernel.sweep(stack, OptimConfig().tol_grad)
+            swept = kernel.sweep(stack)
             assert (calls["forward"] - before["forward"], calls["backward"] - before["backward"]) == (1, 1)
             for (point, *_, sweeps), start in zip(swept, stack):
                 np.testing.assert_array_equal(point, start)

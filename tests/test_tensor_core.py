@@ -6,7 +6,6 @@ import pytest
 from rankgauge import Bipartition, PureState, UsageError, basis_state, haar_random_state, kron_chain
 from rankgauge.tensor_core import (
     MAX_AMPLITUDES,
-    HermitianOp,
     as_dims,
     canonical_bipartitions,
     reshape_bipartite,
@@ -222,7 +221,7 @@ class TestHermitianEig:
         np.testing.assert_allclose(u, np.diag(np.exp([-1j, 1j])), atol=1e-15)
 
     def test_zero(self):
-        np.testing.assert_allclose(unitary_from_hamiltonian(HermitianOp(np.zeros((3, 3)))), np.eye(3))
+        np.testing.assert_allclose(unitary_from_hamiltonian(np.zeros((3, 3), dtype=np.complex128)), np.eye(3))
 
     def test_reconstruction(self, rng):
         # every eigenpair (w, v) of H is an eigenpair (exp(-iw), v) of U
@@ -237,10 +236,20 @@ class TestHermitianEig:
         with pytest.raises(UsageError):
             unitary_from_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
-    def test_hermitian_op_stores_exact_hermitian_part(self, rng):
-        h = random_hermitian(5, rng) + 1e-9 * rng.standard_normal((5, 5))
-        op = HermitianOp(h)
-        assert np.max(np.abs(op.matrix - op.matrix.conj().T)) < 1e-15
+    def test_uses_exact_hermitian_part(self, rng):
+        # an asymmetry within HERMITIAN_ATOL is accepted, and U is the
+        # exponential of the Hermitian part
+        h = random_hermitian(5, rng)
+        noisy = h + 1e-9 * rng.standard_normal((5, 5))
+        np.testing.assert_array_equal(unitary_from_hamiltonian(noisy),
+                                      unitary_from_hamiltonian((noisy + noisy.conj().T) / 2.0))
+        assert np.max(np.abs(unitary_from_hamiltonian(noisy) - unitary_from_hamiltonian(h))) < 1e-8
+
+    @pytest.mark.parametrize("h", [np.zeros((2, 3)), np.zeros(3), np.diag([1.0, np.nan]), np.diag([np.inf, 0.0])],
+                             ids=["non-square", "vector", "nan", "inf"])
+    def test_rejects_bad_matrix(self, h):
+        with pytest.raises(UsageError, match="square|finite"):
+            unitary_from_hamiltonian(h)
 
 
 class TestUnitaryFromHamiltonian:
