@@ -10,17 +10,20 @@ reports its stop reason. A trial whose draw is singular redraws it from
 its own stream and sweeps it alone, so no other trial sees it. L-BFGS
 either finishes the trial or, where the sweeps already reached the
 gradient tolerance, certifies the swept point with `gradient-tolerance`
-after no iteration. The accepted-iterate loss sequence is strictly
-nonincreasing (the line search only accepts sufficient decrease). Trials
-are independent given their (seed, trial index) substream, so the
-driver's min-reduction is order independent.
+after no iteration. Each accepted iterate's loss is at most FLOOR_BAND
+times the previous loss's magnitude above it (the line search accepts
+sufficient decrease, or a point of the floor band by its slope); such a
+rise counts toward the plateau window, so a run stops at `loss-plateau`
+after PLATEAU_WINDOW rises in a row. Trials are independent given their
+(seed, trial index) substream, so the driver's min-reduction is order
+independent.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +40,15 @@ TOL_LOSS_REL = 1e-14
 # Armijo and curvature constants of the line search.
 ARMIJO_C1 = 1e-4
 CURVATURE_C2 = 0.9
+# The approximate Wolfe rule (Hager and Zhang 2005): a trial point that
+# fails Armijo but lies at most FLOOR_BAND |f0| above f0, where a good
+# step's loss change is rounding noise, is decided by its slope, with
+# delta WOLFE_DELTA.
+FLOOR_BAND = 1e-14
+WOLFE_DELTA = 0.1
 # Trial steps of one line search. A search at the float64 floor, where no
-# step gives a representable decrease, bisects through all of them.
+# step gives a representable decrease and no point of the floor band meets
+# the slope test, bisects through all of them.
 LINE_SEARCH_STEPS = 60
 # In-trial reinitializations allowed after singular starting parameters.
 MAX_REINITS = 3
@@ -87,15 +97,24 @@ class LbfgsResult:
 
 
 def _wolfe_line_search(value, value_and_grad, x, f0, g0, direction, t0):
-    """Weak-Wolfe search along `direction` by bisection/doubling.
+    """Weak-Wolfe search along `direction` by bisection/doubling, with the
+    approximate Wolfe rule of Hager and Zhang (SIAM J. Optim. 16, 2005)
+    in the floor band.
 
     `value` returns the loss, or inf for points it cannot evaluate;
     `value_and_grad` returns (loss, gradient). Every new trial point gets
-    a value; only points that pass the Armijo test also get a gradient,
-    since a rejected point's gradient is never read. Returns
-    (t, x_t, f_t, g_t) or None if no acceptable point with sufficient
-    decrease was found within LINE_SEARCH_STEPS trial steps. Near the
-    float floor distinct steps round to the same point; both oracles are
+    a value. A point that passes the Armijo test also gets a gradient and
+    is accepted if it meets the curvature condition, else the next step is
+    longer.
+    A finite point that fails Armijo but lies in the floor band,
+    f_t <= f0 + FLOOR_BAND |f0|, where the loss change of a good step is
+    rounding noise, also gets a gradient and is accepted if
+    CURVATURE_C2 phi'(0) <= phi'(t) <= (2 WOLFE_DELTA - 1) phi'(0); so an
+    accepted point lies at most FLOOR_BAND |f0| above f0. Every other
+    point halves the step. Returns (t, x_t, f_t, g_t); after
+    LINE_SEARCH_STEPS trial steps with no point accepted, the lowest point
+    that passed Armijo below f0, or None if there is none. Near the float
+    floor distinct steps round to the same point; both oracles are
     deterministic, so each point is evaluated once and looked up after
     that, x itself included.
     """
@@ -110,20 +129,24 @@ def _wolfe_line_search(value, value_and_grad, x, f0, g0, direction, t0):
         if key not in seen:
             seen[key] = (value(xt), None)
         ft, gt = seen[key]
-        if not math.isfinite(ft) or ft > f0 + ARMIJO_C1 * t * slope0:
-            hi = t
-            t = 0.5 * (lo + hi)
-            continue
-        if gt is None:
-            gt = value_and_grad(xt)[1]
-            seen[key] = (ft, gt)
-        if best is None or ft < best[2]:
-            best = (t, xt, ft, gt)
-        if float(np.dot(gt, direction)) < CURVATURE_C2 * slope0:
-            lo = t
-            t = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
-            continue
-        return t, xt, ft, gt
+        armijo = ft <= f0 + ARMIJO_C1 * t * slope0
+        if armijo or ft <= f0 + FLOOR_BAND * abs(f0):  # inf and nan fail both
+            if gt is None:
+                gt = value_and_grad(xt)[1]
+                seen[key] = (ft, gt)
+            slope = float(np.dot(gt, direction))
+            if armijo:
+                if best is None or ft < best[2]:
+                    best = (t, xt, ft, gt)
+                if slope < CURVATURE_C2 * slope0:
+                    lo = t
+                    t = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
+                    continue
+                return t, xt, ft, gt
+            if CURVATURE_C2 * slope0 <= slope <= (2.0 * WOLFE_DELTA - 1.0) * slope0:
+                return t, xt, ft, gt
+        hi = t
+        t = 0.5 * (lo + hi)
     if best is not None and best[2] < f0:
         return best
     return None
@@ -212,10 +235,10 @@ def lbfgs_minimize(
     g0 there and two exact oracles: `value(x)` returns the loss and
     `value_and_grad(x)` returns (loss, gradient), the same loss bit for
     bit. x0 itself is not evaluated; each line search gets a value at every
-    new trial point and a gradient only where the Armijo test passes, so a
-    rejected point costs one value. An accepted step's curvature pair
-    enters the history only after the stop tests at its point, when the
-    next direction needs it, and the l-inf gradient norm is taken once per
+    new trial point and a gradient only where the Armijo test passes or the
+    point lies in the floor band, so a rejected point costs one value. An
+    accepted step's curvature pair enters the history only after the stop
+    tests at its point, when the next direction needs it, and the l-inf gradient norm is taken once per
     accepted point, for the stop test and the result. The gradient and
     zero-level tests run at x0 and at every accepted point, the one after
     the last allowed iteration included.
@@ -225,13 +248,12 @@ def lbfgs_minimize(
     gradient; meant for losses bounded below by 0, where the default 0.0
     stops only at an exact zero), `loss-plateau` (relative decrease
     below TOL_LOSS_REL for PLATEAU_WINDOW consecutive accepted steps),
-    `loss-floor` (no representable decrease exists along the model
-    direction, i.e. the relative-decrease criterion holds vacuously at the
-    float64 floor; the last line search bisected through all
-    LINE_SEARCH_STEPS trial steps, evaluating each distinct point once;
-    values alone decide it, so leaving rejected points without gradients
-    does not move it), or `iteration-cap`. Trial points whose value raises
-    SingularParameterError are treated as +inf and backtracked over.
+    `loss-floor` (the last line search returned nothing: no representable
+    decrease exists along the model direction and no point of the floor
+    band met the slope test, so it bisected through all LINE_SEARCH_STEPS
+    trial steps, evaluating each distinct point once), or `iteration-cap`.
+    Trial points whose value raises SingularParameterError are treated as
+    +inf and backtracked over.
     """
     x, f, g = np.array(x0, dtype=np.float64), f0, g0
 
@@ -305,12 +327,21 @@ class TrialDiagnostics:
 @dataclass(frozen=True)
 class OptimReport:
     """Best trial of a certification run plus per-trial diagnostics. The
-    best state is built from best_params on first read of `best_state`."""
+    witness is built on first read: `best_params` from the run's kernel
+    and the best trial's point, `best_state` from `best_params`. The
+    report holds the kernel, and so its constants, while it lives."""
 
     best_value: float
-    best_params: RankParams
     best_trial: int
     per_trial: tuple[TrialDiagnostics, ...]
+    kernel: LossKernel = field(repr=False, compare=False)
+    best_x: np.ndarray = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def best_params(self) -> RankParams:
+        # at rank budget 1 x holds all factors but the solved party's: insert
+        # it, so that the reported state is the one whose loss is best_value
+        return RankParams(self.kernel.dims, self.kernel.r, self.kernel.completed(self.best_x))
 
     @functools.cached_property
     def best_state(self) -> PureState:
@@ -383,12 +414,4 @@ def run_certification(sub: Subspace, r: int, cfg: OptimConfig) -> OptimReport:
     if not finished:
         raise OptimizationError("all optimization trials failed")
     best_idx = min(finished, key=lambda i: diagnostics[i].value)  # the first of equal values
-    # at rank budget 1 x holds all factors but the solved party's: insert
-    # it, so that the reported state is the one whose loss is best_value
-    best_params = RankParams(sub.dims, r - 1, kernel.completed(outcomes[best_idx][0]))
-    return OptimReport(
-        best_value=diagnostics[best_idx].value,
-        best_params=best_params,
-        best_trial=best_idx,
-        per_trial=diagnostics,
-    )
+    return OptimReport(diagnostics[best_idx].value, best_idx, diagnostics, kernel, outcomes[best_idx][0])

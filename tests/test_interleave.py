@@ -1,5 +1,6 @@
 """tools/interleave.py on the repository against itself."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -17,4 +18,8 @@ def test_repository_against_itself():
     lines = proc.stdout.splitlines()
     package = str(ROOT / "src" / "rankgauge")
     assert lines[:3] == [f"A: {package}", f"B: {package}", "ops 32 (1 rounds of strip-sweep, seed 0)"]
+    wall = re.fullmatch(r"round wall s  A (\S+)  B (\S+)  B/A \d\.\d{4}", lines[-3])
+    assert wall, lines[-3]
+    wall_a, wall_b = map(float, wall.groups())
+    assert lines[-2] == f"B faster in {int(wall_b < wall_a)} of 1 rounds"
     assert lines[-1] == "identical values and verdicts in 32 of 32 ops"

@@ -25,11 +25,13 @@ from rankgauge.objective import LossKernel
 from rankgauge.rank_param import trial_rng
 from rankgauge.catalog import (
     StripParams,
+    WTypeCoeffs,
     dicke_state,
     ghz_state,
     max_ces_subspace,
     strip_e2_closed_form,
     strip_subspace,
+    w_type_state,
 )
 
 from test_objective import free_floats, party_slot, solved_party
@@ -210,14 +212,22 @@ class TestLbfgs:
     def test_no_point_is_evaluated_twice(self, monkeypatch):
         # Floor searches bisect until distinct steps round to the same
         # point; each point must still get one forward pass, and only
-        # points that pass the Armijo test may get a backward pass.
-        # E_3 of the 3 x 3 maximally entangled state: some of its budget-2
-        # starts end at the floor (seeds 2 and 6 here), which budget-1
-        # starts, with one party solved exactly, no longer reach
-        sub = span_of(ghz_state(2, 3))
-        kernel = LossKernel(sub.dims, 2, sub)
-        starts = kernel.sweep(np.array([trial_rng(seed).standard_normal(kernel.n_params) for seed in range(1, 7)]))
-        direct = [lbfgs_minimize(kernel.value, kernel.value_and_grad, *start[:3]) for start in starts]
+        # points that pass the Armijo test or lie in the floor band may get
+        # a backward pass.
+        # E_3 of the 3 x 3 maximally entangled state, whose budget-2
+        # searches reject points outside the band, and E_2 of a W-type
+        # state of `reproduce fig3 --seed 7`, the third of whose seed-7
+        # trials ends at the floor, where every point lies in the band
+        cases = []
+        for sub, budget, rngs in [
+            (span_of(ghz_state(2, 3)), 2, [trial_rng(seed) for seed in range(1, 7)]),
+            (span_of(w_type_state(WTypeCoeffs(-0.7372857536982734, 0.6057520267007247, -0.29912238221425935))), 1,
+             [trial_rng(7, i) for i in range(3)]),
+        ]:
+            kernel = LossKernel(sub.dims, budget, sub)
+            starts = kernel.sweep(np.array([rng.standard_normal(kernel.n_params) for rng in rngs]))
+            direct = [lbfgs_minimize(kernel.value, kernel.value_and_grad, *start[:3]) for start in starts]
+            cases += [(kernel, start, ref) for start, ref in zip(starts, direct)]
 
         forward = []
         real_forward = objective.forward_map
@@ -244,13 +254,14 @@ class TestLbfgs:
         monkeypatch.setattr(opt_mod, "_wolfe_line_search", recording_search)
         reasons = []
         gradients = forwards = 0
-        for start, ref in zip(starts, direct):
+        for kernel, start, ref in cases:
             forward.clear()
             searches.clear()
             res = lbfgs_minimize(kernel.value, kernel.value_and_grad, *start[:3])
             assert len(set(forward)) == len(forward)
-            # Armijo with a descent direction implies f_t <= f0
-            assert all(ft <= f0 for f0, graded in searches for ft in graded)
+            # Armijo with a descent direction implies f_t <= f0; the floor
+            # band reaches FLOOR_BAND |f0| above it
+            assert all(ft <= f0 + opt_mod.FLOOR_BAND * abs(f0) for f0, graded in searches for ft in graded)
             # x0 comes with its value and gradient and takes no pass; a
             # start whose searches accept every trial point grades all the
             # others
@@ -264,6 +275,15 @@ class TestLbfgs:
             reasons.append(res.reason)
         assert gradients < forwards
         assert "loss-floor" in reasons
+
+    def test_floor_band_point_is_accepted_by_its_slope(self):
+        # a 2 x 6 strip whose second trial once bisected through every step
+        # at the float floor, 4.7e-10 from gradient tolerance
+        report = run_certification(strip_subspace(StripParams(6, 2.901518940954653)), 2,
+                                   OptimConfig(seed=1137275413))
+        for d in report.per_trial:
+            assert d.reason == "gradient-tolerance" and d.grad_inf < objective.TOL_GRAD
+        assert report.best_value == float.fromhex("0x1.d0cbc029e5748p-9")
 
 
 class FlakySweepKernel:
@@ -610,6 +630,17 @@ class TestRunCertification:
         np.testing.assert_array_equal(state.amp, real_build(report.best_params).amp)
         assert report.best_state is state
         assert len(built) == 1
+
+    def test_best_params_are_built_on_first_read(self, monkeypatch):
+        completed = []
+        real_completed = LossKernel.completed
+        monkeypatch.setattr(LossKernel, "completed", lambda self, x: completed.append(x) or real_completed(self, x))
+        report = run_certification(strip_subspace(StripParams(4, 1.0)), 2, OptimConfig(seed=2))
+        assert completed == []
+        params = report.best_params
+        assert len(completed) == 1
+        assert report.best_params is params
+        assert len(completed) == 1
 
     @pytest.mark.parametrize("make_sub, r, lane", [
         # 2 x 3: the Gram matrix of party 1's 3 amplitudes, then r - 1 states

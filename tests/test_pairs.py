@@ -1,6 +1,8 @@
-"""The verdict rule of tools/pairs.py on made-up runs."""
+"""The verdict and same-work rules of tools/pairs.py, and its reading of a
+run's output, on made-up runs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,26 @@ def test_verdicts(metric, parent, change, verdict):
     summary = pairs.summarize(metric, parent, change)
     assert summary["verdict"] == verdict
     assert summary["pairs_change_better"] + summary["pairs_parent_better"] <= len(parent)
+
+
+@pytest.mark.parametrize("parent, change, same", [
+    (["a", "b"], ["a", "b"], True),
+    # runs of different length compare over the rounds both ran
+    (["a", "b", "c"], ["a", "b"], True),
+    (["a"], ["a", "x"], True),
+    (["a", "b"], ["a", "x"], False),
+    (["a", "b"], [], False),
+])
+def test_same_work(parent, change, same):
+    assert pairs.same_work(parent, change) is same
+
+
+def test_run_keeps_the_round_digests(tmp_path):
+    (tmp_path / "bench").mkdir()
+    record = {"record": {"workload": "w", "rounds": 2, "round_digests": ["a", "b"], "env": {"numpy": "x"}}}
+    result = {"correct": True, "attempted": 4, "failed": 0, "metrics": {"wall_s": {"value": 0.5, "unit": "s"}}}
+    (tmp_path / "bench" / "run.py").write_text(f"print('wall_s 0.5 s')\nprint({json.dumps(json.dumps(record))})\n"
+                                               f"print({json.dumps(json.dumps(result))})\n")
+    run = pairs.run_once(tmp_path, "w", 3, 1.0)
+    assert run["round_digests"] == ["a", "b"] and run["env"] == {"numpy": "x"}
+    assert run["metrics"] == {"wall_s": 0.5} and run["failed"] == 0

@@ -12,7 +12,10 @@ benchmark processes on a shared machine spread by tens of percent. The
 seed and the round index give the ops' inputs, as in `bench/worker.py`.
 
 Prints each side's p50 and p90 op latency and their B / A ratios, the
-median of the per-op ratios, the ops in which B was faster, and the ops
+median of the per-op ratios, the ops in which B was faster, each side's
+median round wall (the sum of its op latencies in a round; the
+benchmark's wall_s is the median of its round walls) with their B / A
+ratio and the rounds in which B was faster, and the ops
 whose value and verdict are identical on both sides (values compared as
 float64 bits). BLAS runs one thread unless the caller sets
 OPENBLAS_NUM_THREADS / OMP_NUM_THREADS. No op's failure is forgiven: an
@@ -75,7 +78,7 @@ def main(argv=None) -> int:
     sides = [load_side(args.a, "workloads_a"), load_side(args.b, "workloads_b")]
     workloads = [side.WORKLOADS[args.workload] for side in sides]
     inputs = [w.build(args.seed) for w in workloads]
-    lat, same = ([], []), 0
+    lat, walls, same = ([], []), ([], []), 0
     for k in range(args.rounds):
         rounds = [w.ops(x, args.seed, k) for w, x in zip(workloads, inputs)]
         for j, pair in enumerate(zip(*rounds)):
@@ -86,10 +89,13 @@ def main(argv=None) -> int:
             for s in (0, 1):
                 lat[s].append(out[s][0])
             same += out[0][2] == out[1][2] and out[0][1].hex() == out[1][1].hex()
+        for s in (0, 1):
+            walls[s].append(sum(lat[s][-len(rounds[s]):]))
     n = len(lat[0])
     p50 = [statistics.median(x) for x in lat]
     p90 = [statistics.quantiles(x, n=10, method="inclusive")[8] if n > 1 else x[0] for x in lat]
     ratios = [b / a for a, b in zip(*lat)]
+    wall = [statistics.median(x) for x in walls]
     for label, side in zip("AB", sides):
         print(f"{label}: {Path(side.optimizer.__file__).parent}")
     print(f"ops {n} ({args.rounds} rounds of {args.workload}, seed {args.seed})")
@@ -97,6 +103,8 @@ def main(argv=None) -> int:
     print(f"p90 s    A {p90[0]:.6g}  B {p90[1]:.6g}  B/A {p90[1] / p90[0]:.4f}")
     print(f"per-op B/A median {statistics.median(ratios):.4f}")
     print(f"B faster in {sum(r < 1.0 for r in ratios)} of {n} ops")
+    print(f"round wall s  A {wall[0]:.6g}  B {wall[1]:.6g}  B/A {wall[1] / wall[0]:.4f}")
+    print(f"B faster in {sum(b < a for a, b in zip(*walls))} of {args.rounds} rounds")
     print(f"identical values and verdicts in {same} of {n} ops")
     return 0
 

@@ -21,11 +21,17 @@ side won (ties count for neither) and a verdict:
   exceeds the bound, so the runs spread too widely to tell;
 - `within bound`: none of these, and the runs resolve the bound.
 
+It also prints in how many pairs the two runs' round digests (the hashes
+of each round's op values and verdicts in the `record` line of
+`bench/run.py`) agree over the rounds both ran, which shows whether
+parent and change did the same work.
+
 Both checkouts should be in the same state: where only one holds
 compiled bytecode under src/, its imports skip compilation and setup_s
 compares cached against uncached imports, so the tool warns.
 
---json writes every run and every summary. Standard library only.
+--json writes every run, its round digests included, and every summary.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -39,15 +45,23 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One `bench/run.py` run in `checkout`: its result and environment."""
+    """One `bench/run.py` run in `checkout`: its result, round digests and
+    environment."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     result = lines[-1]
-    env = next((line["record"]["env"] for line in lines if "record" in line), {})
+    record = next((line["record"] for line in lines if "record" in line), {})
     return {"seed": seed, "correct": result["correct"], "failed": result["failed"],
-            "metrics": {name: m["value"] for name, m in result["metrics"].items()}, "env": env}
+            "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+            "round_digests": record.get("round_digests", []), "env": record.get("env", {})}
+
+
+def same_work(a: list[str], b: list[str]) -> bool:
+    """Whether two runs' round digests agree over the rounds both ran."""
+    n = min(len(a), len(b))
+    return n > 0 and a[:n] == b[:n]
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -126,10 +140,12 @@ def main(argv=None) -> int:
               + f"{s['pairs_change_better']:2d}/{args.pairs}  {s['verdict']}")
     failed = {side: sum(r["failed"] for r in rs) for side, rs in runs.items()}
     print(f"failed ops: parent {failed['parent']}, change {failed['change']}")
+    same = sum(same_work(p["round_digests"], c["round_digests"]) for p, c in zip(runs["parent"], runs["change"]))
+    print(f"round digests match in {same} of {args.pairs} pairs")
     if args.json:
         args.json.write_text(json.dumps({
             "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
-            "seeds": [args.seed, args.seed + args.pairs - 1], "failed_ops": failed,
+            "seeds": [args.seed, args.seed + args.pairs - 1], "failed_ops": failed, "digests_match": same,
             "env": runs["parent"][0]["env"], "runs": runs, "end_to_end": summary,
         }, indent=1) + "\n")
     return 0
