@@ -46,7 +46,7 @@ from . import catalog
 
 # Also the results version that manifests record as `artifact_version`: a
 # change that moves any output bit bumps it, here and in pyproject.toml.
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     # types

@@ -107,15 +107,25 @@ gradient is below TOL_GRAD, which L-BFGS then only certifies, or at a
 stall: a sweep that shrinks the gradient by less than FINISH_RATE, or
 MAX_FINISH_SWEEPS sweeps in all. One free qubit (every 2 x d strip and
 the 2 x 3 subspaces of fig2) keeps the handover alone and takes no
-gradient in the sweeps: L-BFGS finishes those trials in about two
-iterations.
+gradient in the sweeps but those of the handoff: L-BFGS finishes those
+trials in about one iteration.
 
 The handoff to L-BFGS is explicit: `LossKernel.sweep` returns each
 lane's start with its value and gradient, from the stacked passes it ran,
 and L-BFGS does not evaluate its start. At budgets >= 2 that is the
 stack's first forward pass and one backward pass; at budget 1 the
-backward pass of the sweep in which the lane left the stack. The
-singular lanes are masked in the first forward pass, at every budget.
+backward pass of the sweep in which the lane left the stack. At budget 1
+a lane that L-BFGS will step from (gradient at or above TOL_GRAD, loss
+above ZERO_LEVEL) also gets the secant pair of its last sweep, s = x_k -
+x_{k-1} and y = g_k - g_{k-1}, which L-BFGS puts through its curvature
+test before its first direction, so that its first step is quasi-Newton
+rather than steepest descent. g_{k-1} is the gradient of the sweep
+before where that sweep took one (the continuation's); otherwise the
+sweep in which the lane leaves runs one more backward pass, of the whole
+stack of the sweep before, from the forward pass it kept, and picks the
+lane's row through the compaction between the two sweeps, so no lane's
+arrays are gathered. Budgets >= 2 have no sweeps and hand over no pair.
+The singular lanes are masked in the first forward pass, at every budget.
 """
 
 from __future__ import annotations
@@ -341,11 +351,16 @@ class LossKernel:
             return x
         return np.insert(x.view(np.complex128), sum(self.dims[:self.eliminated]), best[0]).view(np.float64)
 
-    def sweep(self, x: np.ndarray) -> list[tuple[np.ndarray, float, np.ndarray, int] | None]:
+    def sweep(self, x: np.ndarray) -> list[tuple[np.ndarray, float, np.ndarray, int, tuple | None] | None]:
         """The L-BFGS starts of a stack x of drawn points, shape (lanes,
-        n_params): per lane (point, value, gradient, sweeps), or None where
-        the drawn point is singular (where `value` would raise). The value
-        and gradient are those `value_and_grad(point)` returns, bit for bit.
+        n_params): per lane (point, value, gradient, sweeps, pair), or None
+        where the drawn point is singular (where `value` would raise). The
+        value and gradient are those `value_and_grad(point)` returns, bit
+        for bit. The pair is the secant pair (s, y) of the lane's last
+        sweep, s = x_k - x_{k-1} and y = g_k - g_{k-1}, with g_{k-1} the
+        gradient `value_and_grad(x_{k-1})` returns; it is None at budgets
+        >= 2, which have no sweeps, and for a lane whose start L-BFGS only
+        certifies (gradient below TOL_GRAD or value at or below ZERO_LEVEL).
 
         Works on a copy of x, whose first forward pass masks the singular
         lanes. At budgets >= 2 each point is its draw, and one backward pass
@@ -359,8 +374,13 @@ class LossKernel:
         it, with its last swept point, whose factors are unit vectors, and
         the number of sweeps that made it; x and the c* stack are compacted
         together. A sweep in which some lane reads its gradient or leaves
-        the stack runs one backward pass of the whole stack. There is no
-        rollback."""
+        the stack runs one backward pass of the whole stack. Each sweep
+        keeps one copy of the stack's points from before it, for s. Where
+        the sweep before took a backward pass, g_{k-1} is read from it;
+        otherwise, once a leaving lane needs a pair, one backward pass of
+        the sweep before's whole stack, from the forward pass it kept,
+        gives g_{k-1}, and the lane's row is picked through the compaction
+        between the two sweeps. There is no rollback."""
         x = np.array(x, dtype=np.float64, order="C")
         out = [None] * len(x)
         lanes = np.arange(len(x))  # the lane of each row of x
@@ -374,13 +394,20 @@ class LossKernel:
             forward = self._pass(x)
         if self.eliminated is None:
             for lane, point, value, grad in zip(lanes, x, forward.value.tolist(), self._grad(forward)):
-                out[lane] = (point, value, grad, 0)
+                out[lane] = (point, value, grad, 0, None)
             return out
         best = forward.best  # party e's factor of each row, c* of its last pass
         # per row: the rules' state; grad_inf is set once the row reads gradients
         value, drop, ratio = forward.value.tolist(), [math.inf] * len(x), [0.0] * len(x)
         sweeps, grad_inf = [0] * len(x), [None] * len(x)
+        grads = keep = None
         while len(lanes):
+            # the sweep before: its forward pass of its own stack, its
+            # gradients if it took them, and the row there of each row of x
+            # (None: the same row); and the points before this sweep
+            back, back_grads, back_rows = forward, grads, keep
+            grads = keep = None
+            before = x.copy()
             forward = self._sweep_once(x, best)
             best = forward.best
             done, reads = set(), []  # rows that leave the stack; rows that read their gradient
@@ -415,7 +442,13 @@ class LossKernel:
                 if not go_on or sweeps[i] >= MAX_FINISH_SWEEPS:
                     done.add(i)
             for i in done:
-                out[lanes[i]] = (x[i].copy(), float(forward.value[i]), grads[i], sweeps[i])
+                pair = None
+                if norms[i] >= TOL_GRAD and forward.value[i] > ZERO_LEVEL:  # L-BFGS will step
+                    if back_grads is None:
+                        back_grads = self._grad(back)  # the whole stack again, for the same bits
+                    j = i if back_rows is None else back_rows[i]
+                    pair = (x[i] - before[i], grads[i] - back_grads[j])
+                out[lanes[i]] = (x[i].copy(), float(forward.value[i]), grads[i], sweeps[i], pair)
             if done:
                 keep = [i for i in range(len(lanes)) if i not in done]
                 x, best, lanes = x[keep], best[keep], lanes[keep]

@@ -5,8 +5,10 @@ A certification draws each trial's start from the trial's own stream and
 sweeps all draws as one stack with `LossKernel.sweep` (exact one-party
 solves in lockstep at rank budget 1, the draws as they are at budgets
 >= 2), which hands each trial its start with the start's value and
-gradient. L-BFGS then runs once per trial from there, and the trial
-reports its stop reason. A trial whose draw is singular redraws it from
+gradient, and at budget 1 the secant pair of the start's last sweep.
+L-BFGS then runs once per trial from there, with that pair as its first
+curvature pair where it passes the curvature test, and the trial reports
+its stop reason. A trial whose draw is singular redraws it from
 its own stream and sweeps it alone, so no other trial sees it. L-BFGS
 either finishes the trial or, where the sweeps already reached the
 gradient tolerance, certifies the swept point with `gradient-tolerance`
@@ -76,8 +78,9 @@ class OptimConfig:
     def __post_init__(self):
         for name in ("max_iters", "trials", "seed"):
             object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.max_iters < 1 or self.trials < 1:
-            raise UsageError("max_iters and trials must be >= 1")
+        for name in ("max_iters", "trials"):
+            if getattr(self, name) < 1:
+                raise UsageError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
 
@@ -167,9 +170,10 @@ class _History:
     diagonal entry: zeroing that pair's row drops it and leaves the
     inverse of the remaining R.
 
-    `lbfgs_minimize` pushes an accepted step's pair just before the next
-    direction, the first thing that reads it, so a run that stops after
-    its last step never pays for that step's push.
+    `lbfgs_minimize` pushes an accepted step's pair, or the pair its start
+    came with, just before the next direction, the first thing that reads
+    it, so a run that stops after its last step never pays for that
+    step's push.
 
     Slots may outnumber the n parameters. Pairs beyond n are then linearly
     dependent, but R stays triangular with the positive diagonal
@@ -228,17 +232,24 @@ def lbfgs_minimize(
     f0: float,
     g0: np.ndarray,
     *,
+    pair: tuple[np.ndarray, np.ndarray] | None = None,
     max_iters: int = OptimConfig.max_iters,
     zero_level: float = 0.0,
 ) -> LbfgsResult:
     """Minimize a smooth function from x0, given its loss f0 and gradient
     g0 there and two exact oracles: `value(x)` returns the loss and
     `value_and_grad(x)` returns (loss, gradient), the same loss bit for
-    bit. x0 itself is not evaluated; each line search gets a value at every
-    new trial point and a gradient only where the Armijo test passes or the
-    point lies in the floor band, so a rejected point costs one value. An
-    accepted step's curvature pair enters the history only after the stop
-    tests at its point, when the next direction needs it, and the l-inf gradient norm is taken once per
+    bit. `pair` is an optional curvature pair (s, y) that ends at x0, such
+    as the secant pair of the step that reached it: it goes through the
+    history's curvature test before the first direction, like the pair of
+    an accepted step, so a pair that passes makes the first step
+    quasi-Newton (of unit length), and one that fails leaves the run as
+    without it. x0 itself is not evaluated; each line search gets a value
+    at every new trial point and a gradient only where the Armijo test
+    passes or the point lies in the floor band, so a rejected point costs
+    one value. An accepted step's curvature pair, like x0's, enters the
+    history only after the stop tests at its point, when the next
+    direction needs it, and the l-inf gradient norm is taken once per
     accepted point, for the stop test and the result. The gradient and
     zero-level tests run at x0 and at every accepted point, the one after
     the last allowed iteration included.
@@ -264,7 +275,7 @@ def lbfgs_minimize(
             return math.inf
 
     hist = _History(x.size)
-    pair = None  # the last accepted step's (s, y), pushed once the next direction needs it
+    # pair: the last accepted step's (s, y), or the start's, pushed once the next direction needs it
     values = [float(f)]
     g_inf = float(np.abs(g).max(initial=0.0))
     plateau = 0
@@ -350,8 +361,8 @@ class OptimReport:
 
 def _minimize_kernel(kernel, rng, cfg: OptimConfig, start):
     """One trial against a prepared kernel: L-BFGS from `start`, the
-    (point, value, gradient, sweeps) that `kernel.sweep` handed over for
-    the trial's first draw from `rng`, or None where that draw was
+    (point, value, gradient, sweeps, pair) that `kernel.sweep` handed over
+    for the trial's first draw from `rng`, or None where that draw was
     singular. A singular draw is redrawn from `rng` and swept alone, at
     most MAX_REINITS times."""
     for reinit in range(MAX_REINITS + 1):
@@ -359,9 +370,9 @@ def _minimize_kernel(kernel, rng, cfg: OptimConfig, start):
             (start,) = kernel.sweep(rng.standard_normal(kernel.n_params)[None])
         if start is None:
             continue
-        x0, f0, g0, sweeps = start
-        res = lbfgs_minimize(kernel.value, kernel.value_and_grad, x0, f0, g0, max_iters=cfg.max_iters,
-                             zero_level=ZERO_LEVEL)
+        x0, f0, g0, sweeps, pair = start
+        res = lbfgs_minimize(kernel.value, kernel.value_and_grad, x0, f0, g0, pair=pair,
+                             max_iters=cfg.max_iters, zero_level=ZERO_LEVEL)
         return res.x, TrialDiagnostics(res.value, res.iterations, res.reason, reinit, sweeps, res.grad_inf)
     return None, TrialDiagnostics(math.inf, 0, "singular-parameters", MAX_REINITS)
 

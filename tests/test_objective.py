@@ -324,10 +324,10 @@ class TestSweepProperty:
         kernel = LossKernel(dims, budget, sub)
         x = rng.standard_normal(kernel.n_params)
         before = x.copy()
-        (swept, _, _, sweeps), = kernel.sweep(x[None])
+        (swept, _, _, sweeps, pair), = kernel.sweep(x[None])
         np.testing.assert_array_equal(x, before)
         if budget > 1:
-            assert sweeps == 0
+            assert sweeps == 0 and pair is None
             np.testing.assert_array_equal(swept, before)
             return
         assert 1 <= sweeps <= objective.MAX_FINISH_SWEEPS
@@ -493,7 +493,7 @@ def counting_passes(monkeypatch):
 def assert_handed_over_fresh(sub, budget, swept):
     """Each lane's value and gradient are what a fresh kernel's
     value_and_grad of its point returns, bit for bit."""
-    for point, value, grad, _ in swept:
+    for point, value, grad, *_ in swept:
         fresh = LossKernel(sub.dims, budget, sub).value_and_grad(point)
         assert value == fresh[0]
         np.testing.assert_array_equal(grad, fresh[1])
@@ -510,26 +510,29 @@ class TestBudgetOneSweepMemo:
         and once per sweep, one stacked solve for all lanes, as is every
         other party's, whether the starts are swept alone or as one stack.
         A sweep runs one backward pass of the stack where some lane reads
-        its gradient or leaves. Each swept point comes with a fresh
-        kernel's value and gradient, and its completion holds c* of its
-        forward pass."""
+        its gradient or leaves, and a sweep in which a lane leaves for
+        L-BFGS steps runs one more, of the stack before, unless that sweep
+        took one. Each swept point comes with a fresh kernel's value and
+        gradient, and its completion holds c* of its forward pass."""
         calls = counting_passes(monkeypatch)
         kernel = LossKernel(sub.dims, 1, sub)
         starts = np.stack([trial_rng(1, i).standard_normal(kernel.n_params) for i in range(3)])
         stacks = [start[None] for start in starts] + [starts]
-        for stack in stacks:
+        # backward passes per stack: on 2 x 4 each lane leaves at its
+        # handover with a pair, 2 passes per sweep in which lanes leave,
+        # and the stack's second such sweep reuses the first one's; the
+        # continuation reads gradients on the 8 and 10 free real dimensions
+        # of the CES and finishes every lane, with no pair
+        backward = {(2, 4): [2, 2, 2, 3], (3, 3, 8): [9, 8, 9, 10], (3, 4, 7): [9, 8, 8, 12]}[sub.dims]
+        for stack, passes in zip(stacks, backward):
             before = dict(calls)
             swept = kernel.sweep(stack)
-            rounds = max(sweeps for *_, sweeps in swept)
-            leaving = len({sweeps for *_, sweeps in swept})  # the sweeps in which lanes leave
+            rounds = max(sweeps for *_, sweeps, _ in swept)
             assert calls["forward"] - before["forward"] == rounds + 1
             assert calls["solve_e"] - before["solve_e"] == rounds + 1
             assert calls["solve_others"] - before["solve_others"] == (len(sub.dims) - 1) * rounds
-            backward = calls["backward"] - before["backward"]
-            # the continuation reads gradients on the 8 and 10 free real
-            # dimensions of the CES, never on the one free qubit of 2 x 4
-            assert leaving <= backward <= rounds
-            assert (backward > leaving) == (len(sub.dims) == 3)
+            assert calls["backward"] - before["backward"] == passes
+            assert all((pair is not None) == (len(sub.dims) == 2) for *_, pair in swept)
             # completing a swept point inserts c* of its own forward pass
             e = sum(sub.dims[:kernel.eliminated])
             for point, *_ in swept:
@@ -538,6 +541,38 @@ class TestBudgetOneSweepMemo:
                 best = LossKernel(sub.dims, 1, sub)._pass(point[None]).best[0]
                 np.testing.assert_array_equal(full.view(np.complex128)[e:e + sub.dims[kernel.eliminated]], best)
             assert_handed_over_fresh(sub, 1, swept)
+
+    @pytest.mark.parametrize("sub, lanes", [
+        (strip_subspace(StripParams(4, 1.0)), 1),
+        (strip_subspace(StripParams(4, 1.0)), 3),  # lanes leave after 4, 3 and 4 sweeps
+        (max_ces_subspace(3, 3, 8), 40),
+    ], ids=["strip-2x4-alone", "strip-2x4-stack", "ces-3x3x8-stack"])
+    def test_leaving_lanes_hand_over_their_last_secant_pair(self, sub, lanes):
+        """A lane that L-BFGS will step from leaves with the secant pair of
+        its last sweep: its point minus its point before that sweep, and
+        its gradient minus a fresh kernel's gradient there, bit for bit.
+        Any other lane leaves with no pair. Of the 40 lanes of 3 x 3 x 8,
+        6 leave for L-BFGS: some at the handover, where the sweep before
+        took no gradient, and some where the continuation stalls on the
+        local minimum 2.29e-4, reading the gradient of the sweep before."""
+        kernel = LossKernel(sub.dims, 1, sub)
+        starts = np.stack([trial_rng(1, i).standard_normal(kernel.n_params) for i in range(lanes)])
+        swept = kernel.sweep(starts)
+        paired = 0
+        for start, (point, value, grad, sweeps, pair) in zip(starts, swept):
+            steps = np.abs(grad).max() >= objective.TOL_GRAD and value > objective.ZERO_LEVEL
+            assert (pair is not None) == steps
+            if pair is None:
+                continue
+            paired += 1
+            # the lane swept alone, one sweep fewer
+            x = start[None].copy()
+            best = kernel._pass(x).best
+            for _ in range(sweeps - 1):
+                best = kernel._sweep_once(x, best).best
+            np.testing.assert_array_equal(pair[0], point - x[0])
+            np.testing.assert_array_equal(pair[1], grad - LossKernel(sub.dims, 1, sub).value_and_grad(x[0])[1])
+        assert paired == {1: 1, 3: 3, 40: 6}[lanes]
 
     @pytest.mark.parametrize("budget", [2, 3])
     @pytest.mark.parametrize("sub", [
@@ -555,9 +590,9 @@ class TestBudgetOneSweepMemo:
             before = dict(calls)
             swept = kernel.sweep(stack)
             assert (calls["forward"] - before["forward"], calls["backward"] - before["backward"]) == (1, 1)
-            for (point, *_, sweeps), start in zip(swept, stack):
+            for (point, _, _, sweeps, pair), start in zip(swept, stack):
                 np.testing.assert_array_equal(point, start)
-                assert sweeps == 0
+                assert sweeps == 0 and pair is None
             assert_handed_over_fresh(sub, budget, swept)
 
 

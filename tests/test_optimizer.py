@@ -277,13 +277,45 @@ class TestLbfgs:
         assert "loss-floor" in reasons
 
     def test_floor_band_point_is_accepted_by_its_slope(self):
-        # a 2 x 6 strip whose second trial once bisected through every step
-        # at the float floor, 4.7e-10 from gradient tolerance
-        report = run_certification(strip_subspace(StripParams(6, 2.901518940954653)), 2,
-                                   OptimConfig(seed=1137275413))
+        # a 2 x 6 strip whose first trial takes its one step to a point of
+        # the floor band that fails Armijo; without the slope test that
+        # trial bisects through every step and stops at `loss-floor`
+        report = run_certification(strip_subspace(StripParams(6, 2.93472716003923)), 2,
+                                   OptimConfig(seed=3457684179))
         for d in report.per_trial:
             assert d.reason == "gradient-tolerance" and d.grad_inf < objective.TOL_GRAD
-        assert report.best_value == float.fromhex("0x1.d0cbc029e5748p-9")
+            assert d.iterations == 1
+        assert report.best_value == float.fromhex("0x1.5a81c2b0a4016p-9")
+
+    def test_start_pair_failing_the_curvature_test_changes_nothing(self):
+        # a start pair with s . y <= 0 is dropped by the curvature test, so
+        # the run is the one without a pair, bit for bit
+        q = np.diag([1.0, 4.0, 25.0])
+
+        def f(x):
+            return 0.5 * float(x @ q @ x), q @ x
+
+        x0 = np.ones(3)
+        ref = minimize(f, x0)
+        for pair in [(np.ones(3), -np.ones(3)), (np.ones(3), np.zeros(3)), (np.zeros(3), np.ones(3))]:
+            res = minimize(f, x0, pair=pair)
+            assert (res.values, res.reason, res.iterations, res.grad_inf) == (
+                ref.values, ref.reason, ref.iterations, ref.grad_inf)
+            np.testing.assert_array_equal(res.x, ref.x)
+
+    def test_start_pair_makes_the_first_step_quasi_newton(self):
+        # on f = a x^2 / 2 the pair (s, a s) gives the exact inverse
+        # Hessian, so the first step, of length 1, lands on the minimum;
+        # without it the first step is steepest descent and falls short
+        a = 8.0
+
+        def f(x):
+            return 0.5 * a * float(x @ x), a * x
+
+        x0 = np.array([3.0])
+        res = minimize(f, x0, pair=(np.array([0.5]), np.array([0.5 * a])))
+        assert (res.iterations, res.reason, res.value) == (1, "gradient-tolerance", 0.0)
+        assert minimize(f, x0).iterations > 1
 
 
 class FlakySweepKernel:
@@ -305,7 +337,7 @@ class FlakySweepKernel:
         if self.sweep_failures > 0:
             self.sweep_failures -= 1
             return [None] * len(x)
-        return [(row, *self.value_and_grad(row), 1) for row in x]
+        return [(row, *self.value_and_grad(row), 1, None) for row in x]
 
 
 def one_trial(kernel, rng, cfg):
@@ -343,10 +375,10 @@ class TestTrials:
             kernel.value(zero)
         lanes = kernel.sweep(np.stack([zero, draw]))
         assert lanes[0] is None
-        point, value, grad, sweeps = lanes[1]
+        point, value, grad, sweeps, pair = lanes[1]
         fresh = LossKernel(sub.dims, 2, sub).value_and_grad(draw)
         np.testing.assert_array_equal(point, draw)
-        assert (value, sweeps) == (fresh[0], 0)
+        assert (value, sweeps, pair) == (fresh[0], 0, None)
         np.testing.assert_array_equal(grad, fresh[1])
         x, diag = opt_mod._minimize_kernel(kernel, trial_rng(4), OptimConfig(), None)
         assert x is not None and (diag.reinits, diag.failed) == (1, False)
@@ -426,7 +458,8 @@ class TestSweepContinuation:
     def test_cut_continuation_hands_on_its_last_point(self, monkeypatch):
         # a continuation cut one sweep after the handover returns that later
         # point and count, no higher than the handover point, with the
-        # gradient it read there
+        # gradient it read there and the secant pair from the handover
+        # point, whose gradient it read the sweep before
         sub = max_ces_subspace(3, 4, 7)
         kernel = LossKernel(sub.dims, 1, sub)
         cfg = OptimConfig()
@@ -441,29 +474,43 @@ class TestSweepContinuation:
         for i in range(cfg.trials):
             x0 = trial_rng(cfg.seed, i).standard_normal(kernel.n_params)
             sweeps_off(monkeypatch)
-            (handover, _, _, count), = kernel.sweep(x0[None])
+            grads.clear()
+            (handover, _, handover_grad, count, _), = kernel.sweep(x0[None])
+            # the handover point's gradient, then the point's before it, for
+            # the pair
+            assert len(grads) == 2
             monkeypatch.setattr(objective, "MAX_FINISH_SWEEPS", count + 1)
             grads.clear()
-            (cut, value, grad, sweeps), = kernel.sweep(x0[None])
+            (cut, value, grad, sweeps, pair), = kernel.sweep(x0[None])
             # the handover point's gradient, then the cut point's
             assert sweeps == count + 1 and len(grads) == 2
             fresh = LossKernel(sub.dims, 1, sub).value_and_grad(cut)
             assert value == fresh[0]
             np.testing.assert_array_equal(grad, fresh[1])
+            np.testing.assert_array_equal(pair[0], cut - handover)
+            np.testing.assert_array_equal(pair[1], grad - handover_grad)
             assert cut.tobytes() != handover.tobytes()
             assert kernel.value(cut) <= kernel.value(handover)
             diag = one_trial(kernel, trial_rng(cfg.seed, i), cfg)[1]
             assert diag.sweeps == count + 1 and not diag.failed
+
+    def test_one_free_qubit_trials_take_one_iteration(self):
+        # L-BFGS starts from the secant pair of the last sweep, so on one
+        # free qubit its first step is quasi-Newton and reaches the
+        # gradient tolerance; from steepest descent it took two
+        report = run_certification(strip_subspace(StripParams(4, 1.0)), 2, OptimConfig(seed=3))
+        assert [(d.reason, d.iterations) for d in report.per_trial] == [("gradient-tolerance", 1)] * 3
 
     @pytest.mark.parametrize("sub", [
         strip_subspace(StripParams(4, 1.0)),
         from_spanning_set([haar_random_state((2, 3), np.random.default_rng(2)) for _ in range(2)]),
     ], ids=["strip-2x4", "random-2x3"])
     def test_one_free_qubit_sweeps_without_gradients(self, monkeypatch, sub):
-        # two free real dimensions: L-BFGS finishes such trials in about two
-        # iterations, so the sweeps hand over as before and run no
-        # continuation: the only gradients they take are those of the
-        # sweeps in which lanes leave the stack, to hand over
+        # two free real dimensions: L-BFGS finishes such trials in one
+        # iteration from the sweeps' secant pair, so the sweeps hand over
+        # as before and run no continuation: the only gradients they take
+        # are those of the sweeps in which lanes leave the stack, to hand
+        # over, and those of the stacks of the sweeps before, for the pairs
         kernel = LossKernel(sub.dims, 1, sub)
         assert kernel._free_dims == 2
         stacks = []  # the lanes of each backward pass
@@ -480,15 +527,18 @@ class TestSweepContinuation:
             swept = kernel.sweep(x)
             sweeps = [lane[3] for lane in swept]
             assert all(n <= objective.MAX_SWEEPS for n in sweeps)
-            # one gradient per sweep in which lanes leave, each of the
-            # stack that sweep held
+            assert all(lane[4] is not None for lane in swept)
+            # per sweep in which lanes leave, one gradient of the stack it
+            # held, then one of the stack the sweep before held, unless
+            # lanes left in that sweep too
             leaving = sorted(set(sweeps))
-            assert stacks == [sum(n >= k for n in sweeps) for k in leaving]
+            assert stacks == [size for k in leaving for size in (
+                [sum(n >= k for n in sweeps)] + [sum(n >= k - 1 for n in sweeps)] * (k - 1 not in leaving))]
             # every lane leaves at its handover point
             with monkeypatch.context() as m:
                 sweeps_off(m)
                 handed = kernel.sweep(x)
-            for (point, *_, n), (ref, *_, n_ref) in zip(swept, handed):
+            for (point, *_, n, _), (ref, *_, n_ref, _) in zip(swept, handed):
                 assert n == n_ref and point.tobytes() == ref.tobytes()
 
 
@@ -501,6 +551,12 @@ class TestOptimConfig:
         with pytest.raises(UsageError, match="seed must be >= 0"):
             OptimConfig(seed=-1)
         assert OptimConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize("field", ["trials", "max_iters"])
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_counts_below_one_are_refused_by_name(self, field, bad):
+        with pytest.raises(UsageError, match=f"^{field} must be >= 1, got {bad}$"):
+            OptimConfig(**{field: bad})
 
     @pytest.mark.parametrize("field, bad", [("trials", 2.5), ("max_iters", 1e4), ("seed", 1.5), ("seed", "1")])
     def test_counts_must_be_integers(self, field, bad):

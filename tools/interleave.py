@@ -15,11 +15,14 @@ Prints each side's p50 and p90 op latency and their B / A ratios, the
 median of the per-op ratios, the ops in which B was faster, each side's
 median round wall (the sum of its op latencies in a round; the
 benchmark's wall_s is the median of its round walls) with their B / A
-ratio and the rounds in which B was faster, and the ops
-whose value and verdict are identical on both sides (values compared as
-float64 bits). BLAS runs one thread unless the caller sets
-OPENBLAS_NUM_THREADS / OMP_NUM_THREADS. No op's failure is forgiven: an
-op that raises stops the run.
+ratio and the rounds in which B was faster, the ops whose value and
+verdict are identical on both sides (values compared as float64 bits),
+and each side's count of failed checks. BLAS runs one thread unless the
+caller sets OPENBLAS_NUM_THREADS / OMP_NUM_THREADS. No op's failure is
+forgiven: every op's result is checked by its own side's oracle
+(`Op.check`), and the first op that fails its check on either side, or
+raises, stops the run; a failed check exits nonzero naming the op and the
+side.
 """
 
 from __future__ import annotations
@@ -78,7 +81,7 @@ def main(argv=None) -> int:
     sides = [load_side(args.a, "workloads_a"), load_side(args.b, "workloads_b")]
     workloads = [side.WORKLOADS[args.workload] for side in sides]
     inputs = [w.build(args.seed) for w in workloads]
-    lat, walls, same = ([], []), ([], []), 0
+    lat, walls, same, failed = ([], []), ([], []), 0, [0, 0]
     for k in range(args.rounds):
         rounds = [w.ops(x, args.seed, k) for w, x in zip(workloads, inputs)]
         for j, pair in enumerate(zip(*rounds)):
@@ -88,6 +91,11 @@ def main(argv=None) -> int:
                 out[s] = timed(pair[s])
             for s in (0, 1):
                 lat[s].append(out[s][0])
+                failed[s] += not pair[s].check(out[s][1], out[s][2])
+            if any(failed):
+                print(f"failed checks  A {failed[0]}  B {failed[1]}")
+                bad = " and ".join(label for label, n in zip("AB", failed) if n)
+                raise SystemExit(f"op {pair[0].name} of round {k} failed its check on side {bad}")
             same += out[0][2] == out[1][2] and out[0][1].hex() == out[1][1].hex()
         for s in (0, 1):
             walls[s].append(sum(lat[s][-len(rounds[s]):]))
@@ -106,6 +114,7 @@ def main(argv=None) -> int:
     print(f"round wall s  A {wall[0]:.6g}  B {wall[1]:.6g}  B/A {wall[1] / wall[0]:.4f}")
     print(f"B faster in {sum(b < a for a, b in zip(*walls))} of {args.rounds} rounds")
     print(f"identical values and verdicts in {same} of {n} ops")
+    print(f"failed checks  A {failed[0]}  B {failed[1]}")
     return 0
 
 
